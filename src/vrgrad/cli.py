@@ -266,7 +266,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
 
 
 def _bench_cell(payload):
-    """Worker for one (dataset, algorithm, sweep value, seed) cell."""
+    """Worker for one (dataset, algorithm, sweep value, seed) cell; returns its RunTrace."""
     cfg, ds_cfg, algo_cfg, sweep_kv, seed, f_star = payload
     run_cfg = dict(cfg)
     run_cfg["dataset"] = ds_cfg["dataset"]
@@ -276,15 +276,7 @@ def _bench_cell(payload):
         run_cfg[sweep_kv[0]] = sweep_kv[1]
     problem = build_problem(run_cfg)
     algorithm, solver_cfg, eta_abs, m, l_p, info = _resolve_run(problem, run_cfg, seed)
-    trace = _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
-    return {
-        "grad_evals": trace.grad_evals.tolist(),
-        "objective": trace.objective.tolist(),
-        "gap": trace.gap.tolist(),
-        "epoch": trace.epoch.tolist(),
-        "wall_ms": trace.wall_ms.tolist(),
-        "theory_warning": bool(trace.theory_warning),
-    }
+    return _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
 
 
 def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
@@ -308,20 +300,24 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
 
     base = {k: v for k, v in cfg.items()
             if k not in ("datasets", "algorithms", "seeds", "sweep")}
+    compute_reference = bool(_get(_get(cfg, "reference", {}), "compute", True))
     manifest_cells = []
     for ds_cfg in datasets:
         ds_name = _get(ds_cfg, "name")
-        problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
-                                 "problem": _get(ds_cfg, "problem")})
-        facts = certificates.reference_solution(
-            problem, tol=float(_get(cfg, "reference_tol", 1e-12)))
+        facts = None
+        if compute_reference:
+            problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
+                                     "problem": _get(ds_cfg, "problem")})
+            facts = certificates.reference_solution(
+                problem, tol=float(_get(cfg, "reference_tol", 1e-12)))
+        f_star = None if facts is None else facts.f_star
         jobs = []
         for algo_cfg in algorithms:
             for sv in sweep_values:
                 for seed in seeds:
                     kv = (sweep_param, sv) if sweep_param is not None else None
                     jobs.append((algo_cfg, sv, seed,
-                                 (base, ds_cfg, algo_cfg, kv, seed, facts.f_star)))
+                                 (base, ds_cfg, algo_cfg, kv, seed, f_star)))
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_cell, [j[3] for j in jobs]))
@@ -330,39 +326,33 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
 
         # per-cell traces, then per-(algorithm, sweep value) mean gap over seeds
         grouped = {}
-        for (algo_cfg, sv, seed, _), res in zip(jobs, results):
+        for (algo_cfg, sv, seed, _), trace in zip(jobs, results):
             name = _get(algo_cfg, "name", algo_cfg.get("algorithm"))
             tag = f"{name}" if sv is None else f"{name}_{sweep_param}={sv}"
-            cell_path = out / f"trace_{ds_name}_{tag}_s{seed}.csv"
-            with open(cell_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("epoch,grad_evals,objective,gap,wall_ms\n")
-                for i in range(len(res["epoch"])):
-                    fh.write(",".join([
-                        str(res["epoch"][i]), str(res["grad_evals"][i]),
-                        repr(res["objective"][i]), repr(res["gap"][i]),
-                        repr(res["wall_ms"][i])]) + "\n")
-            grouped.setdefault((name, sv), []).append(res)
+            write_trace_csv(out / f"trace_{ds_name}_{tag}_s{seed}.csv", trace)
+            grouped.setdefault((name, sv), []).append(trace)
             manifest_cells.append({"dataset": ds_name, "algorithm": name,
                                    "sweep": sv, "seed": seed,
-                                   "theory_warning": res["theory_warning"],
-                                   "rows": len(res["epoch"])})
+                                   "theory_warning": bool(trace.theory_warning),
+                                   "rows": int(trace.epoch.size)})
 
         agg_path = out / f"aggregate_{ds_name}.csv"
         with open(agg_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("algorithm,sweep_value,epoch,grad_evals,mean_gap\n")
             for (name, sv), runs in grouped.items():
-                n_rows = min(len(r["epoch"]) for r in runs)
+                n_rows = min(r.epoch.size for r in runs)
                 for i in range(n_rows):
-                    gaps = [r["gap"][i] for r in runs]
+                    gaps = [float(r.gap[i]) for r in runs]
                     fh.write(",".join([
                         name,
                         "" if sv is None else json.dumps(sv),
-                        str(runs[0]["epoch"][i]),
-                        str(runs[0]["grad_evals"][i]),
+                        str(int(runs[0].epoch[i])),
+                        str(int(runs[0].grad_evals[i])),
                         repr(float(np.mean(gaps))),
                     ]) + "\n")
-        print(f"{ds_name}: f* = {facts.f_star:.12g} "
-              f"(certified={facts.certified}), wrote {agg_path}")
+        ref_note = ("no reference solve" if facts is None else
+                    f"f* = {facts.f_star:.12g} (certified={facts.certified})")
+        print(f"{ds_name}: {ref_note}, wrote {agg_path}")
 
     manifest = {
         "command": "bench",

@@ -10,6 +10,7 @@ inner steps adds n + 2m to the counter.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import sampling
-from .geometry import project_box, project_l1_ball, prox_l1
+from .geometry import box_kernel, l1_ball_kernel, soft_threshold_kernel
 from .problems import (
     Box,
     L1Ball,
@@ -130,24 +131,24 @@ class _Rows:
         )
 
 
-def _projector(problem: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
+def _step_map(problem: ProblemSpec) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Map (point, step) -> next iterate: projection or l1 prox.
+
+    Built once per run from the unchecked geometry kernels: the side's
+    parameters were checked when the problem was built, and every point the
+    solvers pass is a float64 vector of length d.
+    """
     c = problem.constraint
     if isinstance(c, L1Ball):
-        return lambda v: project_l1_ball(v, c.tau)
+        tau = c.tau
+        return lambda v, s: l1_ball_kernel(v, tau)
     if isinstance(c, Box):
-        return lambda v: project_box(v, c.lower, c.upper)
-    raise ValueError("problem has no constraint set")
-
-
-def _step_map(problem: ProblemSpec) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Map (point, step) -> next iterate: projection or l1 prox."""
-    if problem.is_constrained:
-        proj = _projector(problem)
-        return lambda v, s: proj(v)
+        lower, upper = c.lower, c.upper
+        return lambda v, s: box_kernel(v, lower, upper)
     lam = problem.regularizer.lam
     if lam == 0.0:
         return lambda v, s: v
-    return lambda v, s: prox_l1(v, s * lam)
+    return lambda v, s: soft_threshold_kernel(v, s * lam)
 
 
 def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
@@ -160,8 +161,7 @@ def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
         if not np.all(np.isfinite(w)):
             raise ValueError("w0 must be finite")
     if problem.is_constrained:
-        proj = _projector(problem)
-        pw = proj(w)
+        pw = _step_map(problem)(w, 0.0)
         if not np.allclose(pw, w, rtol=0.0, atol=1e-12):
             if strict:
                 raise ValueError("w0 is infeasible and strict_feasibility is set")
@@ -175,7 +175,7 @@ def _divergence_threshold(f0: float, factor: float) -> float:
 
 
 def _scalar_coef(problem: ProblemSpec):
-    y = problem.loss.labels
+    y = problem.loss.labels.tolist()
     if problem.loss.kind == "least_squares":
         return lambda i, u: u - y[i]
     return lambda i, u: -y[i] * float(expit(-y[i] * u))
@@ -186,6 +186,7 @@ def _uniform_distribution(n: int, seed: int) -> sampling.SamplingDistribution:
     return sampling.SamplingDistribution(p=p, cumulative=np.cumsum(p), seed=int(seed))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by the epoch check
 def _svrg_epochs(problem, config, w_start, f_star, objective, algorithm,
                  eval_offset=0, rows=None, t0=None, info=None):
     """Shared snapshot/inner-loop engine for the variance-reduced solvers.
@@ -194,7 +195,12 @@ def _svrg_epochs(problem, config, w_start, f_star, objective, algorithm,
         v = (grad f_i(w) - grad f_i(snapshot)) / (n p_i) + snapshot gradient
         w <- step_map(w - eta v)
     and the epoch output is the average of the m inner iterates (or the
-    last one when average_epoch_output is off).
+    last one when average_epoch_output is off).  An inner step does only
+    O(d) vector work: the epoch's indices come from one draw_many call,
+    eta times the snapshot gradient is formed once per epoch, and the
+    running sum is kept only when averaging.  Nothing is checked per step:
+    a NaN iterate stays NaN to the end of its epoch, whose objective check
+    raises DivergenceError.
     """
     mat = problem.matrix
     n, d = problem.n, problem.d
@@ -210,8 +216,9 @@ def _svrg_epochs(problem, config, w_start, f_star, objective, algorithm,
     coef = _scalar_coef(problem)
     q = problem.q
     has_q = bool(np.any(q))
-    n_times_p = n * dist.p
-    indptr, indices, values = mat.indptr, mat.indices, mat.data
+    n_times_p = (n * dist.p).tolist()
+    indptr, indices, values = mat.indptr.tolist(), mat.indices, mat.data
+    average = config.average_epoch_output
 
     w_tilde = w_start
     f0 = objective(w_tilde)
@@ -227,20 +234,21 @@ def _svrg_epochs(problem, config, w_start, f_star, objective, algorithm,
         snap_grad = mat.rmatvec(snap_coef) / n
         if has_q:
             snap_grad = snap_grad + q
-        w = w_tilde.copy()
-        acc = np.zeros(d)
-        for _ in range(m):
-            i = sampling.draw(dist)
+        eta_snap_grad = eta * snap_grad
+        snap_coef = snap_coef.tolist()
+        w = w_tilde  # never written in place: each step makes a new vector
+        acc = np.zeros(d) if average else None
+        for i in sampling.draw_many(dist, m).tolist():
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             val = values[lo:hi]
-            u = float(val @ w[idx])
-            c = (coef(i, u) - snap_coef[i]) / n_times_p[i]
-            v = w - eta * snap_grad
+            c = (coef(i, float(val @ w[idx])) - snap_coef[i]) / n_times_p[i]
+            v = w - eta_snap_grad
             v[idx] -= (eta * c) * val
             w = step(v, eta)
-            acc += w
-        w_tilde = acc / m if config.average_epoch_output else w
+            if average:
+                acc += w
+        w_tilde = acc / m if average else w
         f_val = objective(w_tilde)
         if not np.isfinite(f_val) or f_val > threshold:
             raise DivergenceError(
@@ -318,15 +326,16 @@ def run_projected_sgd(problem: ProblemSpec, config: SolverConfig, w0=None,
     return trace
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by the epoch check
 def _sgd_passes(problem, config, w, f_star, passes, rows, t0):
     """Run `passes` passes of decaying-step projected SGD; returns (w, trace)."""
     mat = problem.matrix
     n = problem.n
-    proj = _projector(problem)
+    step = _step_map(problem)
     coef = _scalar_coef(problem)
     q = problem.q
     has_q = bool(np.any(q))
-    indptr, indices, values = mat.indptr, mat.indices, mat.data
+    indptr, indices, values = mat.indptr.tolist(), mat.indices, mat.data
     dist = _uniform_distribution(n, config.seed)
     eta0 = config.sgd_initial_step
 
@@ -334,19 +343,18 @@ def _sgd_passes(problem, config, w, f_star, passes, rows, t0):
     threshold = _divergence_threshold(f0, config.divergence_factor)
     k = 0
     for p in range(1, passes + 1):
-        for _ in range(n):
+        for i in sampling.draw_many(dist, n).tolist():
             k += 1
-            i = sampling.draw(dist)
             if eta0 == 0.0:
                 continue
-            eta = eta0 / np.sqrt(k)
+            eta = eta0 / math.sqrt(k)
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             val = values[lo:hi]
             a = coef(i, float(val @ w[idx]))
             v = w - eta * q if has_q else w.copy()
             v[idx] -= (eta * a) * val
-            w = proj(v)
+            w = step(v, eta)
         f_val = eval_objective(problem, w)
         if not np.isfinite(f_val) or f_val > threshold:
             raise DivergenceError(

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from vrgrad import certificates
 from vrgrad.cli import main
 
 
@@ -120,6 +122,42 @@ def test_solve_divergence_exits_two(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+README_SOLVE = {
+    "dataset": {"kind": "synthetic", "n": 400, "d": 80, "rank": 30,
+                "noise_std": 0.25, "row_scale_spread": 3.0, "seed": 7},
+    "problem": {"constraint": {"type": "l1_ball", "tau": 10.0}},
+    "algorithm": "vrpsg", "epochs": 20, "eta": 0.2, "eta_units": "inv_lp",
+    "m": 200, "sampling": "proportional", "seed": 0,
+}
+
+
+def solve_with_step(tmp_path, eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow notes included
+        return main(["solve", "--config", write_config(tmp_path, README_SOLVE),
+                     "--set", f"eta={eta}", "--set", "eta_units=absolute",
+                     "--set", 'reference={"compute": false}',
+                     "--out", str(tmp_path / "o")])
+
+
+def test_solve_huge_step_on_l1_ball_runs_to_the_end(tmp_path, capsys):
+    # This once died with an IndexError from the l1-ball projection.  The
+    # inner points stay finite at eta = 1e300 and project onto vertices of
+    # the ball, so the objective stays bounded: nothing diverges.
+    assert solve_with_step(tmp_path, 1e300) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "1/(4 L_P)" in err
+    rows = read_rows(tmp_path / "o" / "trace.csv")
+    assert len(rows) == 20
+    assert all(np.isfinite(float(r["objective"])) for r in rows)
+
+
+def test_solve_overflowing_step_on_l1_ball_exits_two(tmp_path, capsys):
+    assert solve_with_step(tmp_path, 1e308) == 2
+    err = capsys.readouterr().err
+    assert "diverged at epoch 1" in err and "Traceback" not in err
+
+
 def test_certify_contractive_exits_zero(tmp_path):
     cfg = write_config(tmp_path, CONTRACTIVE_CERTIFY)
     out = tmp_path / "cert"
@@ -200,6 +238,60 @@ def test_bench_sweep_tags_cells(tmp_path):
                  "--out", str(out)]) == 0
     assert (out / "trace_tiny_vr_eta=0.05_s0.csv").exists()
     assert (out / "trace_tiny_vr_eta=0.1_s0.csv").exists()
+
+
+def bench_config(algorithms, **extra):
+    return dict({
+        "datasets": [{
+            "name": "tiny",
+            "dataset": BASE_SOLVE["dataset"],
+            "problem": BASE_SOLVE["problem"],
+        }],
+        "algorithms": algorithms,
+        "seeds": [0],
+        "epochs": 3,
+    }, **extra)
+
+
+def rows_without_wall_ms(path):
+    rows = read_rows(path)
+    for row in rows:
+        del row["wall_ms"]
+    return rows
+
+
+def test_bench_cells_are_written_like_solve_traces(tmp_path):
+    # one trace writer: each cell equals the solve trace of the same run,
+    # and the afg cell keeps its probe_evals column
+    algorithms = [{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20},
+                  {"name": "afg", "algorithm": "afg"}]
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", write_config(tmp_path, bench_config(algorithms)),
+                 "--out", str(out)]) == 0
+    for algo in algorithms:
+        name = algo["name"]
+        run = {"dataset": BASE_SOLVE["dataset"], "problem": BASE_SOLVE["problem"],
+               "epochs": 3, "seed": 0}
+        run.update({k: v for k, v in algo.items() if k != "name"})
+        assert main(["solve", "--config", write_config(tmp_path, run, f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+        cell = rows_without_wall_ms(out / f"trace_tiny_{name}_s0.csv")
+        assert cell == rows_without_wall_ms(tmp_path / name / "trace.csv")
+    assert "probe_evals" in read_rows(out / "trace_tiny_afg_s0.csv")[0]
+
+
+def test_bench_honours_reference_compute(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran a reference solve it was told to skip")
+
+    monkeypatch.setattr(certificates, "reference_solution", refuse)
+    cfg = bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20}],
+                       reference={"compute": False})
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert "no reference solve" in capsys.readouterr().out
+    assert [r["gap"] for r in read_rows(out / "trace_tiny_vr_s0.csv")] == ["nan"] * 3
+    assert [r["mean_gap"] for r in read_rows(out / "aggregate_tiny.csv")] == ["nan"] * 3
 
 
 def test_bench_requires_datasets_and_algorithms(tmp_path):

@@ -10,7 +10,7 @@ between the two derivations is the correctness evidence.
 import numpy as np
 import pytest
 
-from vrgrad.geometry import project_box, project_l1_ball, prox_l1
+from vrgrad.geometry import l1_ball_kernel, project_box, project_l1_ball, prox_l1
 
 
 def l1_project_bisection(v, tau, iters=200):
@@ -117,6 +117,19 @@ def test_l1_projection_input_validation():
         project_l1_ball(np.ones(3), np.inf)
     with pytest.raises(ValueError):
         project_l1_ball(np.array([1.0, np.nan]), 1.0)
+
+
+def test_l1_projection_when_tau_is_below_the_magnitudes_rounding():
+    # the partial sums swallow tau (and overflow at 1e308); the projection keeps it
+    assert np.array_equal(project_l1_ball([1e308, 1e308], 1.0), [0.5, 0.5])
+    assert np.array_equal(project_l1_ball([1e20, 1e20], 1.0), [0.5, 0.5])
+    assert np.array_equal(project_l1_ball([-1e308, 1e308, 3.0], 1.0), [-0.5, 0.5, 0.0])
+    assert np.array_equal(project_l1_ball([1e308, 1e308], 1e300), [5e299, 5e299])
+
+
+def test_l1_kernel_sends_non_finite_input_to_nan():
+    for v in ([1.0, np.nan], [np.inf, 1.0], [-np.inf, np.inf]):
+        assert np.all(np.isnan(l1_ball_kernel(np.array(v), 1.0)))
 
 
 def test_box_projection_clamps():

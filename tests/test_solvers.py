@@ -9,7 +9,9 @@ step, whatever the sampled index.
 import numpy as np
 import pytest
 
-from vrgrad.geometry import project_l1_ball, prox_l1
+from scipy.special import expit
+
+from vrgrad.geometry import project_box, project_l1_ball, prox_l1
 from vrgrad.problems import (
     Box,
     L1Ball,
@@ -18,8 +20,9 @@ from vrgrad.problems import (
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
+    margin_coefficients,
 )
-from vrgrad.sampling import PROPORTIONAL, build_distribution
+from vrgrad.sampling import PROPORTIONAL, UNIFORM, build_distribution, draw
 from vrgrad.solvers import (
     DivergenceError,
     SolverConfig,
@@ -30,7 +33,7 @@ from vrgrad.solvers import (
     run_vrpsg,
 )
 
-from conftest import make_problem, random_least_squares
+from conftest import make_problem, random_least_squares, random_logistic
 
 
 def small_ball_problem(seed=50, n=24, d=6, tau=3.0):
@@ -111,6 +114,27 @@ def test_divergence_raises_with_epoch_in_message():
     cfg = SolverConfig(epochs=5, step_size=1e5, inner_iterations=10)
     with pytest.raises(DivergenceError, match="epoch 1"):
         run_vrpsg(prob, cfg)
+
+
+def test_overflowing_step_on_l1_ball_raises_divergence():
+    # the inner points overflow to inf; the unchecked projection turns them
+    # into NaN, and the epoch's objective check reports it
+    prob = small_ball_problem(tau=1.0)
+    cfg = SolverConfig(epochs=3, step_size=1e308, inner_iterations=10)
+    with pytest.raises(DivergenceError, match="epoch 1"):
+        run_vrpsg(prob, cfg)
+
+
+def test_huge_finite_step_on_l1_ball_lands_on_vertices():
+    # at a step of 1e300 the inner points stay finite but tau sits below
+    # their rounding; each projection is exact, a vertex of the ball
+    prob = small_ball_problem(tau=1.0)
+    cfg = SolverConfig(epochs=2, step_size=1e300, inner_iterations=10,
+                       average_epoch_output=False)
+    trace = run_vrpsg(prob, cfg)
+    assert np.all(np.isfinite(trace.objective))
+    assert np.count_nonzero(trace.final_iterate) == 1
+    assert np.abs(trace.final_iterate).sum() == 1.0
 
 
 def test_theory_warning_tracks_step_size_threshold():
@@ -251,3 +275,63 @@ def test_afg_reaches_gradient_mapping_tolerance():
     assert np.linalg.norm(gm) <= 1e-10
     # the tolerance stop fired long before the iteration budget
     assert trace.epoch[-1] < 100000
+
+
+def reference_vr_run(problem, cfg):
+    """The variance-reduced loop written plainly, one checked call per step.
+
+    Each step draws its own index, forms eta times the snapshot gradient
+    afresh, projects or proxes through the public, validating functions
+    and adds to the epoch average; returns (objectives, final iterate).
+    """
+    X, n = problem.matrix, problem.n
+    y, q = problem.loss.labels, problem.q
+    dist = build_distribution(cfg.sampling_mode, compute_lipschitz_info(problem), seed=cfg.seed)
+    eta, m = cfg.step_size, cfg.inner_iterations
+    c = problem.constraint
+    if isinstance(c, L1Ball):
+        step = lambda v: project_l1_ball(v, c.tau)
+    elif isinstance(c, Box):
+        step = lambda v: project_box(v, c.lower, c.upper)
+    else:
+        step = lambda v: prox_l1(v, eta * problem.regularizer.lam)
+    if problem.loss.kind == "least_squares":
+        coef = lambda i, u: u - y[i]
+    else:
+        coef = lambda i, u: -y[i] * float(expit(-y[i] * u))
+    w_tilde, objectives = np.zeros(problem.d), []
+    for _ in range(cfg.epochs):
+        snap_coef = margin_coefficients(problem, X.matvec(w_tilde))
+        snap_grad = X.rmatvec(snap_coef) / n
+        if np.any(q):
+            snap_grad = snap_grad + q
+        w, acc = w_tilde.copy(), np.zeros(problem.d)
+        for _ in range(m):
+            i = draw(dist)
+            idx, val = X.row(i)
+            a = (coef(i, float(val @ w[idx])) - snap_coef[i]) / (n * dist.p[i])
+            v = w - eta * snap_grad
+            v[idx] -= (eta * a) * val
+            w = step(v)
+            acc += w
+        w_tilde = acc / m if cfg.average_epoch_output else w
+        objectives.append(eval_objective(problem, w_tilde))
+    return np.array(objectives), w_tilde
+
+
+@pytest.mark.parametrize("side", ["l1", "box", "lam"])
+@pytest.mark.parametrize("loss", ["least_squares", "logistic"])
+def test_vr_runs_match_the_plain_reference_loop(side, loss):
+    kw = {"l1": {"constraint": L1Ball(tau=0.8)},
+          "box": {"constraint": Box(lower=np.full(7, -0.2), upper=np.full(7, 0.3))},
+          "lam": {"regularizer": L1Regularizer(lam=0.05)}}[side]
+    make = random_least_squares if loss == "least_squares" else random_logistic
+    prob = make(40, 7, seed=60, **kw)
+    run = run_prox_svrg if side == "lam" else run_vrpsg
+    for mode, avg in ((UNIFORM, True), (PROPORTIONAL, False)):
+        cfg = SolverConfig(epochs=3, step_size=0.05, inner_iterations=25, seed=4,
+                           sampling_mode=mode, average_epoch_output=avg)
+        objectives, w = reference_vr_run(prob, cfg)
+        trace = run(prob, cfg)
+        assert trace.objective.tobytes() == objectives.tobytes()
+        assert np.array_equal(trace.final_iterate, w)  # a prox zero's sign may differ
