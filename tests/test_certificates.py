@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vrgrad import certificates
 from vrgrad.certificates import (
     CertificateError,
     EnumerationBudgetError,
@@ -57,6 +58,30 @@ def hoffman_oracle(C, X):
             smallest = np.sqrt(max(np.linalg.eigvalsh(D.T @ D)[0], 0.0))
             best = max(best, 1.0 / smallest)
     return best
+
+
+def hoffman_loop(C, X, rank_tol=1e-10):
+    """The enumeration as one SVD per subset, kept as the reference."""
+    cols = np.vstack([np.empty((0, X.shape[1])) if C is None else C, X]).T
+    d, total = cols.shape
+    best = 0.0
+    for k in range(1, min(d, total) + 1):
+        for combo in itertools.combinations(range(total), k):
+            s = np.linalg.svd(cols[:, combo], compute_uv=False)
+            if s[0] <= 0.0 or s[-1] <= rank_tol * s[0]:
+                continue  # dependent subset; not a basis
+            best = max(best, 1.0 / s[-1])
+    return best
+
+
+def degenerate_design(rng, n, d):
+    """Random rows with duplicated, scaled, zero and dependent rows mixed in."""
+    X = rng.standard_normal((n, d))
+    X[1] = X[0]
+    X[2] = -3.5 * X[0]
+    X[3] = 0.0
+    X[4] = X[0] + 0.25 * X[5]
+    return X[rng.permutation(n)]
 
 
 def stacked_identity_problem():
@@ -152,6 +177,63 @@ def test_hoffman_bound_budget_and_validation():
         hoffman_theta_bound(np.eye(2), np.ones(3), np.eye(2))
     with pytest.raises(ValueError):
         hoffman_theta_bound(None, None, np.zeros((2, 2)))
+
+
+def test_hoffman_bound_equals_reference_loop_exactly():
+    rng = np.random.Generator(np.random.Philox(29))
+    for trial in range(12):
+        d = int(rng.integers(2, 5))
+        X = degenerate_design(rng, int(rng.integers(6, 9)), d)
+        if trial % 3 == 0:
+            C, b = None, None
+        elif trial % 3 == 1:
+            C, b = box_rows(-np.ones(d), np.ones(d))
+        else:
+            C = degenerate_design(rng, 6, d)
+            b = np.zeros(6)
+        assert hoffman_theta_bound(C, b, X) == hoffman_loop(C, X)
+
+
+@pytest.mark.parametrize("block", [27, 28, 29, certificates._SVD_BLOCK])
+def test_hoffman_bound_exact_across_block_boundaries(monkeypatch, block):
+    # 8 columns in d = 3: 8, 28 and 56 subsets of sizes 1, 2 and 3, so
+    # these blocks fall below, on and one past a block's end
+    monkeypatch.setattr(certificates, "_SVD_BLOCK", block)
+    rng = np.random.Generator(np.random.Philox(30))
+    X = degenerate_design(rng, 8, 3)
+    assert hoffman_theta_bound(None, None, X) == hoffman_loop(None, X)
+    C, b = box_rows(-np.ones(3), np.ones(3))
+    assert hoffman_theta_bound(C, b, X[:2]) == hoffman_loop(C, X[:2])
+
+
+def test_hoffman_bound_designed_instance_at_budget_is_one():
+    # [I6; 2 I6] under a box: 24 columns, 190 050 subsets, theta exactly 1
+    C, b = box_rows(-np.ones(6), np.ones(6))
+    X = np.vstack([np.eye(6), 2.0 * np.eye(6)])
+    assert hoffman_theta_bound(C, b, X) == 1.0
+
+
+def test_hoffman_bound_rejects_non_finite_input():
+    C, b = box_rows(-np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="X has a non-finite"):
+        hoffman_theta_bound(C, b, np.array([[1.0, 0.0], [np.inf, 1.0]]))
+    with pytest.raises(ValueError, match="X has a non-finite"):
+        hoffman_theta_bound(None, None, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    C[0, 1] = -np.inf
+    with pytest.raises(ValueError, match="C has a non-finite"):
+        hoffman_theta_bound(C, b, np.eye(2))
+
+
+def test_hoffman_budget_refuses_before_any_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD ran before the budget check")
+
+    monkeypatch.setattr(certificates.np.linalg, "svd", no_svd)
+    C, b = box_rows(-np.ones(3), np.ones(3))
+    with pytest.raises(EnumerationBudgetError, match="exceed the budget of 10"):
+        hoffman_theta_bound(C, b, np.eye(3), max_subsets=10)
+    with pytest.raises(EnumerationBudgetError, match="capped at 8"):
+        hoffman_theta_bound(C, b, np.eye(3), max_columns=8)
 
 
 def test_constraint_row_descriptions_define_the_sets():

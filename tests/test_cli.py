@@ -183,6 +183,26 @@ def test_certify_non_contractive_exits_three(tmp_path):
     assert payload["contractive"] is False
 
 
+@pytest.mark.parametrize("problem, message", [
+    ({"constraint": {"type": "l1_ball", "tau": 1.0}}, "capped at d = 4"),
+    ({"constraint": {"type": "box", "lower": -1.0, "upper": 1.0}},
+     "enumeration capped at 24"),
+])
+def test_certify_over_enumeration_budget_exits_one(tmp_path, capsys, problem, message):
+    # d = 5: the l1 ball needs 2^5 explicit rows; the box gives
+    # [C', X'] 10 + 21 = 31 columns
+    rng = np.random.Generator(np.random.Philox(5))
+    X = rng.standard_normal((21, 5))
+    cfg = {"dataset": {"kind": "inline", "X": X.tolist(), "y": (X @ np.ones(5)).tolist(),
+                       "task": "least_squares"},
+           "problem": problem}
+    assert main(["certify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_certify_rejects_regularized_config(tmp_path, capsys):
     cfg = dict(CONTRACTIVE_CERTIFY)
     cfg["problem"] = {"regularizer": {"lam": 0.1}}

@@ -1,10 +1,18 @@
-"""Hypothesis properties of the inner-loop operators: kernels, draws, the l1-ball projection."""
+"""Hypothesis properties of the inner-loop operators and the Hoffman enumeration.
+
+Kernels, draws and the l1-ball projection, then the batched Hoffman bound
+against its one-SVD-per-subset reference.
+"""
+
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from vrgrad import certificates
 from vrgrad.geometry import (
     box_kernel,
     l1_ball_kernel,
@@ -17,6 +25,7 @@ from vrgrad.problems import compute_lipschitz_info
 from vrgrad.sampling import PROPORTIONAL, UNIFORM, build_distribution, draw, draw_many
 
 from conftest import make_problem
+from test_certificates import hoffman_loop
 
 EPS = np.finfo(np.float64).eps
 PROPS = settings(max_examples=100, deadline=None)
@@ -142,3 +151,26 @@ def test_l1_projection_keeps_a_radius_below_the_magnitudes_rounding(v, tau):
     p = project_l1_ball(v, tau)
     assert abs(float(np.abs(p).sum()) - tau) <= 4.0 * v.size * EPS * tau
     assert np.all((p == 0.0) | (np.sign(p) == np.sign(v)))
+
+
+# small integers give duplicated, scaled, zero and dependent rows often
+design_entries = st.one_of(st.integers(-2, 2).map(float),
+                           st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+@PROPS
+@given(st.integers(1, 3).flatmap(
+           lambda d: st.tuples(arrays(np.float64, st.tuples(st.integers(0, 3), st.just(d)),
+                                      elements=design_entries),
+                               arrays(np.float64, st.tuples(st.integers(1, 5), st.just(d)),
+                                      elements=design_entries))),
+       st.integers(1, 8))
+def test_hoffman_blocks_equal_the_per_subset_loop(design, block):
+    C, X = design
+    expected = hoffman_loop(C, X)
+    with mock.patch.object(certificates, "_SVD_BLOCK", block):
+        if expected == 0.0:  # every row is zero: no basis exists
+            with pytest.raises(ValueError, match="no linearly independent"):
+                certificates.hoffman_theta_bound(C, np.zeros(len(C)), X)
+        else:
+            assert certificates.hoffman_theta_bound(C, np.zeros(len(C)), X) == expected
