@@ -36,9 +36,7 @@ from .problems import (
     ProblemSpec,
     SparseDesignMatrix,
     aggregate_lipschitz,
-    component_lipschitz,
     compute_lipschitz_info,
-    eval_component_grad,
     eval_full_grad,
     eval_objective,
 )
@@ -78,11 +76,9 @@ __all__ = [
     "bounded_gap_M",
     "build_certificate",
     "build_distribution",
-    "component_lipschitz",
     "compute_lipschitz_info",
     "draw",
     "draw_many",
-    "eval_component_grad",
     "eval_full_grad",
     "eval_objective",
     "gen_synthetic",

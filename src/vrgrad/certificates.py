@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import sampling
-from .geometry import project_box, project_l1_ball, prox_l1
+from .geometry import project_l1_ball
 from .problems import (
     Box,
     L1Ball,
@@ -85,15 +85,7 @@ def _random_feasible(problem: ProblemSpec, rng: np.random.Generator) -> np.ndarr
 
 
 def _grad_mapping_norm(problem: ProblemSpec, w) -> float:
-    g = eval_full_grad(problem, w)
-    v = w - g
-    if problem.is_constrained:
-        if isinstance(problem.constraint, L1Ball):
-            mapped = project_l1_ball(v, problem.constraint.tau)
-        else:
-            mapped = project_box(v, problem.constraint.lower, problem.constraint.upper)
-    else:
-        mapped = prox_l1(v, problem.regularizer.lam)
+    mapped = problem.side.step_map()(w - eval_full_grad(problem, w), 1.0)
     return float(np.linalg.norm(w - mapped))
 
 
@@ -190,8 +182,9 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
 
     Enumeration is exact or refused: more than ``max_columns`` total rows,
     or a subset count past ``max_subsets``, raises EnumerationBudgetError
-    before any SVD runs rather than silently truncating.  A C or X with a
-    NaN or infinite entry raises ValueError naming the matrix.
+    before X is densified or any SVD runs, rather than silently
+    truncating.  A C or X with a NaN or infinite entry raises ValueError
+    naming the matrix.
 
     Each subset size k is enumerated in blocks of at most
     ``_SVD_BLOCK`` subsets, with one stacked ``np.linalg.svd`` call per
@@ -199,8 +192,9 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
     so the singular values, and the bound, are bit for bit those of one
     call per subset; the block size only caps the stack's memory.
     """
-    X = X.toarray() if hasattr(X, "toarray") else np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
+    if not hasattr(X, "toarray"):
+        X = np.asarray(X, dtype=np.float64)
+    if len(X.shape) != 2:
         raise ValueError("X must be a matrix")
     d = X.shape[1]
     if C is None:
@@ -212,8 +206,7 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
     if b.size != C.shape[0]:
         raise ValueError("b must have one entry per row of C")
 
-    cols = np.vstack([C, X]).T  # shape (d, total): candidate columns
-    total = cols.shape[1]
+    total = C.shape[0] + X.shape[0]
     if total > max_columns:
         raise EnumerationBudgetError(
             f"[C', X'] has {total} columns; enumeration capped at {max_columns}"
@@ -224,10 +217,13 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
         raise EnumerationBudgetError(
             f"{n_subsets} column subsets exceed the budget of {max_subsets}"
         )
+    if hasattr(X, "toarray"):
+        X = X.toarray()
     if not np.all(np.isfinite(C)):
         raise ValueError("C has a non-finite entry")
     if not np.all(np.isfinite(X)):
         raise ValueError("X has a non-finite entry")
+    cols = np.vstack([C, X]).T  # shape (d, total): candidate columns
 
     best = 0.0
     found = False
@@ -322,12 +318,8 @@ def bounded_gap_M(problem: ProblemSpec, facts: OptimalFacts,
     """
     g = float(np.linalg.norm(problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
     if radius is None:
-        c = problem.constraint
-        if isinstance(c, L1Ball):
-            radius = 2.0 * c.tau
-        elif isinstance(c, Box):
-            radius = float(np.linalg.norm(c.upper - c.lower))
-        else:
+        radius = problem.side.diameter
+        if math.isinf(radius):
             raise ValueError("regularized problems need an explicit sublevel radius")
     if not radius > 0:
         raise ValueError("feasible set has zero diameter; gap bound degenerate")
@@ -445,11 +437,8 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
 
     lam = problem.regularizer.lam if problem.regularizer is not None else None
     if problem.is_constrained:
-        c = problem.constraint
-        if isinstance(c, L1Ball):
-            proj_set = lambda v: project_l1_ball(v, c.tau)
-        else:
-            proj_set = lambda v: project_box(v, c.lower, c.upper)
+        step = problem.side.step_map()
+        proj_set = lambda v: step(v, 1.0)
         ball_radius = None
     elif lam and lam > 0:
         ball_radius = facts.reg_level / lam  # = ||w*||_1

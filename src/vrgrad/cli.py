@@ -136,14 +136,13 @@ def build_problem(cfg: dict):
 _ALGORITHMS = ("vrpsg", "prox_svrg", "sgd", "afg", "vrpsg2")
 
 
-def _resolve_run(problem, cfg: dict, seed: int):
+def _resolve_run(problem, info, cfg: dict, seed: int):
     """Turn a run config into (algorithm, SolverConfig, resolved-eta, m, l_p)."""
     algorithm = _get(cfg, "algorithm")
     if algorithm not in _ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; valid choices: {', '.join(_ALGORITHMS)}")
     mode = _get(cfg, "sampling", sampling.PROPORTIONAL)
-    info = problems.compute_lipschitz_info(problem)
     dist = sampling.build_distribution(mode, info, seed=seed)
     l_p = problems.aggregate_lipschitz(info, dist)
 
@@ -170,7 +169,7 @@ def _resolve_run(problem, cfg: dict, seed: int):
         sampling_mode=mode,
         average_epoch_output=bool(_get(cfg, "average_epoch_output", True)),
     )
-    return algorithm, solver_cfg, eta_abs, m, l_p, info
+    return algorithm, solver_cfg, eta_abs, m, l_p
 
 
 _RUNNERS = {
@@ -224,7 +223,8 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
     problem = build_problem(cfg)
     run_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
 
-    algorithm, solver_cfg, eta_abs, m, l_p, info = _resolve_run(problem, cfg, run_seed)
+    info = problems.compute_lipschitz_info(problem)
+    algorithm, solver_cfg, eta_abs, m, l_p = _resolve_run(problem, info, cfg, run_seed)
     ref_cfg = _get(cfg, "reference", {})
     facts = None
     f_star = None
@@ -267,15 +267,8 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
 
 def _bench_cell(payload):
     """Worker for one (dataset, algorithm, sweep value, seed) cell; returns its RunTrace."""
-    cfg, ds_cfg, algo_cfg, sweep_kv, seed, f_star = payload
-    run_cfg = dict(cfg)
-    run_cfg["dataset"] = ds_cfg["dataset"]
-    run_cfg["problem"] = ds_cfg["problem"]
-    run_cfg.update({k: v for k, v in algo_cfg.items() if k != "name"})
-    if sweep_kv is not None:
-        run_cfg[sweep_kv[0]] = sweep_kv[1]
-    problem = build_problem(run_cfg)
-    algorithm, solver_cfg, eta_abs, m, l_p, info = _resolve_run(problem, run_cfg, seed)
+    problem, info, run_cfg, seed, f_star = payload
+    algorithm, solver_cfg = _resolve_run(problem, info, run_cfg, seed)[:2]
     return _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
 
 
@@ -297,6 +290,10 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
         sweep_values = _get(sweep, "values")
         if not sweep_values:
             raise ConfigError("sweep.values must be non-empty")
+    # each dataset's problem is built once, so a cell may not redefine it
+    for key in [sweep_param, *(k for a in algorithms for k in a)]:
+        if key in ("dataset", "problem"):
+            raise ConfigError(f"bench cells cannot set {key!r}; give it per dataset")
 
     base = {k: v for k, v in cfg.items()
             if k not in ("datasets", "algorithms", "seeds", "sweep")}
@@ -304,20 +301,22 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
     manifest_cells = []
     for ds_cfg in datasets:
         ds_name = _get(ds_cfg, "name")
+        problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
+                                 "problem": _get(ds_cfg, "problem")})
+        info = problems.compute_lipschitz_info(problem)
         facts = None
         if compute_reference:
-            problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
-                                     "problem": _get(ds_cfg, "problem")})
             facts = certificates.reference_solution(
                 problem, tol=float(_get(cfg, "reference_tol", 1e-12)))
         f_star = None if facts is None else facts.f_star
         jobs = []
         for algo_cfg in algorithms:
             for sv in sweep_values:
+                run_cfg = dict(base, **{k: v for k, v in algo_cfg.items() if k != "name"})
+                if sweep_param is not None:
+                    run_cfg[sweep_param] = sv
                 for seed in seeds:
-                    kv = (sweep_param, sv) if sweep_param is not None else None
-                    jobs.append((algo_cfg, sv, seed,
-                                 (base, ds_cfg, algo_cfg, kv, seed, f_star)))
+                    jobs.append((algo_cfg, sv, seed, (problem, info, run_cfg, seed, f_star)))
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_cell, [j[3] for j in jobs]))

@@ -21,8 +21,7 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
     ``task="logistic"`` they must come out as +/-1, optionally after the
     {0,1} -> {-1,+1} remap.  Returns (SparseDesignMatrix, labels).
     """
-    labels = []
-    rows = []
+    labels, indptr, indices, values = [], [0], [], []
     max_idx = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -34,7 +33,6 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
                 label = float(parts[0])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
-            entries = []
             prev = 0
             for tok in parts[1:]:
                 idx_s, _, val_s = tok.partition(":")
@@ -50,11 +48,12 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
                         f"{path}:{lineno}: feature indices must be strictly increasing"
                     )
                 prev = idx
-                entries.append((idx - 1, val))
+                indices.append(idx - 1)
+                values.append(val)
             max_idx = max(max_idx, prev)
             labels.append(label)
-            rows.append(entries)
-    if not rows:
+            indptr.append(len(indices))
+    if not labels:
         raise ValueError(f"{path}: no data lines")
     y = np.asarray(labels, dtype=np.float64)
     if remap01:
@@ -68,7 +67,7 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
         n_cols = max_idx
     elif n_cols < max_idx:
         raise ValueError(f"n_cols={n_cols} but file has feature index {max_idx}")
-    return SparseDesignMatrix(len(rows), n_cols, rows), y
+    return SparseDesignMatrix(y.size, n_cols, indptr, indices, values), y
 
 
 def write_libsvm(path, matrix: SparseDesignMatrix, labels) -> None:

@@ -10,16 +10,51 @@ averaged least squares and binary logistic regression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .geometry import box_kernel, l1_ball_kernel, soft_threshold_kernel
+
 LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
 
-_LOSS_KINDS = (LEAST_SQUARES, LOGISTIC)
+
+class Loss(NamedTuple):
+    """A loss seen through the margins u = X w and the labels y.
+
+    ``mean(u, y)`` is (1/n) sum_i loss(u_i, y_i); ``coef(u, y)`` is the vector
+    a with grad f_i = a_i x_i + q; ``scalar(u_i, y_i)`` is one a_i at a
+    Python-float margin, as the inner steps call it; ``lipschitz_scale``
+    times ||x_i||^2 is component i's smoothness constant; ``signed_labels``
+    says the labels must be +1 or -1.
+    """
+
+    mean: Callable[[np.ndarray, np.ndarray], float]
+    coef: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    scalar: Callable[[float, float], float]
+    lipschitz_scale: float
+    signed_labels: bool
+
+
+def _squares_mean(u, y):
+    r = u - y
+    return float(r @ r) / (2.0 * u.size)
+
+
+LOSSES = {
+    LEAST_SQUARES: Loss(mean=_squares_mean, coef=lambda u, y: u - y,
+                        scalar=lambda u, y: u - y, lipschitz_scale=1.0, signed_labels=False),
+    # log(1 + exp(-z)) as logaddexp(0, -z): exact for large |z|, no overflow;
+    # the coefficient -y sigmoid(-y u) goes through expit, so extreme margins
+    # saturate instead of overflowing
+    LOGISTIC: Loss(mean=lambda u, y: float(np.logaddexp(0.0, -y * u).sum()) / u.size,
+                   coef=lambda u, y: -y * expit(-y * u),
+                   scalar=lambda u, y: -y * float(expit(-y * u)),
+                   lipschitz_scale=0.25, signed_labels=True),
+}
 
 
 class SparseDesignMatrix:
@@ -29,48 +64,42 @@ class SparseDesignMatrix:
     ----------
     n_rows, n_cols : int
         Matrix shape.
-    rows : sequence
-        One entry list per row, each a sequence of ``(index, value)``
-        pairs with strictly increasing indices below ``n_cols``.
+    indptr, indices, data : array_like
+        CSR arrays: row i holds the columns ``indices[indptr[i]:indptr[i+1]]``,
+        strictly increasing and below ``n_cols``, with finite ``data``.
+        The arrays are copied; indices are kept as int64.
 
     Notes
     -----
-    Storage is CSR; ``row_sq_norms`` is filled at construction so that
-    per-component Lipschitz constants are O(1) lookups afterwards.
+    ``row_sq_norms`` is filled at construction so that per-component
+    Lipschitz constants are O(1) lookups afterwards.
     """
 
-    def __init__(self, n_rows, n_cols, rows):
-        n_rows = int(n_rows)
-        n_cols = int(n_cols)
+    def __init__(self, n_rows, n_cols, indptr, indices, data):
+        n_rows, n_cols = int(n_rows), int(n_cols)
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix shape must be nonnegative")
-        if len(rows) != n_rows:
-            raise ValueError(f"expected {n_rows} rows, got {len(rows)}")
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        idx_chunks = []
-        val_chunks = []
-        for i, row in enumerate(rows):
-            if len(row):
-                idx = np.asarray([int(j) for j, _ in row], dtype=np.int64)
-                val = np.asarray([float(v) for _, v in row], dtype=np.float64)
-            else:
-                idx = np.empty(0, dtype=np.int64)
-                val = np.empty(0, dtype=np.float64)
-            if idx.size:
-                if idx[0] < 0 or idx[-1] >= n_cols or np.any(np.diff(idx) <= 0):
-                    raise ValueError(
-                        f"row {i}: column indices must be strictly increasing and in [0, {n_cols})"
-                    )
-            if not np.all(np.isfinite(val)):
-                raise ValueError(f"row {i}: non-finite value")
-            indptr[i + 1] = indptr[i] + idx.size
-            idx_chunks.append(idx)
-            val_chunks.append(val)
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.indptr = indptr
-        self.indices = np.concatenate(idx_chunks) if idx_chunks else np.empty(0, np.int64)
-        self.data = np.concatenate(val_chunks) if val_chunks else np.empty(0, np.float64)
+        indptr = np.array(indptr, dtype=np.int64).ravel()
+        indices = np.array(indices, dtype=np.int64).ravel()
+        data = np.array(data, dtype=np.float64).ravel()
+        counts = np.diff(indptr)
+        if (indptr.size != n_rows + 1 or indptr[0] != 0 or np.any(counts < 0)
+                or indptr[-1] != indices.size or data.size != indices.size):
+            raise ValueError(f"indptr must rise from 0 to nnz in {n_rows + 1} entries, "
+                             "with one value per column index")
+        rows = np.repeat(np.arange(n_rows), counts)
+        bad_index = (indices < 0) | (indices >= n_cols)
+        bad_index[1:] |= (indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])
+        bad = bad_index | ~np.isfinite(data)
+        if bad.any():
+            i = int(rows[bad.argmax()])
+            if bad_index[rows == i].any():
+                raise ValueError(
+                    f"row {i}: column indices must be strictly increasing and in [0, {n_cols})"
+                )
+            raise ValueError(f"row {i}: non-finite value")
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.indptr, self.indices, self.data = indptr, indices, data
         self._csr = sp.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(n_rows, n_cols), copy=False
         )
@@ -83,11 +112,8 @@ class SparseDesignMatrix:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        rows = []
-        for i in range(arr.shape[0]):
-            nz = np.nonzero(arr[i])[0]
-            rows.append(list(zip(nz.tolist(), arr[i, nz].tolist())))
-        return cls(arr.shape[0], arr.shape[1], rows)
+        csr = sp.csr_matrix(arr)
+        return cls(arr.shape[0], arr.shape[1], csr.indptr, csr.indices, csr.data)
 
     @property
     def shape(self):
@@ -98,20 +124,11 @@ class SparseDesignMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
-    def row_dot(self, i, w) -> float:
-        idx, val = self.row(i)
-        return float(val @ w[idx])
-
     def matvec(self, w) -> np.ndarray:
         return self._csr @ w
 
     def rmatvec(self, u) -> np.ndarray:
         return self._csr.T @ u
-
-    def row_l1_norms(self) -> np.ndarray:
-        absX = self._csr.copy()
-        absX.data = np.abs(absX.data)
-        return np.asarray(absX.sum(axis=1)).ravel()
 
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
@@ -125,13 +142,19 @@ class LossSpec:
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in _LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; valid: {_LOSS_KINDS}")
+        if self.kind not in LOSSES:
+            raise ValueError(f"unknown loss kind {self.kind!r}; valid: {tuple(LOSSES)}")
         self.labels = np.asarray(self.labels, dtype=np.float64).ravel()
         if not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
-        if self.kind == LOGISTIC and not np.all(np.abs(self.labels) == 1.0):
-            raise ValueError("logistic labels must be +1 or -1")
+        if LOSSES[self.kind].signed_labels and not np.all(np.abs(self.labels) == 1.0):
+            raise ValueError(f"{self.kind} labels must be +1 or -1")
+
+
+# The three sides share one interface: step_map() is the map (v, s) -> next
+# point for a step of size s (the projection, or the l1 prox), built on the
+# unchecked geometry kernels because the side was checked when it was built;
+# penalty(w) is its term in the objective; diameter is infinite for a penalty.
 
 
 @dataclass(frozen=True)
@@ -143,6 +166,17 @@ class L1Ball:
     def __post_init__(self):
         if not (self.tau > 0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite")
+
+    def step_map(self):
+        tau = self.tau
+        return lambda v, s: l1_ball_kernel(v, tau)
+
+    def penalty(self, w) -> float:
+        return 0.0
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.tau
 
 
 @dataclass
@@ -162,6 +196,17 @@ class Box:
         if np.any(self.lower > self.upper):
             raise ValueError("box requires lower <= upper componentwise")
 
+    def step_map(self):
+        lower, upper = self.lower, self.upper
+        return lambda v, s: box_kernel(v, lower, upper)
+
+    def penalty(self, w) -> float:
+        return 0.0
+
+    @property
+    def diameter(self) -> float:
+        return float(np.linalg.norm(self.upper - self.lower))
+
 
 @dataclass(frozen=True)
 class L1Regularizer:
@@ -173,8 +218,16 @@ class L1Regularizer:
         if not (self.lam >= 0 and np.isfinite(self.lam)):
             raise ValueError("lam must be nonnegative and finite")
 
+    def step_map(self):
+        lam = self.lam
+        if lam == 0.0:
+            return lambda v, s: v
+        return lambda v, s: soft_threshold_kernel(v, s * lam)
 
-Constraint = Union[L1Ball, Box]
+    def penalty(self, w) -> float:
+        return self.lam * float(np.abs(w).sum()) if self.lam > 0 else 0.0
+
+    diameter = float("inf")
 
 
 @dataclass
@@ -191,7 +244,7 @@ class ProblemSpec:
     matrix: SparseDesignMatrix
     loss: LossSpec
     q: Optional[np.ndarray] = None
-    constraint: Optional[Constraint] = None
+    constraint: Optional[Union[L1Ball, Box]] = None
     regularizer: Optional[L1Regularizer] = None
 
     def __post_init__(self):
@@ -224,6 +277,11 @@ class ProblemSpec:
     def is_constrained(self) -> bool:
         return self.constraint is not None
 
+    @property
+    def side(self) -> Union[L1Ball, Box, L1Regularizer]:
+        """Whichever of the constraint and the regularizer is set."""
+        return self.constraint if self.constraint is not None else self.regularizer
+
 
 def _check_w(problem, w):
     w = np.asarray(w, dtype=np.float64).ravel()
@@ -236,74 +294,18 @@ def smooth_value(problem: ProblemSpec, w) -> float:
     """Smooth part f(w) = (1/n) sum_i loss_i(x_i' w) + q' w."""
     w = _check_w(problem, w)
     u = problem.matrix.matvec(w)
-    return _smooth_from_margins(problem, u) + float(problem.q @ w)
-
-
-def _smooth_from_margins(problem, u) -> float:
-    y = problem.loss.labels
-    n = problem.n
-    if problem.loss.kind == LEAST_SQUARES:
-        r = u - y
-        return float(r @ r) / (2.0 * n)
-    # log(1 + exp(-z)) as logaddexp(0, -z): exact for large |z|, no overflow
-    return float(np.logaddexp(0.0, -y * u).sum()) / n
+    return LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w)
 
 
 def margin_coefficients(problem: ProblemSpec, u) -> np.ndarray:
-    """Per-component scalar a_i with grad f_i(w) = a_i * x_i + q, at margins u = X w.
-
-    Least squares: a_i = u_i - y_i.  Logistic: a_i = -y_i * sigmoid(-y_i u_i),
-    computed through expit so extreme margins saturate instead of overflowing.
-    """
-    y = problem.loss.labels
-    if problem.loss.kind == LEAST_SQUARES:
-        return u - y
-    return -y * expit(-y * u)
+    """Per-component scalar a_i with grad f_i(w) = a_i * x_i + q, at margins u = X w."""
+    return LOSSES[problem.loss.kind].coef(u, problem.loss.labels)
 
 
 def eval_objective(problem: ProblemSpec, w) -> float:
     """Objective at w: f(w) for constrained problems, f(w) + lam*||w||_1 for regularized."""
     w = _check_w(problem, w)
-    val = smooth_value(problem, w)
-    if problem.regularizer is not None and problem.regularizer.lam > 0:
-        val += problem.regularizer.lam * float(np.abs(w).sum())
-    return val
-
-
-def component_value(problem: ProblemSpec, i: int, w) -> float:
-    """Value of the single component f_i(w) = loss_i(x_i' w) + q' w."""
-    w = _check_w(problem, w)
-    if not 0 <= i < problem.n:
-        raise IndexError(f"component index {i} out of range [0, {problem.n})")
-    u = problem.matrix.row_dot(i, w)
-    y = problem.loss.labels[i]
-    if problem.loss.kind == LEAST_SQUARES:
-        v = 0.5 * (u - y) ** 2
-    else:
-        v = float(np.logaddexp(0.0, -y * u))
-    return v + float(problem.q @ w)
-
-
-def eval_component_grad(problem: ProblemSpec, i: int, w) -> np.ndarray:
-    """Gradient of f_i at w, returned dense.
-
-    The support is the union of row i's support and q's; callers that need
-    the sparse structure should use ``matrix.row(i)`` with
-    ``margin_coefficients`` directly, which is what the solvers do.
-    """
-    w = _check_w(problem, w)
-    if not 0 <= i < problem.n:
-        raise IndexError(f"component index {i} out of range [0, {problem.n})")
-    idx, val = problem.matrix.row(i)
-    u = float(val @ w[idx])
-    y = problem.loss.labels[i]
-    if problem.loss.kind == LEAST_SQUARES:
-        a = u - y
-    else:
-        a = -y * float(expit(-y * u))
-    g = problem.q.copy()
-    g[idx] += a * val
-    return g
+    return smooth_value(problem, w) + problem.side.penalty(w)
 
 
 def eval_full_grad(problem: ProblemSpec, w) -> np.ndarray:
@@ -312,18 +314,6 @@ def eval_full_grad(problem: ProblemSpec, w) -> np.ndarray:
     u = problem.matrix.matvec(w)
     a = margin_coefficients(problem, u)
     return problem.matrix.rmatvec(a) / problem.n + problem.q
-
-
-def component_lipschitz(problem: ProblemSpec, i: int) -> float:
-    """Smoothness constant of component i: ||x_i||^2, or ||x_i||^2 / 4 for logistic.
-
-    A zero row gives 0; such components are degenerate and get excluded
-    from Lipschitz-proportional sampling.
-    """
-    if not 0 <= i < problem.n:
-        raise IndexError(f"component index {i} out of range [0, {problem.n})")
-    sq = problem.matrix.row_sq_norms[i]
-    return float(sq) if problem.loss.kind == LEAST_SQUARES else float(sq) / 4.0
 
 
 @dataclass
@@ -344,8 +334,13 @@ class LipschitzInfo:
 
 def compute_lipschitz_info(problem: ProblemSpec, power_iterations: int = 50,
                            tol: float = 1e-8) -> LipschitzInfo:
-    """Compute per-component constants and the power-iteration global bound."""
-    scale = 1.0 if problem.loss.kind == LEAST_SQUARES else 0.25
+    """Compute per-component constants and the power-iteration global bound.
+
+    Component i's constant is ||x_i||^2, over 4 for logistic.  A zero row
+    gives 0; such components are degenerate and get excluded from
+    Lipschitz-proportional sampling.
+    """
+    scale = LOSSES[problem.loss.kind].lipschitz_scale
     per = problem.matrix.row_sq_norms * scale
     if per.size == 0:
         raise ValueError("problem has no components")

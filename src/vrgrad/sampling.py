@@ -23,13 +23,13 @@ DEGENERATE_FLOOR_SCALE = 1e-12
 
 @dataclass
 class SamplingDistribution:
-    """A fixed distribution over component indices plus its draw stream."""
+    """A fixed distribution over component indices, its cumulative sums, and its draw stream."""
 
     p: np.ndarray
-    cumulative: np.ndarray
     seed: int
     draw_count: int = 0
     _gen: np.random.Generator = field(default=None, repr=False)
+    cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64).ravel()
@@ -40,7 +40,7 @@ class SamplingDistribution:
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
         self.p = p
-        self.cumulative = np.asarray(self.cumulative, dtype=np.float64).ravel()
+        self.cumulative = np.cumsum(p)
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(self.seed))
 
@@ -66,7 +66,7 @@ def build_distribution(mode: str, info: LipschitzInfo, seed: int = 0) -> Samplin
             p = p / p.sum()
     else:
         raise ValueError(f"unknown sampling mode {mode!r}; valid: {UNIFORM!r}, {PROPORTIONAL!r}")
-    return SamplingDistribution(p=p, cumulative=np.cumsum(p), seed=int(seed))
+    return SamplingDistribution(p=p, seed=int(seed))
 
 
 def draw(dist: SamplingDistribution) -> int:

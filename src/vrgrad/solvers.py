@@ -13,24 +13,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from . import sampling
-from .geometry import box_kernel, l1_ball_kernel, soft_threshold_kernel
 from .problems import (
-    Box,
-    L1Ball,
+    LOSSES,
     LipschitzInfo,
     ProblemSpec,
     aggregate_lipschitz,
     compute_lipschitz_info,
-    eval_full_grad,
     eval_objective,
     margin_coefficients,
-    smooth_value,
 )
 
 
@@ -131,26 +126,6 @@ class _Rows:
         )
 
 
-def _step_map(problem: ProblemSpec) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Map (point, step) -> next iterate: projection or l1 prox.
-
-    Built once per run from the unchecked geometry kernels: the side's
-    parameters were checked when the problem was built, and every point the
-    solvers pass is a float64 vector of length d.
-    """
-    c = problem.constraint
-    if isinstance(c, L1Ball):
-        tau = c.tau
-        return lambda v, s: l1_ball_kernel(v, tau)
-    if isinstance(c, Box):
-        lower, upper = c.lower, c.upper
-        return lambda v, s: box_kernel(v, lower, upper)
-    lam = problem.regularizer.lam
-    if lam == 0.0:
-        return lambda v, s: v
-    return lambda v, s: soft_threshold_kernel(v, s * lam)
-
-
 def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
     if w0 is None:
         w = np.zeros(problem.d)
@@ -161,7 +136,7 @@ def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
         if not np.all(np.isfinite(w)):
             raise ValueError("w0 must be finite")
     if problem.is_constrained:
-        pw = _step_map(problem)(w, 0.0)
+        pw = problem.side.step_map()(w, 0.0)
         if not np.allclose(pw, w, rtol=0.0, atol=1e-12):
             if strict:
                 raise ValueError("w0 is infeasible and strict_feasibility is set")
@@ -172,18 +147,6 @@ def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
 def _divergence_threshold(f0: float, factor: float) -> float:
     # "objective exceeds factor x initial" made meaningful for f0 <= 0 too
     return f0 + factor * max(1.0, abs(f0))
-
-
-def _scalar_coef(problem: ProblemSpec):
-    y = problem.loss.labels.tolist()
-    if problem.loss.kind == "least_squares":
-        return lambda i, u: u - y[i]
-    return lambda i, u: -y[i] * float(expit(-y[i] * u))
-
-
-def _uniform_distribution(n: int, seed: int) -> sampling.SamplingDistribution:
-    p = np.full(n, 1.0 / n)
-    return sampling.SamplingDistribution(p=p, cumulative=np.cumsum(p), seed=int(seed))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by the epoch check
@@ -212,8 +175,9 @@ def _svrg_epochs(problem, config, w_start, f_star, objective, algorithm,
     theory_warning = l_p > 0 and config.step_size >= 1.0 / (4.0 * l_p)
 
     eta = config.step_size
-    step = _step_map(problem)
-    coef = _scalar_coef(problem)
+    step = problem.side.step_map()
+    coef = LOSSES[problem.loss.kind].scalar
+    y = problem.loss.labels.tolist()
     q = problem.q
     has_q = bool(np.any(q))
     n_times_p = (n * dist.p).tolist()
@@ -242,7 +206,7 @@ def _svrg_epochs(problem, config, w_start, f_star, objective, algorithm,
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             val = values[lo:hi]
-            c = (coef(i, float(val @ w[idx])) - snap_coef[i]) / n_times_p[i]
+            c = (coef(float(val @ w[idx]), y[i]) - snap_coef[i]) / n_times_p[i]
             v = w - eta_snap_grad
             v[idx] -= (eta * c) * val
             w = step(v, eta)
@@ -331,12 +295,13 @@ def _sgd_passes(problem, config, w, f_star, passes, rows, t0):
     """Run `passes` passes of decaying-step projected SGD; returns (w, trace)."""
     mat = problem.matrix
     n = problem.n
-    step = _step_map(problem)
-    coef = _scalar_coef(problem)
+    step = problem.side.step_map()
+    coef = LOSSES[problem.loss.kind].scalar
+    y = problem.loss.labels.tolist()
     q = problem.q
     has_q = bool(np.any(q))
     indptr, indices, values = mat.indptr.tolist(), mat.indices, mat.data
-    dist = _uniform_distribution(n, config.seed)
+    dist = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=int(config.seed))
     eta0 = config.sgd_initial_step
 
     f0 = eval_objective(problem, w)
@@ -351,7 +316,7 @@ def _sgd_passes(problem, config, w, f_star, passes, rows, t0):
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             val = values[lo:hi]
-            a = coef(i, float(val @ w[idx]))
+            a = coef(float(val @ w[idx]), y[i])
             v = w - eta * q if has_q else w.copy()
             v[idx] -= (eta * a) * val
             w = step(v, eta)
@@ -398,38 +363,29 @@ def run_hybrid_vrpsg2(problem: ProblemSpec, config: SolverConfig, w0=None,
     return trace
 
 
-def _dense_ops(problem: ProblemSpec):
-    """Dense-matrix smooth value and gradient for desk-scale full-gradient work.
+# Below this many matrix entries the full-gradient baseline multiplies by a
+# cached dense array: scipy's sparse matvec carries per-call overhead that
+# dominates at small shapes, and the baseline calls it several times per
+# iteration.  Larger problems keep the sparse matrix.
+_DENSE_MAX_ENTRIES = 500_000
 
-    scipy's sparse matvec carries per-call overhead that dominates at small
-    shapes; the full-gradient baseline calls it several times per iteration,
-    so below this size a cached dense array is used instead.  Large problems
-    fall back to the sparse kernels.
-    """
+
+def _full_grad_ops(problem: ProblemSpec):
+    """Smooth value and gradient for full-gradient work, on the dense or sparse matrix."""
     mat = problem.matrix
-    if mat.n_rows * mat.n_cols > 500_000:
-        return (lambda w: smooth_value(problem, w),
-                lambda w: eval_full_grad(problem, w))
-    Xd = mat.toarray()
-    y = problem.loss.labels
-    q = problem.q
-    n = mat.n_rows
-    least_squares = problem.loss.kind == "least_squares"
+    if mat.n_rows * mat.n_cols > _DENSE_MAX_ENTRIES:
+        matvec, rmatvec = mat.matvec, mat.rmatvec
+    else:
+        Xd = mat.toarray()
+        matvec, rmatvec = Xd.__matmul__, Xd.T.__matmul__
+    loss = LOSSES[problem.loss.kind]
+    y, q, n = problem.loss.labels, problem.q, mat.n_rows
 
     def value(w):
-        u = Xd @ w
-        if least_squares:
-            r = u - y
-            return float(r @ r) / (2.0 * n) + float(q @ w)
-        return float(np.logaddexp(0.0, -y * u).sum()) / n + float(q @ w)
+        return loss.mean(matvec(w), y) + float(q @ w)
 
     def grad(w):
-        u = Xd @ w
-        if least_squares:
-            a = u - y
-        else:
-            a = -y * expit(-y * u)
-        return Xd.T @ a / n + q
+        return rmatvec(loss.coef(matvec(w), y)) / n + q
 
     return value, grad
 
@@ -455,13 +411,9 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
     """
     w = _start_point(problem, w0, config.strict_feasibility)
     n = problem.n
-    step = _step_map(problem)
-    value, grad = _dense_ops(problem)
-
-    def penalty(x):
-        if problem.regularizer is not None and problem.regularizer.lam > 0:
-            return problem.regularizer.lam * float(np.abs(x).sum())
-        return 0.0
+    step = problem.side.step_map()
+    penalty = problem.side.penalty
+    value, grad = _full_grad_ops(problem)
 
     state = {"grad": 0, "probe": 0}
     eps_slack = 8.0 * np.finfo(np.float64).eps

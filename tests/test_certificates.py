@@ -236,6 +236,24 @@ def test_hoffman_budget_refuses_before_any_svd(monkeypatch):
         hoffman_theta_bound(C, b, np.eye(3), max_columns=8)
 
 
+def test_hoffman_budget_refuses_before_densifying(monkeypatch):
+    from vrgrad.problems import SparseDesignMatrix
+
+    def no_toarray(self):
+        raise AssertionError("X was densified before the budget check")
+
+    monkeypatch.setattr(SparseDesignMatrix, "toarray", no_toarray)
+    rng = np.random.Generator(np.random.Philox(31))
+    X = rng.standard_normal((40, 500))
+    X[rng.random(X.shape) < 0.9] = 0.0
+    sparse = SparseDesignMatrix.from_dense(X)
+    with pytest.raises(EnumerationBudgetError, match="40 columns"):
+        hoffman_theta_bound(None, None, sparse)
+    C, b = box_rows(-np.ones(4), np.ones(4))
+    with pytest.raises(EnumerationBudgetError, match="exceed the budget of 100"):
+        hoffman_theta_bound(C, b, SparseDesignMatrix.from_dense(X[:3, :4]), max_subsets=100)
+
+
 def test_constraint_row_descriptions_define_the_sets():
     rng = np.random.Generator(np.random.Philox(24))
     C, b = l1_ball_rows(3, 1.5)

@@ -314,6 +314,65 @@ def test_bench_honours_reference_compute(tmp_path, monkeypatch, capsys):
     assert [r["mean_gap"] for r in read_rows(out / "aggregate_tiny.csv")] == ["nan"] * 3
 
 
+def test_bench_builds_each_dataset_once(tmp_path, monkeypatch):
+    from vrgrad import cli, problems
+
+    calls = {"build_problem": 0, "compute_lipschitz_info": 0}
+    for module, name in ((cli, "build_problem"), (problems, "compute_lipschitz_info")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    algorithms = [{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20},
+                  {"name": "v2", "algorithm": "vrpsg2", "eta": 0.1, "m": 20},
+                  {"name": "sgd", "algorithm": "sgd", "eta0": 0.5}]
+    cfg = bench_config(algorithms, seeds=[0, 1], reference={"compute": False})
+    assert main(["bench", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "bench")]) == 0
+    assert calls == {"build_problem": 1, "compute_lipschitz_info": 1}
+
+
+@pytest.mark.parametrize("where", ["sweep", "algorithm"])
+@pytest.mark.parametrize("key", ["dataset", "problem"])
+def test_bench_cells_cannot_redefine_the_problem(tmp_path, capsys, where, key):
+    # the problem is built once per dataset; a cell that names it again is refused
+    value = BASE_SOLVE[key]
+    algo = {"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20}
+    if where == "sweep":
+        cfg = bench_config([algo], sweep={"param": key, "values": [value]})
+    else:
+        cfg = bench_config([dict(algo, **{key: value})])
+    assert main(["bench", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "bench")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+
+
+def test_bench_workers_match_a_single_process(tmp_path):
+    # cells receive the pickled problem in the worker processes
+    algorithms = [{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20},
+                  {"name": "sgd", "algorithm": "sgd", "eta0": 0.5},
+                  {"name": "afg", "algorithm": "afg"}]
+    path = write_config(tmp_path, bench_config(algorithms, seeds=[0, 1]))
+    outs = {}
+    for workers in (1, 2):
+        outs[workers] = tmp_path / f"w{workers}"
+        assert main(["bench", "--config", path, "--out", str(outs[workers]),
+                     "--workers", str(workers)]) == 0
+    names = sorted(p.name for p in outs[1].iterdir())
+    assert names == sorted(p.name for p in outs[2].iterdir())
+    assert len([n for n in names if n.startswith("trace_")]) == 6
+    for name in names:
+        one, two = outs[1] / name, outs[2] / name
+        if name.startswith("trace_"):
+            assert rows_without_wall_ms(one) == rows_without_wall_ms(two)
+        else:
+            assert one.read_bytes() == two.read_bytes()
+
+
 def test_bench_requires_datasets_and_algorithms(tmp_path):
     assert main(["bench",
                  "--config", write_config(tmp_path, {"datasets": [],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vrgrad.problems import (
+    LOSSES,
     Box,
     L1Ball,
     L1Regularizer,
@@ -11,10 +12,7 @@ from vrgrad.problems import (
     ProblemSpec,
     SparseDesignMatrix,
     aggregate_lipschitz,
-    component_lipschitz,
-    component_value,
     compute_lipschitz_info,
-    eval_component_grad,
     eval_full_grad,
     eval_objective,
     smooth_value,
@@ -43,13 +41,26 @@ def test_full_gradient_matches_finite_differences(builder):
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
+def component_value(prob, i, w):
+    """f_i(w) = loss(x_i' w, y_i) + q' w, from the loss table's mean over one margin."""
+    x = prob.matrix.toarray()[i]
+    y = prob.loss.labels[i : i + 1]
+    return LOSSES[prob.loss.kind].mean(np.array([x @ w]), y) + float(prob.q @ w)
+
+
+def component_grad(prob, i, w):
+    """grad f_i(w) = a_i x_i + q, with a_i from the loss table's scalar form."""
+    x = prob.matrix.toarray()[i]
+    return LOSSES[prob.loss.kind].scalar(float(x @ w), prob.loss.labels[i]) * x + prob.q
+
+
 @pytest.mark.parametrize("builder", [random_least_squares, random_logistic])
 def test_component_gradient_matches_finite_differences(builder):
     prob = builder(8, 5, seed=3)
     rng = np.random.Generator(np.random.Philox(4))
     w = rng.standard_normal(prob.d)
     for i in range(prob.n):
-        g = eval_component_grad(prob, i, w)
+        g = component_grad(prob, i, w)
         fd = central_difference(lambda z: component_value(prob, i, z), w)
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
@@ -57,12 +68,19 @@ def test_component_gradient_matches_finite_differences(builder):
 def test_component_mean_recovers_full_objective_and_gradient():
     rng = np.random.Generator(np.random.Philox(5))
     q = rng.standard_normal(6)
-    prob = make_problem(rng.standard_normal((10, 6)), rng.standard_normal(10), q=q)
+    X = rng.standard_normal((10, 6))
+    y = np.where(rng.standard_normal(10) >= 0, 1.0, -1.0)
     w = rng.standard_normal(6)
-    vals = [component_value(prob, i, w) for i in range(prob.n)]
-    assert np.mean(vals) == pytest.approx(smooth_value(prob, w), rel=1e-12)
-    grads = np.mean([eval_component_grad(prob, i, w) for i in range(prob.n)], axis=0)
-    assert np.allclose(grads, eval_full_grad(prob, w), rtol=1e-12, atol=1e-14)
+    for task in ("least_squares", "logistic"):
+        prob = make_problem(X, y, task=task, q=q)
+        vals = [component_value(prob, i, w) for i in range(prob.n)]
+        assert np.mean(vals) == pytest.approx(smooth_value(prob, w), rel=1e-12)
+        grads = np.mean([component_grad(prob, i, w) for i in range(prob.n)], axis=0)
+        assert np.allclose(grads, eval_full_grad(prob, w), rtol=1e-12, atol=1e-14)
+        # the vector and scalar coefficient forms agree
+        loss = LOSSES[task]
+        u = X @ w
+        assert loss.coef(u, y).tolist() == [loss.scalar(float(u[i]), y[i]) for i in range(10)]
 
 
 def test_objective_adds_l1_penalty_only_for_regularized():
@@ -82,13 +100,15 @@ def test_component_lipschitz_values():
     X = rng.standard_normal((6, 4))
     X[2] = 0.0  # degenerate row
     y = rng.standard_normal(6)
-    ls = make_problem(X, y)
-    logi = make_problem(X, np.where(y >= 0, 1.0, -1.0), task="logistic")
+    ls = compute_lipschitz_info(make_problem(X, y))
+    logi = compute_lipschitz_info(
+        make_problem(X, np.where(y >= 0, 1.0, -1.0), task="logistic"))
     for i in range(6):
         sq = float(np.dot(X[i], X[i]))
-        assert component_lipschitz(ls, i) == pytest.approx(sq, rel=1e-14)
-        assert component_lipschitz(logi, i) == pytest.approx(sq / 4.0, rel=1e-14)
-    assert component_lipschitz(ls, 2) == 0.0
+        assert ls.per_component[i] == pytest.approx(sq, rel=1e-14)
+        assert logi.per_component[i] == pytest.approx(sq / 4.0, rel=1e-14)
+    assert ls.per_component[2] == 0.0
+    assert ls.degenerate.tolist() == [i == 2 for i in range(6)]
 
 
 def test_lipschitz_info_ordering_and_global_bound():
@@ -164,6 +184,38 @@ def test_sparse_matrix_matches_dense_reference():
     assert np.array_equal(dense_row, X[3])
 
 
+def test_sparse_matrix_from_csr_arrays():
+    X = np.array([[0.0, 2.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], [3.0, -0.0, 0.5, 0.0]])
+    mat = SparseDesignMatrix.from_dense(X)
+    assert mat.indptr.tolist() == [0, 2, 2, 4]
+    assert mat.indices.tolist() == [1, 3, 0, 2]
+    assert mat.data.tolist() == [2.0, -1.0, 3.0, 0.5]
+    assert mat.indptr.dtype == mat.indices.dtype == np.int64
+    again = SparseDesignMatrix(3, 4, [0, 2, 2, 4], [1, 3, 0, 2], [2.0, -1.0, 3.0, 0.5])
+    assert np.array_equal(again.toarray(), X)
+    assert again.row_sq_norms.tolist() == mat.row_sq_norms.tolist()
+    empty = SparseDesignMatrix(2, 3, [0, 0, 0], [], [])
+    assert np.array_equal(empty.toarray(), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("indptr, indices, data, message", [
+    ([0, 1, 3, 4], [0, 2, 2, 5], [1.0, 1.0, 1.0, 1.0], "row 1: column indices"),
+    ([0, 1, 3, 4], [0, 2, 1, 0], [1.0, 1.0, 1.0, 1.0], "row 1: column indices"),
+    ([0, 1, 3, 4], [0, 1, 2, -1], [1.0, 1.0, 1.0, 1.0], "row 2: column indices"),
+    ([0, 1, 3, 4], [0, 1, 2, 4], [1.0, 1.0, 1.0, 1.0], r"row 2: column indices .* \[0, 4\)"),
+    ([0, 1, 3, 4], [0, 1, 2, 0], [1.0, np.nan, 1.0, np.inf], "row 1: non-finite value"),
+    ([0, 2, 3, 4], [1, 0, 2, 0], [np.inf, 1.0, 1.0, 1.0], "row 0: column indices"),
+    ([0, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], "indptr"),
+    ([0, 2, 1, 4], [0, 1, 2, 0], [1.0, 1.0, 1.0, 1.0], "indptr"),
+    ([0, 1, 3, 4], [0, 1, 2, 0], [1.0, 1.0, 1.0], "indptr"),
+], ids=["repeated", "descending", "negative", "past_n_cols", "non_finite",
+        "index_before_value", "short_indptr", "falling_indptr", "short_data"])
+def test_sparse_matrix_validation_names_the_first_bad_row(indptr, indices, data, message):
+    # rows 0 to 2: an index out of order or range, or a non-finite value
+    with pytest.raises(ValueError, match=message):
+        SparseDesignMatrix(3, 4, indptr, indices, data)
+
+
 def test_problem_spec_validation():
     rng = np.random.Generator(np.random.Philox(15))
     X = rng.standard_normal((4, 3))
@@ -190,14 +242,3 @@ def test_problem_spec_validation():
         L1Ball(tau=-2.0)
     with pytest.raises(ValueError):
         L1Regularizer(lam=-0.5)
-
-
-def test_component_index_bounds():
-    prob = random_least_squares(4, 3, seed=16)
-    w = np.zeros(3)
-    with pytest.raises(IndexError):
-        component_value(prob, 4, w)
-    with pytest.raises(IndexError):
-        eval_component_grad(prob, -1, w)
-    with pytest.raises(IndexError):
-        component_lipschitz(prob, 99)

@@ -1,7 +1,8 @@
 """Hypothesis properties of the inner-loop operators and the Hoffman enumeration.
 
-Kernels, draws and the l1-ball projection, then the batched Hoffman bound
-against its one-SVD-per-subset reference.
+Kernels, draws and the l1-ball projection; the side interface (step maps,
+penalties) and the full-gradient baseline's two matrix branches; then the
+batched Hoffman bound against its one-SVD-per-subset reference.
 """
 
 from unittest import mock
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
-from vrgrad import certificates
+from vrgrad import certificates, solvers
 from vrgrad.geometry import (
     box_kernel,
     l1_ball_kernel,
@@ -21,7 +23,15 @@ from vrgrad.geometry import (
     prox_l1,
     soft_threshold_kernel,
 )
-from vrgrad.problems import compute_lipschitz_info
+from vrgrad.problems import (
+    Box,
+    L1Ball,
+    L1Regularizer,
+    compute_lipschitz_info,
+    eval_full_grad,
+    eval_objective,
+    smooth_value,
+)
 from vrgrad.sampling import PROPORTIONAL, UNIFORM, build_distribution, draw, draw_many
 
 from conftest import make_problem
@@ -156,6 +166,92 @@ def test_l1_projection_keeps_a_radius_below_the_magnitudes_rounding(v, tau):
 # small integers give duplicated, scaled, zero and dependent rows often
 design_entries = st.one_of(st.integers(-2, 2).map(float),
                            st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+def sides(d):
+    """Every kind of side for vectors of length d, a zero penalty included."""
+    bound = arrays(np.float64, d, elements=st.floats(-1e3, 1e3))
+    boxes = st.tuples(bound, bound).map(
+        lambda ab: Box(lower=np.minimum(*ab), upper=np.maximum(*ab)))
+    return st.one_of(radii.map(L1Ball), boxes,
+                     st.one_of(st.just(0.0), st.floats(1e-3, 1e3)).map(L1Regularizer))
+
+
+steps = st.floats(1e-3, 1e3)
+
+
+@PROPS
+@given(st.integers(1, 24).flatmap(
+           lambda d: st.tuples(arrays(np.float64, d, elements=entries),
+                               arrays(np.float64, d, elements=entries), sides(d))),
+       steps)
+def test_every_step_map_is_non_expansive(case, s):
+    a, b, side = case
+    step = side.step_map()
+    gap = float(np.linalg.norm(step(a, s) - step(b, s)))
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), getattr(side, "tau", 0.0))
+    assert gap <= float(np.linalg.norm(a - b)) + rounding(np.concatenate([a, b]), scale)
+
+
+@PROPS
+@given(vectors, st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), steps)
+def test_prox_meets_its_optimality_condition(v, lam, s):
+    # v - P(v) lies in s * lam * (subdifferential of ||.||_1 at P(v))
+    p = L1Regularizer(lam).step_map()(v, s)
+    t = s * lam
+    on = p != 0.0
+    assert np.all(np.abs(v[~on]) <= t)
+    assert np.all(np.sign(p[on]) == np.sign(v[on]))
+    residual = (v[on] - p[on]) - t * np.sign(p[on])
+    assert np.all(np.abs(residual) <= 2.0 * EPS * np.maximum(np.abs(v[on]), t))
+
+
+problem_cases = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
+    lambda nd: st.tuples(
+        arrays(np.float64, nd, elements=design_entries),
+        arrays(np.float64, nd[0], elements=st.sampled_from([-1.0, 1.0])),
+        arrays(np.float64, nd[1], elements=design_entries),
+        arrays(np.float64, nd[1], elements=design_entries),
+        st.sampled_from(["least_squares", "logistic"]),
+        sides(nd[1])))
+
+
+@PROPS
+@given(problem_cases)
+def test_objective_is_smooth_value_plus_the_side_penalty(case):
+    X, y, q, w, task, side = case
+    kind = {"constraint": side} if isinstance(side, (L1Ball, Box)) else {"regularizer": side}
+    problem = make_problem(X, y, task=task, q=q, **kind)
+    penalty = side.penalty(w)
+    assert eval_objective(problem, w) == smooth_value(problem, w) + penalty
+    assert penalty == (side.lam * float(np.abs(w).sum()) if kind.get("regularizer") else 0.0)
+
+
+@PROPS
+@given(problem_cases)
+def test_full_gradient_baseline_branches(case):
+    # the sparse branch is smooth_value / eval_full_grad, the dense branch the
+    # textbook formulas on the dense array, bit for bit; the two agree to rounding
+    X, y, q, w, task, _ = case
+    problem = make_problem(X, y, task=task, q=q)
+    with mock.patch.object(solvers, "_DENSE_MAX_ENTRIES", -1):
+        sparse_value, sparse_grad = solvers._full_grad_ops(problem)
+    with mock.patch.object(solvers, "_DENSE_MAX_ENTRIES", X.size):
+        dense_value, dense_grad = solvers._full_grad_ops(problem)
+    assert sparse_value(w) == smooth_value(problem, w)
+    assert sparse_grad(w).tobytes() == eval_full_grad(problem, w).tobytes()
+    n, u = y.size, X @ w
+    if task == "least_squares":
+        value, a = float((u - y) @ (u - y)) / (2.0 * n), u - y
+    else:
+        value, a = float(np.logaddexp(0.0, -y * u).sum()) / n, -y * expit(-y * u)
+    assert dense_value(w) == value + float(q @ w)
+    assert dense_grad(w).tobytes() == (X.T @ a / n + q).tobytes()
+    # the two sum in different orders: they agree to a few ulps of the terms' size
+    size = (1.0 + np.abs(X).max()) * (1.0 + np.abs(w).sum()) + np.abs(q).sum()
+    tol = 8.0 * EPS * X.size * size ** 2
+    assert abs(dense_value(w) - sparse_value(w)) <= tol
+    assert np.all(np.abs(dense_grad(w) - sparse_grad(w)) <= tol)
 
 
 @PROPS

@@ -57,20 +57,26 @@ def test_unknown_mode_rejected():
 
 
 def test_single_component_always_drawn():
-    dist = SamplingDistribution(p=np.array([1.0]), cumulative=np.array([1.0]), seed=5)
+    dist = SamplingDistribution(p=np.array([1.0]), seed=5)
     assert all(draw(dist) == 0 for _ in range(50))
     assert np.array_equal(draw_many(dist, 100), np.zeros(100, dtype=np.intp))
 
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        SamplingDistribution(p=np.array([]), cumulative=np.array([]), seed=0)
+        SamplingDistribution(p=np.array([]), seed=0)
     with pytest.raises(ValueError):
-        SamplingDistribution(p=np.array([0.5, 0.0, 0.5]),
-                             cumulative=np.array([0.5, 0.5, 1.0]), seed=0)
+        SamplingDistribution(p=np.array([0.5, 0.0, 0.5]), seed=0)
     with pytest.raises(ValueError):
-        SamplingDistribution(p=np.array([0.6, 0.5]),
-                             cumulative=np.array([0.6, 1.1]), seed=0)
+        SamplingDistribution(p=np.array([0.6, 0.5]), seed=0)
+
+
+def test_cumulative_is_computed_from_p():
+    p = np.array([0.2, 0.3, 0.5])
+    dist = SamplingDistribution(p=p, seed=0)
+    assert np.array_equal(dist.cumulative, np.cumsum(p))
+    with pytest.raises(TypeError):
+        SamplingDistribution(p=p, cumulative=np.array([0.9, 0.95, 1.0]), seed=0)
 
 
 def test_same_seed_reproduces_stream():
