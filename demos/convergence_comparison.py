@@ -49,7 +49,9 @@ def main():
 
     spec = SyntheticSpec(n=400, d=80, rank=30, noise_std=0.25,
                          row_scale_spread=3.0, seed=args.seed)
-    matrix, y, rank = gen_synthetic(spec)
+    matrix, y = gen_synthetic(spec)
+    sv = np.linalg.svd(matrix.toarray(), compute_uv=False)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))  # numerical rank
     problem = ProblemSpec(matrix=matrix,
                           loss=LossSpec(kind="least_squares", labels=y),
                           constraint=L1Ball(tau=10.0))

@@ -49,7 +49,7 @@ def main():
 
     spec = SyntheticSpec(n=200, d=50, rank=20, noise_std=0.0,
                          row_scale_spread=3.0, seed=args.seed)
-    matrix, y, _ = gen_synthetic(spec)
+    matrix, y = gen_synthetic(spec)
     problem = ProblemSpec(matrix=matrix,
                           loss=LossSpec(kind="least_squares", labels=y),
                           regularizer=L1Regularizer(lam=args.lam))

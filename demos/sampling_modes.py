@@ -28,7 +28,7 @@ from vrgrad import (
 def build(spread, seed):
     spec = SyntheticSpec(n=300, d=60, rank=25, noise_std=0.2,
                          row_scale_spread=spread, seed=seed)
-    matrix, y, _ = gen_synthetic(spec)
+    matrix, y = gen_synthetic(spec)
     return ProblemSpec(matrix=matrix,
                        loss=LossSpec(kind="least_squares", labels=y),
                        constraint=L1Ball(tau=10.0))

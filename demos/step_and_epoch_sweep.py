@@ -43,7 +43,7 @@ def main():
 
     spec = SyntheticSpec(n=300, d=60, rank=25, noise_std=0.2,
                          row_scale_spread=3.0, seed=args.seed)
-    matrix, y, _ = gen_synthetic(spec)
+    matrix, y = gen_synthetic(spec)
     problem = ProblemSpec(matrix=matrix,
                           loss=LossSpec(kind="least_squares", labels=y),
                           constraint=L1Ball(tau=10.0))

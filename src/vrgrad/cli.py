@@ -30,6 +30,8 @@ class ConfigError(ValueError):
 
 
 def _get(cfg: dict, key: str, default=_REQUIRED):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected a JSON object holding {key!r}, got {cfg!r}")
     if key in cfg:
         return cfg[key]
     if default is _REQUIRED:
@@ -78,7 +80,7 @@ def build_dataset(cfg: dict):
             row_scale_spread=float(_get(cfg, "row_scale_spread", 1.0)),
             seed=int(_get(cfg, "seed", 0)),
         )
-        matrix, y, _ = data.gen_synthetic(spec)
+        matrix, y = data.gen_synthetic(spec)
         return matrix, y, spec.task
     if kind == "libsvm":
         task = _get(cfg, "task", None)
@@ -106,11 +108,10 @@ def build_problem(cfg: dict):
     """Assemble a ProblemSpec from the dataset and problem config blocks."""
     matrix, y, task = build_dataset(_get(cfg, "dataset"))
     pcfg = _get(cfg, "problem", {})
-    q = pcfg.get("q")
-    constraint = None
-    regularizer = None
-    ccfg = pcfg.get("constraint")
-    rcfg = pcfg.get("regularizer")
+    q = _get(pcfg, "q", None)
+    constraint = regularizer = None
+    ccfg = _get(pcfg, "constraint", None)
+    rcfg = _get(pcfg, "regularizer", None)
     if ccfg is not None and rcfg is not None:
         raise ConfigError("problem cannot have both a constraint and a regularizer")
     if ccfg is not None:
@@ -265,26 +266,36 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
     return 0
 
 
-def _bench_cell(payload):
-    """Worker for one (dataset, algorithm, sweep value, seed) cell; returns its RunTrace."""
-    problem, info, run_cfg, seed, f_star = payload
+# (problem, info, f_star) for the cells this process runs; a worker gets it once
+_DATASET = []
+
+
+def _set_dataset(problem, info, f_star):
+    _DATASET[:] = [problem, info, f_star]
+
+
+def _bench_cell(job):
+    """Run one (algorithm, sweep value, seed) cell of the current dataset; returns its RunTrace."""
+    run_cfg, seed = job
+    problem, info, f_star = _DATASET
     algorithm, solver_cfg = _resolve_run(problem, info, run_cfg, seed)[:2]
     return _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
+
+
+def _blocks(cfg: dict, key: str) -> list:
+    value = _get(cfg, key)
+    if not value or not isinstance(value, list) or not all(isinstance(b, dict) for b in value):
+        raise ConfigError(f"bench needs {key} as a non-empty list of JSON objects")
+    return value
 
 
 def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    datasets = _get(cfg, "datasets")
-    algorithms = _get(cfg, "algorithms")
+    datasets, algorithms = _blocks(cfg, "datasets"), _blocks(cfg, "algorithms")
     seeds = [int(s) for s in _get(cfg, "seeds", [0])]
-    if not algorithms:
-        raise ConfigError("bench needs at least one algorithm")
-    if not datasets:
-        raise ConfigError("bench needs at least one dataset")
     sweep = cfg.get("sweep")
-    sweep_values = [None]
-    sweep_param = None
+    sweep_param, sweep_values = None, [None]
     if sweep is not None:
         sweep_param = _get(sweep, "param")
         sweep_values = _get(sweep, "values")
@@ -316,12 +327,16 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
                 if sweep_param is not None:
                     run_cfg[sweep_param] = sv
                 for seed in seeds:
-                    jobs.append((algo_cfg, sv, seed, (problem, info, run_cfg, seed, f_star)))
+                    jobs.append((algo_cfg, sv, seed, (run_cfg, seed)))
         if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers, initializer=_set_dataset,
+                    initargs=(problem, info, f_star)) as pool:
                 results = list(pool.map(_bench_cell, [j[3] for j in jobs]))
         else:
+            _set_dataset(problem, info, f_star)
             results = [_bench_cell(j[3]) for j in jobs]
+            _DATASET.clear()
 
         # per-cell traces, then per-(algorithm, sweep value) mean gap over seeds
         grouped = {}
@@ -437,8 +452,7 @@ def main(argv=None) -> int:
     except solvers.DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, KeyError, OSError,
-            certificates.CertificateError) as e:
+    except (ConfigError, ValueError, OSError, certificates.CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

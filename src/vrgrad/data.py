@@ -117,16 +117,12 @@ class SyntheticSpec:
 
 
 def gen_synthetic(spec: SyntheticSpec):
-    """Generate (matrix, labels, numerical_rank). Bitwise-reproducible per seed."""
+    """Generate (matrix, labels). Bitwise-reproducible per seed."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
     X = rng.standard_normal((spec.n, spec.rank)) @ rng.standard_normal((spec.rank, spec.d))
     norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):  # measure-zero, but keep the rescale well-defined
-        norms[norms == 0.0] = 1.0
-    if spec.n > 1:
-        scales = spec.row_scale_spread ** (np.arange(spec.n) / (spec.n - 1.0))
-    else:
-        scales = np.ones(1)
+    norms[norms == 0.0] = 1.0  # measure-zero, but keep the rescale well-defined
+    scales = spec.row_scale_spread ** (np.arange(spec.n) / max(spec.n - 1.0, 1.0))
     X *= (scales / norms)[:, None]
     # sparse planted parameter: ceil(d/10) coordinates, magnitudes in [3, 6)
     k_signal = max(1, -(-spec.d // 10))
@@ -141,6 +137,4 @@ def gen_synthetic(spec: SyntheticSpec):
     else:
         noisy = margins + spec.noise_std * rng.standard_normal(spec.n)
         y = np.where(noisy >= 0.0, 1.0, -1.0)
-    sv = np.linalg.svd(X, compute_uv=False)
-    num_rank = int(np.sum(sv > 1e-8 * sv[0])) if sv.size and sv[0] > 0 else 0
-    return SparseDesignMatrix.from_dense(X), y, num_rank
+    return SparseDesignMatrix.from_dense(X), y

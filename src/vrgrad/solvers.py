@@ -144,83 +144,111 @@ def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
     return w
 
 
-def _divergence_threshold(f0: float, factor: float) -> float:
-    # "objective exceeds factor x initial" made meaningful for f0 <= 0 too
-    return f0 + factor * max(1.0, abs(f0))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by the epoch check
-def _svrg_epochs(problem, config, w_start, f_star, objective, algorithm,
-                 eval_offset=0, rows=None, t0=None, info=None):
-    """Shared snapshot/inner-loop engine for the variance-reduced solvers.
+def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, average=False):
+    """The one epoch loop, in which every stochastic runner takes its inner steps.
 
-    Per epoch: full gradient at the snapshot, then m inner steps
+    A variance-reduced epoch takes the full gradient at the snapshot, then m steps
         v = (grad f_i(w) - grad f_i(snapshot)) / (n p_i) + snapshot gradient
         w <- step_map(w - eta v)
-    and the epoch output is the average of the m inner iterates (or the
-    last one when average_epoch_output is off).  An inner step does only
-    O(d) vector work: the epoch's indices come from one draw_many call,
-    eta times the snapshot gradient is formed once per epoch, and the
-    running sum is kept only when averaging.  Nothing is checked per step:
-    a NaN iterate stays NaN to the end of its epoch, whose objective check
-    raises DivergenceError.
+    and outputs the average of the m inner iterates (the last one without
+    ``average``), for n + 2m gradient evaluations.  An ``sgd`` epoch is the
+    same step from a zero snapshot, so the snapshot gradient is q, with a
+    weight of exactly 1 (n * (1/n) rounds below 1 for n = 49) and eta =
+    step_size/sqrt(t) at global step t; it outputs its last iterate, for n
+    evaluations.  A step does O(d) vector work: one draw_many call per
+    epoch, eta times the snapshot gradient formed once per epoch (per SGD
+    step, only when q is nonzero), a running sum only when averaging.
+    Nothing is checked per step: ``record(label, cost, output, step_size)``
+    checks each epoch's output, and a NaN iterate stays NaN until then.
     """
     mat = problem.matrix
     n, d = problem.n, problem.d
-    m = config.inner_iterations if config.inner_iterations is not None else n
-    if info is None:
-        info = compute_lipschitz_info(problem)
-    dist = sampling.build_distribution(config.sampling_mode, info, seed=config.seed)
-    l_p = aggregate_lipschitz(info, dist)
-    theory_warning = l_p > 0 and config.step_size >= 1.0 / (4.0 * l_p)
-
-    eta = config.step_size
     step = problem.side.step_map()
     coef = LOSSES[problem.loss.kind].scalar
     y = problem.loss.labels.tolist()
-    q = problem.q
-    has_q = bool(np.any(q))
-    n_times_p = (n * dist.p).tolist()
+    q, has_q = problem.q, bool(np.any(problem.q))
     indptr, indices, values = mat.indptr.tolist(), mat.indices, mat.data
-    average = config.average_epoch_output
+    eta = step_size
+    if sgd:
+        t, cost = 0, n
+        snap_coef, weight = [0.0] * n, [1.0] * n
+        eta_snap_grad = np.zeros(d)
+    else:
+        cost = n + 2 * m
+        weight = (n * dist.p).tolist()
 
-    w_tilde = w_start
-    f0 = objective(w_tilde)
-    threshold = _divergence_threshold(f0, config.divergence_factor)
-    if rows is None:
-        rows = _Rows()
-    if t0 is None:
-        t0 = time.perf_counter()
-
-    for k in range(1, config.epochs + 1):
-        snap_margins = mat.matvec(w_tilde)
-        snap_coef = margin_coefficients(problem, snap_margins)
-        snap_grad = mat.rmatvec(snap_coef) / n
-        if has_q:
-            snap_grad = snap_grad + q
-        eta_snap_grad = eta * snap_grad
-        snap_coef = snap_coef.tolist()
+    for k in labels:
+        if not sgd:
+            snap_coef = margin_coefficients(problem, mat.matvec(w_tilde))
+            snap_grad = mat.rmatvec(snap_coef) / n
+            if has_q:
+                snap_grad = snap_grad + q
+            eta_snap_grad = eta * snap_grad
+            snap_coef = snap_coef.tolist()
         w = w_tilde  # never written in place: each step makes a new vector
         acc = np.zeros(d) if average else None
         for i in sampling.draw_many(dist, m).tolist():
+            if sgd:
+                t += 1
+                eta = step_size / math.sqrt(t)
+                if has_q:  # eta times a zero q stays zero
+                    eta_snap_grad = eta * q
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             val = values[lo:hi]
-            c = (coef(float(val @ w[idx]), y[i]) - snap_coef[i]) / n_times_p[i]
+            c = (coef(float(val @ w[idx]), y[i]) - snap_coef[i]) / weight[i]
             v = w - eta_snap_grad
             v[idx] -= (eta * c) * val
             w = step(v, eta)
             if average:
                 acc += w
         w_tilde = acc / m if average else w
-        f_val = objective(w_tilde)
+        record(k, cost, w_tilde, step_size)
+    return w_tilde
+
+
+def _stochastic_run(problem, config, w0, f_star, info, algorithm):
+    """The set-up every stochastic runner shares, then its epochs.
+
+    ``sgd`` runs SGD epochs of n steps on the seed's uniform stream;
+    ``vrpsg2`` runs one as row 0, on a derived seed's stream, before the
+    variance-reduced epochs.  An epoch objective that is not finite or
+    exceeds f0 + divergence_factor * max(1, |f0|) raises DivergenceError.
+    """
+    w = _start_point(problem, w0, config.strict_feasibility)
+    n, theory_warning = problem.n, False
+    if algorithm != "sgd":
+        if info is None:
+            info = compute_lipschitz_info(problem)
+        dist = sampling.build_distribution(config.sampling_mode, info, seed=config.seed)
+        l_p = aggregate_lipschitz(info, dist)
+        theory_warning = l_p > 0 and config.step_size >= 1.0 / (4.0 * l_p)
+    f0 = eval_objective(problem, w)
+    threshold = f0 + config.divergence_factor * max(1.0, abs(f0))
+    rows, t0 = _Rows(), time.perf_counter()
+
+    def record(k, cost, w_k, step_size):
+        f_val = eval_objective(problem, w_k)
         if not np.isfinite(f_val) or f_val > threshold:
             raise DivergenceError(
                 f"{algorithm} diverged at epoch {k}: objective {f_val:g} "
-                f"(started at {f0:g}); step size {eta:g} is likely too large"
+                f"(started at {f0:g}); step size {step_size:g} is likely too large"
             )
-        rows.add(k, eval_offset + k * (n + 2 * m), f_val, f_star, t0)
-    return rows.trace(algorithm, w_tilde, f0, theory_warning=theory_warning)
+        rows.add(k, (rows.grad_evals[-1] if rows.grad_evals else 0) + cost, f_val, f_star, t0)
+
+    eta0, epochs = config.sgd_initial_step, range(1, config.epochs + 1)
+    if algorithm in ("sgd", "vrpsg2"):
+        warm = algorithm == "vrpsg2"  # one epoch, row 0, and no step at all when eta0 = 0
+        seed = (config.seed ^ 0x7A5C9D1B) & 0xFFFFFFFFFFFFFFFF if warm else config.seed
+        uniform = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=int(seed))
+        w = _epochs(problem, record, w, uniform, range(1) if warm else epochs, eta0,
+                    n if eta0 > 0 else 0, sgd=True)
+    if algorithm != "sgd":
+        m = config.inner_iterations if config.inner_iterations is not None else n
+        w = _epochs(problem, record, w, dist, epochs, config.step_size, m,
+                    average=config.average_epoch_output)
+    return rows.trace(algorithm, w, f0, theory_warning=theory_warning)
 
 
 def run_vrpsg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
@@ -251,9 +279,7 @@ def run_vrpsg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
     """
     if not problem.is_constrained:
         raise ValueError("run_vrpsg requires a constrained problem")
-    w_start = _start_point(problem, w0, config.strict_feasibility)
-    return _svrg_epochs(problem, config, w_start, f_star,
-                        lambda w: eval_objective(problem, w), "vrpsg", info=info)
+    return _stochastic_run(problem, config, w0, f_star, info, "vrpsg")
 
 
 def run_prox_svrg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
@@ -267,9 +293,7 @@ def run_prox_svrg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=No
     """
     if problem.regularizer is None:
         raise ValueError("run_prox_svrg requires a regularized problem")
-    w_start = _start_point(problem, w0, config.strict_feasibility)
-    return _svrg_epochs(problem, config, w_start, f_star,
-                        lambda w: eval_objective(problem, w), "prox_svrg", info=info)
+    return _stochastic_run(problem, config, w0, f_star, info, "prox_svrg")
 
 
 def run_projected_sgd(problem: ProblemSpec, config: SolverConfig, w0=None,
@@ -284,49 +308,7 @@ def run_projected_sgd(problem: ProblemSpec, config: SolverConfig, w0=None,
         raise ValueError("run_projected_sgd requires a constrained problem")
     if not config.sgd_initial_step > 0:
         raise ValueError("sgd_initial_step must be positive")
-    w = _start_point(problem, w0, config.strict_feasibility)
-    _, trace = _sgd_passes(problem, config, w, f_star, config.epochs,
-                           _Rows(), time.perf_counter())
-    return trace
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by the epoch check
-def _sgd_passes(problem, config, w, f_star, passes, rows, t0):
-    """Run `passes` passes of decaying-step projected SGD; returns (w, trace)."""
-    mat = problem.matrix
-    n = problem.n
-    step = problem.side.step_map()
-    coef = LOSSES[problem.loss.kind].scalar
-    y = problem.loss.labels.tolist()
-    q = problem.q
-    has_q = bool(np.any(q))
-    indptr, indices, values = mat.indptr.tolist(), mat.indices, mat.data
-    dist = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=int(config.seed))
-    eta0 = config.sgd_initial_step
-
-    f0 = eval_objective(problem, w)
-    threshold = _divergence_threshold(f0, config.divergence_factor)
-    k = 0
-    for p in range(1, passes + 1):
-        for i in sampling.draw_many(dist, n).tolist():
-            k += 1
-            if eta0 == 0.0:
-                continue
-            eta = eta0 / math.sqrt(k)
-            lo, hi = indptr[i], indptr[i + 1]
-            idx = indices[lo:hi]
-            val = values[lo:hi]
-            a = coef(float(val @ w[idx]), y[i])
-            v = w - eta * q if has_q else w.copy()
-            v[idx] -= (eta * a) * val
-            w = step(v, eta)
-        f_val = eval_objective(problem, w)
-        if not np.isfinite(f_val) or f_val > threshold:
-            raise DivergenceError(
-                f"sgd diverged at pass {p}: objective {f_val:g} (started at {f0:g})"
-            )
-        rows.add(p, p * n, f_val, f_star, t0)
-    return w, rows.trace("sgd", w, f0)
+    return _stochastic_run(problem, config, w0, f_star, None, "sgd")
 
 
 def run_hybrid_vrpsg2(problem: ProblemSpec, config: SolverConfig, w0=None,
@@ -341,26 +323,7 @@ def run_hybrid_vrpsg2(problem: ProblemSpec, config: SolverConfig, w0=None,
     """
     if not problem.is_constrained:
         raise ValueError("run_hybrid_vrpsg2 requires a constrained problem")
-    w = _start_point(problem, w0, config.strict_feasibility)
-    f0 = eval_objective(problem, w)
-    rows = _Rows()
-    t0 = time.perf_counter()
-
-    sgd_cfg = SolverConfig(
-        epochs=1,
-        step_size=config.step_size,
-        sgd_initial_step=config.sgd_initial_step,
-        seed=(config.seed ^ 0x7A5C9D1B) & 0xFFFFFFFFFFFFFFFF,
-        divergence_factor=config.divergence_factor,
-    )
-    w, _ = _sgd_passes(problem, sgd_cfg, w, f_star, 1, _Rows(), t0)
-    rows.add(0, problem.n, eval_objective(problem, w), f_star, t0)
-
-    trace = _svrg_epochs(problem, config, w, f_star,
-                         lambda x: eval_objective(problem, x), "vrpsg2",
-                         eval_offset=problem.n, rows=rows, t0=t0, info=info)
-    trace.initial_objective = f0
-    return trace
+    return _stochastic_run(problem, config, w0, f_star, info, "vrpsg2")
 
 
 # Below this many matrix entries the full-gradient baseline multiplies by a

@@ -72,7 +72,7 @@ def synthetic_problem(seed, noise_std, spread, constraint=None, regularizer=None
     spec = SyntheticSpec(n=200, d=50, rank=20, task="least_squares",
                          noise_std=noise_std, row_scale_spread=spread,
                          seed=seed)
-    matrix, y, _ = gen_synthetic(spec)
+    matrix, y = gen_synthetic(spec)
     return ProblemSpec(matrix=matrix,
                        loss=LossSpec(kind="least_squares", labels=y),
                        constraint=constraint, regularizer=regularizer)
@@ -202,7 +202,7 @@ def test_criterion_07_supporting_diagnostics_battery():
     rng = np.random.Generator(np.random.Philox(70))
     spec = SyntheticSpec(n=30, d=8, rank=4, noise_std=0.2,
                          row_scale_spread=2.0, seed=17)
-    matrix, y, _ = gen_synthetic(spec)
+    matrix, y = gen_synthetic(spec)
     prob = ProblemSpec(matrix=matrix,
                        loss=LossSpec(kind="least_squares", labels=y),
                        constraint=L1Ball(tau=4.0))

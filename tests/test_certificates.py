@@ -95,7 +95,7 @@ def stacked_identity_problem():
 def rank_deficient_ball_problem():
     spec = SyntheticSpec(n=30, d=8, rank=4, noise_std=0.2,
                          row_scale_spread=2.0, seed=17)
-    matrix, y, _ = gen_synthetic(spec)
+    matrix, y = gen_synthetic(spec)
     return ProblemSpec(matrix=matrix,
                        loss=LossSpec(kind="least_squares", labels=y),
                        constraint=L1Ball(tau=4.0))

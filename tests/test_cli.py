@@ -1,7 +1,9 @@
 """End-to-end command tests: artifacts, exit codes, overrides, determinism."""
 
 import csv
+import io
 import json
+import pickle
 import warnings
 from importlib import resources
 
@@ -10,6 +12,7 @@ import pytest
 
 from vrgrad import certificates
 from vrgrad.cli import main
+from vrgrad.problems import ProblemSpec
 
 
 BASE_SOLVE = {
@@ -373,6 +376,59 @@ def test_bench_workers_match_a_single_process(tmp_path):
             assert one.read_bytes() == two.read_bytes()
 
 
+def holds_a_problem(payload):
+    """Whether pickling payload would send a ProblemSpec anywhere inside it."""
+    found = []
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, obj):
+            found.append(isinstance(obj, ProblemSpec))
+            return None
+
+    Spy(io.BytesIO()).dump(payload)
+    return any(found)
+
+
+def test_bench_workers_receive_each_problem_once(tmp_path, monkeypatch):
+    # the problem goes to each worker through the pool's initializer;
+    # the cells sent through map carry only their run config and seed
+    from vrgrad import cli
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.initializer, self.initargs, self.payloads = initializer, initargs, []
+            pools.append(self)
+
+        def __enter__(self):
+            if self.initializer is not None:
+                self.initializer(*self.initargs)
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            self.payloads = list(payloads)
+            return [fn(p) for p in self.payloads]
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    algorithms = [{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20},
+                  {"name": "sgd", "algorithm": "sgd", "eta0": 0.5}]
+    second = {"name": "other", "dataset": dict(BASE_SOLVE["dataset"], seed=4),
+              "problem": BASE_SOLVE["problem"]}
+    cfg = bench_config(algorithms, seeds=[0, 1], reference={"compute": False})
+    cfg["datasets"].append(second)
+    assert main(["bench", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "bench"), "--workers", "2"]) == 0
+    assert len(pools) == 2  # one pool per dataset
+    for pool in pools:
+        assert len(pool.payloads) == 4
+        assert not any(holds_a_problem(p) for p in pool.payloads)
+        assert isinstance(pool.initargs[0], ProblemSpec)
+
+
 def test_bench_requires_datasets_and_algorithms(tmp_path):
     assert main(["bench",
                  "--config", write_config(tmp_path, {"datasets": [],
@@ -424,3 +480,69 @@ def test_certificate_matches_shipped_schema(tmp_path):
     assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "certificate.json").read_text())
     load_schema("certificate_report.schema.json").validate(payload)
+
+
+HUGE_BOX = {"constraint": {"type": "box", "lower": -1e12, "upper": 1e12}}
+NO_REFERENCE = 'reference={"compute": false}'
+NON_CONTRACTIVE_CERTIFY = {
+    "dataset": {"kind": "synthetic", "n": 14, "d": 3, "rank": 3, "noise_std": 0.1,
+                "row_scale_spread": 2.0, "seed": 3},
+    "problem": {"constraint": {"type": "l1_ball", "tau": 2.0}},
+}
+TINY_GRID = bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20}],
+                         reference={"compute": False})
+
+
+DIVERGING = [NO_REFERENCE, f"problem={json.dumps(HUGE_BOX)}"]
+EXIT_CODES = {  # case: (command, config, --set overrides, exit code)
+    "solve": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2"], 0),
+    "solve-sgd": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2", "algorithm=sgd"], 0),
+    "certify-contractive": ("certify", CONTRACTIVE_CERTIFY, [], 0),
+    # config blocks that are not objects
+    "dataset-not-object": ("solve", README_SOLVE, ["dataset=5"], 1),
+    "constraint-not-object": ("solve", README_SOLVE, ["problem.constraint=3"], 1),
+    "problem-a-list": ("solve", README_SOLVE, ["problem=[1]"], 1),
+    "reference-not-object": ("solve", README_SOLVE, ["reference=true"], 1),
+    "algorithm-not-object": ("bench", TINY_GRID, ["algorithms=[5]"], 1),
+    "datasets-not-a-list": ("bench", TINY_GRID, ["datasets=5"], 1),
+    "sweep-not-object": ("bench", TINY_GRID, ["sweep=3"], 1),
+    # unknown names and invalid values
+    "unknown-algorithm": ("solve", README_SOLVE, ["algorithm=adam"], 1),
+    "unknown-dataset-kind": ("solve", README_SOLVE, ["dataset.kind=csv"], 1),
+    "zero-epochs": ("solve", README_SOLVE, ["epochs=0"], 1),
+    "certify-regularized": ("certify", README_SOLVE, ['problem={"regularizer": {"lam": 0.1}}'], 1),
+    # divergence, through each kind of epoch of the one engine
+    "sgd-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=sgd", "eta0=1e3"], 2),
+    "warm-start-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=vrpsg2", "eta0=1e3"], 2),
+    "vrpsg-diverges": ("solve", README_SOLVE, DIVERGING + ["eta=1e7", "eta_units=absolute"], 2),
+    "certify-not-contractive": ("certify", NON_CONTRACTIVE_CERTIFY, [], 3),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CODES)
+def test_each_failure_class_has_its_exit_code(tmp_path, capsys, case):
+    command, config, overrides, code = EXIT_CODES[case]
+    args = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code in (1, 2):
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        if code == 2:
+            assert "diverged at epoch" in err
+
+
+def test_a_programming_error_is_not_a_tidy_exit(tmp_path, monkeypatch):
+    # only documented failures become exit codes; a stray KeyError keeps its traceback
+    from vrgrad import cli
+
+    def broken(cfg):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "build_problem", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["solve", "--config", write_config(tmp_path, BASE_SOLVE),
+              "--out", str(tmp_path / "o")])

@@ -86,17 +86,16 @@ def test_libsvm_label_handling(tmp_path):
 def test_synthetic_reproducible_and_rank():
     spec = SyntheticSpec(n=40, d=12, rank=5, noise_std=0.2,
                          row_scale_spread=4.0, seed=77)
-    m1, y1, r1 = gen_synthetic(spec)
-    m2, y2, r2 = gen_synthetic(spec)
+    m1, y1 = gen_synthetic(spec)
+    m2, y2 = gen_synthetic(spec)
     assert np.array_equal(m1.toarray(), m2.toarray())
     assert np.array_equal(y1, y2)
-    assert r1 == r2 == 5
     assert np.linalg.matrix_rank(m1.toarray()) == 5
 
 
 def test_synthetic_row_norm_spread_is_geometric():
     spec = SyntheticSpec(n=10, d=6, rank=4, row_scale_spread=8.0, seed=5)
-    mat, _, _ = gen_synthetic(spec)
+    mat, _ = gen_synthetic(spec)
     norms = np.linalg.norm(mat.toarray(), axis=1)
     assert norms[0] == pytest.approx(1.0, rel=1e-12)
     assert norms[-1] == pytest.approx(8.0, rel=1e-12)
@@ -107,7 +106,7 @@ def test_synthetic_row_norm_spread_is_geometric():
 def test_synthetic_planted_parameter_shows_in_labels():
     # noiseless labels live in the matrix rowspace: y = X w for some w
     spec = SyntheticSpec(n=30, d=20, rank=10, noise_std=0.0, seed=9)
-    mat, y, _ = gen_synthetic(spec)
+    mat, y = gen_synthetic(spec)
     X = mat.toarray()
     w_fit, *_ = np.linalg.lstsq(X, y, rcond=None)
     assert np.allclose(X @ w_fit, y, atol=1e-9)
@@ -116,7 +115,7 @@ def test_synthetic_planted_parameter_shows_in_labels():
 def test_synthetic_logistic_labels():
     spec = SyntheticSpec(n=25, d=8, rank=4, task="logistic",
                          noise_std=0.5, seed=13)
-    _, y, _ = gen_synthetic(spec)
+    _, y = gen_synthetic(spec)
     assert set(np.unique(y)) <= {-1.0, 1.0}
 
 

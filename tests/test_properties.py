@@ -1,8 +1,9 @@
-"""Hypothesis properties of the inner-loop operators and the Hoffman enumeration.
+"""Hypothesis properties of the inner-loop operators, the solvers and the Hoffman enumeration.
 
 Kernels, draws and the l1-ball projection; the side interface (step maps,
-penalties) and the full-gradient baseline's two matrix branches; then the
-batched Hoffman bound against its one-SVD-per-subset reference.
+penalties) and the full-gradient baseline's two matrix branches; the
+stochastic solvers' gradient-evaluation accounting and feasibility; then
+the batched Hoffman bound against its one-SVD-per-subset reference.
 """
 
 from unittest import mock
@@ -33,6 +34,13 @@ from vrgrad.problems import (
     smooth_value,
 )
 from vrgrad.sampling import PROPORTIONAL, UNIFORM, build_distribution, draw, draw_many
+from vrgrad.solvers import (
+    SolverConfig,
+    run_hybrid_vrpsg2,
+    run_projected_sgd,
+    run_prox_svrg,
+    run_vrpsg,
+)
 
 from conftest import make_problem
 from test_certificates import hoffman_loop
@@ -252,6 +260,55 @@ def test_full_gradient_baseline_branches(case):
     tol = 8.0 * EPS * X.size * size ** 2
     assert abs(dense_value(w) - sparse_value(w)) <= tol
     assert np.all(np.abs(dense_grad(w) - sparse_grad(w)) <= tol)
+
+
+solver_cases = st.tuples(st.integers(1, 12), st.integers(1, 5)).flatmap(
+    lambda nd: st.tuples(st.just(nd), sides(nd[1]),
+                         st.sampled_from(["vrpsg", "vrpsg2", "sgd"]),
+                         st.sampled_from(["least_squares", "logistic"]),
+                         st.integers(1, 15), st.integers(1, 3),
+                         st.sampled_from([UNIFORM, PROPORTIONAL]), st.booleans(),
+                         st.integers(0, 2 ** 32 - 1)))
+
+
+@PROPS
+@given(solver_cases)
+def test_solvers_count_gradients_exactly_and_stay_feasible(case):
+    (n, d), side, algorithm, task, m, epochs, mode, avg, seed = case
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = rng.standard_normal((n, d))
+    y = rng.standard_normal(n)
+    if task == "logistic":
+        y = np.where(y >= 0.0, 1.0, -1.0)
+    if isinstance(side, L1Regularizer):
+        algorithm, problem = "prox_svrg", make_problem(X, y, task=task, regularizer=side)
+    else:
+        problem = make_problem(X, y, task=task, constraint=side)
+    eta = 0.25 / float(np.max(np.sum(X * X, axis=1)))  # below 1/L_i for every component
+    config = SolverConfig(epochs=epochs, step_size=eta, inner_iterations=m, seed=seed,
+                          sgd_initial_step=eta, sampling_mode=mode, average_epoch_output=avg)
+    run = {"vrpsg": run_vrpsg, "vrpsg2": run_hybrid_vrpsg2, "sgd": run_projected_sgd,
+           "prox_svrg": run_prox_svrg}[algorithm]
+    trace = run(problem, config)
+
+    k = list(range(1, epochs + 1))
+    if algorithm == "sgd":
+        assert trace.grad_evals.tolist() == [j * n for j in k]
+    elif algorithm == "vrpsg2":  # row 0 is the warm-start pass
+        assert trace.grad_evals.tolist() == [n] + [n + j * (n + 2 * m) for j in k]
+        k = [0] + k
+    else:
+        assert trace.grad_evals.tolist() == [j * (n + 2 * m) for j in k]
+    assert trace.epoch.tolist() == k
+
+    w = trace.final_iterate
+    sums = (m if avg else 1) * EPS  # an average of m feasible points rounds by about m ulps
+    if isinstance(side, L1Ball):
+        assert float(np.abs(w).sum()) <= side.tau * (1.0 + 4.0 * d * EPS + sums)
+    elif isinstance(side, Box):
+        scale = np.maximum(np.abs(side.lower), np.abs(side.upper))
+        assert np.all(w >= side.lower - sums * scale)
+        assert np.all(w <= side.upper + sums * scale)
 
 
 @PROPS

@@ -6,6 +6,8 @@ full gradient, so one epoch must equal one projected (or proximal) gradient
 step, whatever the sampled index.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,24 @@ def test_afg_reaches_gradient_mapping_tolerance():
     assert trace.epoch[-1] < 100000
 
 
+def public_step(problem):
+    """(v, eta) -> the projection or prox of v, through the public, checked functions."""
+    c = problem.constraint
+    if isinstance(c, L1Ball):
+        return lambda v, eta: project_l1_ball(v, c.tau)
+    if isinstance(c, Box):
+        return lambda v, eta: project_box(v, c.lower, c.upper)
+    return lambda v, eta: prox_l1(v, eta * problem.regularizer.lam)
+
+
+def public_coef(problem):
+    """(i, margin) -> the derivative of loss i at the margin, written out."""
+    y = problem.loss.labels
+    if problem.loss.kind == "least_squares":
+        return lambda i, u: u - y[i]
+    return lambda i, u: -y[i] * float(expit(-y[i] * u))
+
+
 def reference_vr_run(problem, cfg):
     """The variance-reduced loop written plainly, one checked call per step.
 
@@ -284,21 +304,10 @@ def reference_vr_run(problem, cfg):
     afresh, projects or proxes through the public, validating functions
     and adds to the epoch average; returns (objectives, final iterate).
     """
-    X, n = problem.matrix, problem.n
-    y, q = problem.loss.labels, problem.q
+    X, n, q = problem.matrix, problem.n, problem.q
     dist = build_distribution(cfg.sampling_mode, compute_lipschitz_info(problem), seed=cfg.seed)
     eta, m = cfg.step_size, cfg.inner_iterations
-    c = problem.constraint
-    if isinstance(c, L1Ball):
-        step = lambda v: project_l1_ball(v, c.tau)
-    elif isinstance(c, Box):
-        step = lambda v: project_box(v, c.lower, c.upper)
-    else:
-        step = lambda v: prox_l1(v, eta * problem.regularizer.lam)
-    if problem.loss.kind == "least_squares":
-        coef = lambda i, u: u - y[i]
-    else:
-        coef = lambda i, u: -y[i] * float(expit(-y[i] * u))
+    step, coef = public_step(problem), public_coef(problem)
     w_tilde, objectives = np.zeros(problem.d), []
     for _ in range(cfg.epochs):
         snap_coef = margin_coefficients(problem, X.matvec(w_tilde))
@@ -312,11 +321,38 @@ def reference_vr_run(problem, cfg):
             a = (coef(i, float(val @ w[idx])) - snap_coef[i]) / (n * dist.p[i])
             v = w - eta * snap_grad
             v[idx] -= (eta * a) * val
-            w = step(v)
+            w = step(v, eta)
             acc += w
         w_tilde = acc / m if cfg.average_epoch_output else w
         objectives.append(eval_objective(problem, w_tilde))
     return np.array(objectives), w_tilde
+
+
+def reference_sgd_run(problem, eta0, passes, seed):
+    """Projected SGD written plainly, one checked call per step.
+
+    Each step draws one index from the uniform stream of ``seed``, takes
+    the plain stochastic gradient (no sampling weight) at the step size
+    eta0/sqrt(k), k counting steps over all passes, and projects through
+    the public function; returns (objective after each pass of n steps,
+    final iterate).
+    """
+    X, n, q = problem.matrix, problem.n, problem.q
+    dist = build_distribution(UNIFORM, compute_lipschitz_info(problem), seed=seed)
+    step, coef = public_step(problem), public_coef(problem)
+    w, k, objectives = np.zeros(problem.d), 0, []
+    for _ in range(passes):
+        for _ in range(n):
+            k += 1
+            eta = eta0 / math.sqrt(k)
+            i = draw(dist)
+            idx, val = X.row(i)
+            a = coef(i, float(val @ w[idx]))
+            v = w - eta * q
+            v[idx] -= (eta * a) * val
+            w = step(v, eta)
+        objectives.append(eval_objective(problem, w))
+    return np.array(objectives), w
 
 
 @pytest.mark.parametrize("side", ["l1", "box", "lam"])
@@ -335,3 +371,47 @@ def test_vr_runs_match_the_plain_reference_loop(side, loss):
         trace = run(prob, cfg)
         assert trace.objective.tobytes() == objectives.tobytes()
         assert np.array_equal(trace.final_iterate, w)  # a prox zero's sign may differ
+
+
+def odd_size_problem(side, loss, with_q):
+    """n = 49, where n * (1/n) rounds below 1: a stray uniform weight 1/(n p_i) shows."""
+    n, d = 49, 7
+    assert n * (1.0 / n) != 1.0
+    rng = np.random.Generator(np.random.Philox(61))
+    X = rng.standard_normal((n, d)) * np.linspace(0.5, 2.0, n)[:, None]
+    w = rng.standard_normal(d)
+    if loss == "least_squares":
+        y = X @ w + 0.2 * rng.standard_normal(n)
+    else:
+        y = np.where(X @ w + 0.3 * rng.standard_normal(n) >= 0, 1.0, -1.0)
+    q = 0.5 * rng.standard_normal(d) if with_q else None
+    side = {"l1": L1Ball(tau=0.8), "box": Box(lower=np.full(d, -0.2), upper=np.full(d, 0.3))}[side]
+    return make_problem(X, y, task=loss, q=q, constraint=side)
+
+
+@pytest.mark.parametrize("with_q", [False, True])
+@pytest.mark.parametrize("side", ["l1", "box"])
+@pytest.mark.parametrize("loss", ["least_squares", "logistic"])
+def test_sgd_matches_the_plain_reference_loop(loss, side, with_q):
+    prob = odd_size_problem(side, loss, with_q)
+    trace = run_projected_sgd(prob, SolverConfig(epochs=3, step_size=1.0,
+                                                 sgd_initial_step=0.4, seed=6))
+    objectives, w = reference_sgd_run(prob, 0.4, 3, seed=6)
+    assert trace.objective.tobytes() == objectives.tobytes()
+    assert trace.final_iterate.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("with_q", [False, True])
+@pytest.mark.parametrize("side", ["l1", "box"])
+def test_hybrid_warm_start_is_one_reference_sgd_pass(side, with_q):
+    # row 0 is one SGD pass on the stream of the derived seed; the
+    # variance-reduced epochs then continue from its last iterate
+    prob = odd_size_problem(side, "least_squares", with_q)
+    cfg = SolverConfig(epochs=2, step_size=0.02, inner_iterations=12, seed=5,
+                       sgd_initial_step=0.4)
+    hybrid = run_hybrid_vrpsg2(prob, cfg)
+    objectives, w = reference_sgd_run(prob, 0.4, 1, seed=5 ^ 0x7A5C9D1B)
+    assert hybrid.objective[:1].tobytes() == objectives.tobytes()
+    plain = run_vrpsg(prob, cfg, w0=w)
+    assert hybrid.objective[1:].tobytes() == plain.objective.tobytes()
+    assert hybrid.final_iterate.tobytes() == plain.final_iterate.tobytes()
