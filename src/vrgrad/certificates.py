@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from . import sampling
 from .geometry import project_l1_ball
@@ -40,6 +39,14 @@ from .solvers import SolverConfig, run_afg
 # enough that each block's temporaries stay near 0.1 MB (blocks of 1024 raised
 # the peak RSS of a certify run by about 1 MB, at the same speed).
 _SVD_BLOCK = 256
+
+# hoffman_theta_bound stops extending a column subset once its computed
+# sigma_min/sigma_max is at most this fraction of rank_tol.  Adding a column
+# cannot raise that ratio (interlacing), so a superset could still pass the
+# basis test only if the SVD erred by rank_tol/2 relative to sigma_max, 5e-11
+# at the default rank_tol: far beyond gesdd's rounding, a modest multiple of
+# eps for these matrices of at most max_columns columns.
+_PRUNE_FRACTION = 0.5
 
 
 class CertificateError(RuntimeError):
@@ -186,11 +193,20 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
     truncating.  A C or X with a NaN or infinite entry raises ValueError
     naming the matrix.
 
-    Each subset size k is enumerated in blocks of at most
-    ``_SVD_BLOCK`` subsets, with one stacked ``np.linalg.svd`` call per
-    block.  The stacked call runs the same LAPACK routine on every matrix,
-    so the singular values, and the bound, are bit for bit those of one
-    call per subset; the block size only caps the stack's memory.
+    Only subsets that can be independent are decomposed, size by size: a
+    size-k candidate is a surviving size-(k-1) subset plus one column index
+    above its last, so each subset is reached once, through its sorted
+    prefixes, with its columns in increasing order.  A subset survives
+    unless its computed sigma_min/sigma_max is at most rank_tol/2; no
+    superset of a pruned subset can pass the basis test (``_PRUNE_FRACTION``
+    says why) while rank_tol/2 is far above the SVD's rounding, as the
+    default 1e-10 is.  A rank_tol near the rounding (1e-16 or 0) counts
+    numerically dependent subsets as bases, and which of those are reached
+    then differs from a loop over all subsets.  Each size's candidates go
+    through one stacked ``np.linalg.svd`` call per block of at most
+    ``_SVD_BLOCK``.  The stacked call runs the same LAPACK routine on every
+    matrix, so the singular values, and the bound, are bit for bit those of
+    one call per subset; the block size only caps the stack's memory.
     """
     if not hasattr(X, "toarray"):
         X = np.asarray(X, dtype=np.float64)
@@ -227,9 +243,17 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
 
     best = 0.0
     found = False
+    survivors = np.empty((1, 0), dtype=np.intp)  # the empty subset, extended to size 1
     for k in range(1, max_size + 1):
-        combos = itertools.combinations(range(total), k)
-        while block := list(itertools.islice(combos, _SVD_BLOCK)):
+        # extend each survivor by every column after its last one
+        last = survivors[:, -1:] if k > 1 else np.full((1, 1), -1)
+        rows, new = np.nonzero(np.arange(total) > last)
+        subsets = np.column_stack((survivors[rows], new))
+        if not len(subsets):
+            break
+        kept = []
+        for start in range(0, len(subsets), _SVD_BLOCK):
+            block = subsets[start:start + _SVD_BLOCK]
             stack = cols[:, block].transpose(1, 0, 2)  # (len(block), d, k)
             s = np.linalg.svd(stack, compute_uv=False)
             # dependent subsets are not bases
@@ -237,6 +261,8 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
             if basis.any():
                 found = True
                 best = max(best, float(np.max(1.0 / s[basis, -1])))
+            kept.append(block[s[:, -1] > _PRUNE_FRACTION * rank_tol * s[:, 0]])
+        survivors = np.concatenate(kept)
     if not found:
         raise ValueError("no linearly independent column subset (all rows zero?)")
     return best
@@ -356,6 +382,8 @@ def mu_estimate(problem: ProblemSpec, facts: OptimalFacts = None,
         mx = np.maximum(np.abs(c.lower), np.abs(c.upper))
         absX = problem.matrix.toarray()
         z_max = float(np.max(np.abs(absX) @ mx)) if absX.size else 0.0
+    from scipy.special import expit  # only the logistic loss needs scipy.special
+
     zs = np.linspace(0.0, z_max, grid)
     sig = expit(zs)
     return MuEstimate(float(np.min(sig * (1.0 - sig))) / n, False)

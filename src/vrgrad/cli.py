@@ -29,14 +29,40 @@ class ConfigError(ValueError):
     pass
 
 
-def _get(cfg: dict, key: str, default=_REQUIRED):
+def _get(cfg: dict, key: str, default=_REQUIRED, kind=None):
+    """cfg[key], or ``default`` when absent, converted by ``kind`` if given.
+
+    A value that ``kind`` cannot convert, such as a list where a number
+    belongs, is a ConfigError.  A None value passes through unconverted
+    when the default is None, so an optional key may also be null.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError(f"expected a JSON object holding {key!r}, got {cfg!r}")
     if key in cfg:
-        return cfg[key]
-    if default is _REQUIRED:
+        value = cfg[key]
+    elif default is _REQUIRED:
         raise ConfigError(f"config is missing required key {key!r}")
-    return default
+    else:
+        value = default
+    if kind is None or (value is None and default is None):
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
+
+
+def _each(kind):
+    """A ``kind`` for _get that takes a JSON list and converts each entry."""
+    def convert(values):
+        if not isinstance(values, (list, tuple)):
+            raise TypeError("not a list")
+        return [kind(v) for v in values]
+    return convert
+
+
+def _float_array(value):
+    return np.asarray(value, dtype=np.float64)
 
 
 def load_config(path: str, overrides) -> dict:
@@ -72,35 +98,34 @@ def build_dataset(cfg: dict):
     kind = _get(cfg, "kind", "synthetic")
     if kind == "synthetic":
         spec = data.SyntheticSpec(
-            n=int(_get(cfg, "n")),
-            d=int(_get(cfg, "d")),
-            rank=int(_get(cfg, "rank")),
-            task=_get(cfg, "task", problems.LEAST_SQUARES),
-            noise_std=float(_get(cfg, "noise_std", 0.0)),
-            row_scale_spread=float(_get(cfg, "row_scale_spread", 1.0)),
-            seed=int(_get(cfg, "seed", 0)),
+            n=_get(cfg, "n", kind=int),
+            d=_get(cfg, "d", kind=int),
+            rank=_get(cfg, "rank", kind=int),
+            task=_get(cfg, "task", problems.LEAST_SQUARES, kind=str),
+            noise_std=_get(cfg, "noise_std", 0.0, kind=float),
+            row_scale_spread=_get(cfg, "row_scale_spread", 1.0, kind=float),
+            seed=_get(cfg, "seed", 0, kind=int),
         )
         matrix, y = data.gen_synthetic(spec)
         return matrix, y, spec.task
     if kind == "libsvm":
-        task = _get(cfg, "task", None)
+        task = _get(cfg, "task", None, kind=str)
         matrix, y = data.read_libsvm(
-            _get(cfg, "path"),
-            n_cols=cfg.get("n_cols"),
+            _get(cfg, "path", kind=str),
+            n_cols=_get(cfg, "n_cols", None, kind=int),
             task=task,
             remap01=bool(cfg.get("remap01", False)),
         )
         return matrix, y, task or problems.LEAST_SQUARES
     if kind == "inline":
-        X = np.asarray(_get(cfg, "X"), dtype=np.float64)
-        y = np.asarray(_get(cfg, "y"), dtype=np.float64)
+        X = _get(cfg, "X", kind=_float_array)
+        y = _get(cfg, "y", kind=_float_array)
         return problems.SparseDesignMatrix.from_dense(X), y, _get(
-            cfg, "task", problems.LEAST_SQUARES)
+            cfg, "task", problems.LEAST_SQUARES, kind=str)
     raise ConfigError(f"unknown dataset kind {kind!r}; valid: synthetic, libsvm, inline")
 
 
-def _expand_bound(value, d):
-    arr = np.asarray(value, dtype=np.float64)
+def _expand_bound(arr, d):
     return np.full(d, float(arr)) if arr.ndim == 0 else arr
 
 
@@ -117,16 +142,16 @@ def build_problem(cfg: dict):
     if ccfg is not None:
         ctype = _get(ccfg, "type")
         if ctype == "l1_ball":
-            constraint = problems.L1Ball(tau=float(_get(ccfg, "tau")))
+            constraint = problems.L1Ball(tau=_get(ccfg, "tau", kind=float))
         elif ctype == "box":
             constraint = problems.Box(
-                lower=_expand_bound(_get(ccfg, "lower"), matrix.n_cols),
-                upper=_expand_bound(_get(ccfg, "upper"), matrix.n_cols),
+                lower=_expand_bound(_get(ccfg, "lower", kind=_float_array), matrix.n_cols),
+                upper=_expand_bound(_get(ccfg, "upper", kind=_float_array), matrix.n_cols),
             )
         else:
             raise ConfigError(f"unknown constraint type {ctype!r}; valid: l1_ball, box")
     elif rcfg is not None:
-        regularizer = problems.L1Regularizer(lam=float(_get(rcfg, "lam")))
+        regularizer = problems.L1Regularizer(lam=_get(rcfg, "lam", kind=float))
     else:
         raise ConfigError("problem needs a constraint or a regularizer")
     loss = problems.LossSpec(kind=task, labels=y)
@@ -147,7 +172,7 @@ def _resolve_run(problem, info, cfg: dict, seed: int):
     dist = sampling.build_distribution(mode, info, seed=seed)
     l_p = problems.aggregate_lipschitz(info, dist)
 
-    eta = float(_get(cfg, "eta", 1.0))
+    eta = _get(cfg, "eta", 1.0, kind=float)
     units = _get(cfg, "eta_units", "inv_lp")
     if units == "inv_lp":
         if l_p <= 0:
@@ -158,14 +183,15 @@ def _resolve_run(problem, info, cfg: dict, seed: int):
     else:
         raise ConfigError(f"unknown eta_units {units!r}; valid: inv_lp, absolute")
 
-    m = cfg.get("m")
-    if m is None and cfg.get("m_factor") is not None:
-        m = max(1, int(round(float(cfg["m_factor"]) * problem.n)))
+    m = _get(cfg, "m", None, kind=int)
+    m_factor = _get(cfg, "m_factor", None, kind=float)
+    if m is None and m_factor is not None:
+        m = max(1, int(round(m_factor * problem.n)))
     solver_cfg = solvers.SolverConfig(
-        epochs=int(_get(cfg, "epochs", 10)),
+        epochs=_get(cfg, "epochs", 10, kind=int),
         step_size=eta_abs,
-        inner_iterations=int(m) if m is not None else None,
-        sgd_initial_step=float(_get(cfg, "eta0", 1.0)),
+        inner_iterations=m,
+        sgd_initial_step=_get(cfg, "eta0", 1.0, kind=float),
         seed=seed,
         sampling_mode=mode,
         average_epoch_output=bool(_get(cfg, "average_epoch_output", True)),
@@ -222,7 +248,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
-    run_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    run_seed = _get(cfg, "seed", 0, kind=int) if seed is None else int(seed)
 
     info = problems.compute_lipschitz_info(problem)
     algorithm, solver_cfg, eta_abs, m, l_p = _resolve_run(problem, info, cfg, run_seed)
@@ -231,8 +257,8 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
     f_star = None
     if bool(_get(ref_cfg, "compute", True)):
         facts = certificates.reference_solution(
-            problem, tol=float(_get(ref_cfg, "tol", 1e-12)),
-            seed=int(_get(ref_cfg, "seed", 0)))
+            problem, tol=_get(ref_cfg, "tol", 1e-12, kind=float),
+            seed=_get(ref_cfg, "seed", 0, kind=int))
         f_star = facts.f_star
 
     trace = _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
@@ -245,7 +271,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
         "seed": run_seed,
         "rows": int(trace.epoch.size),
         "eta_resolved": eta_abs,
-        "m_resolved": int(m) if m is not None else None,
+        "m_resolved": m,
         "l_p": l_p,
         "theory_warning": bool(trace.theory_warning),
         "final_objective": float(trace.objective[-1]),
@@ -293,14 +319,15 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     datasets, algorithms = _blocks(cfg, "datasets"), _blocks(cfg, "algorithms")
-    seeds = [int(s) for s in _get(cfg, "seeds", [0])]
+    names = [_get(a, "name", a.get("algorithm"), kind=str) for a in algorithms]
+    seeds = _get(cfg, "seeds", [0], kind=_each(int))
     sweep = cfg.get("sweep")
     sweep_param, sweep_values = None, [None]
     if sweep is not None:
-        sweep_param = _get(sweep, "param")
+        sweep_param = _get(sweep, "param", kind=str)
         sweep_values = _get(sweep, "values")
-        if not sweep_values:
-            raise ConfigError("sweep.values must be non-empty")
+        if not sweep_values or not isinstance(sweep_values, list):
+            raise ConfigError("sweep.values must be a non-empty list")
     # each dataset's problem is built once, so a cell may not redefine it
     for key in [sweep_param, *(k for a in algorithms for k in a)]:
         if key in ("dataset", "problem"):
@@ -318,16 +345,16 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
         facts = None
         if compute_reference:
             facts = certificates.reference_solution(
-                problem, tol=float(_get(cfg, "reference_tol", 1e-12)))
+                problem, tol=_get(cfg, "reference_tol", 1e-12, kind=float))
         f_star = None if facts is None else facts.f_star
         jobs = []
-        for algo_cfg in algorithms:
+        for name, algo_cfg in zip(names, algorithms):
             for sv in sweep_values:
                 run_cfg = dict(base, **{k: v for k, v in algo_cfg.items() if k != "name"})
                 if sweep_param is not None:
                     run_cfg[sweep_param] = sv
                 for seed in seeds:
-                    jobs.append((algo_cfg, sv, seed, (run_cfg, seed)))
+                    jobs.append((name, sv, seed, (run_cfg, seed)))
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, initializer=_set_dataset,
@@ -340,8 +367,7 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
 
         # per-cell traces, then per-(algorithm, sweep value) mean gap over seeds
         grouped = {}
-        for (algo_cfg, sv, seed, _), trace in zip(jobs, results):
-            name = _get(algo_cfg, "name", algo_cfg.get("algorithm"))
+        for (name, sv, seed, _), trace in zip(jobs, results):
             tag = f"{name}" if sv is None else f"{name}_{sweep_param}={sv}"
             write_trace_csv(out / f"trace_{ds_name}_{tag}_s{seed}.csv", trace)
             grouped.setdefault((name, sv), []).append(trace)
@@ -372,7 +398,7 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
         "command": "bench",
         "config": cfg,
         "versions": _versions(),
-        "algorithm": ",".join(_get(a, "name", a.get("algorithm")) for a in algorithms),
+        "algorithm": ",".join(names),
         "rows": len(manifest_cells),
         "cells": manifest_cells,
     }
@@ -395,13 +421,13 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
     report = certificates.build_certificate(
         problem, C, b,
         sampling_mode=_get(cfg, "sampling", sampling.PROPORTIONAL),
-        eta_fractions=tuple(_get(cfg, "eta_fractions", (0.02, 0.05, 0.1, 0.2))),
-        m_values=tuple(_get(cfg, "m_values",
-                            (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7))),
-        reference_tol=float(_get(cfg, "reference_tol", 1e-12)),
+        eta_fractions=_get(cfg, "eta_fractions", (0.02, 0.05, 0.1, 0.2), kind=_each(float)),
+        m_values=_get(cfg, "m_values", (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7),
+                      kind=_each(float)),
+        reference_tol=_get(cfg, "reference_tol", 1e-12, kind=float),
         probe=bool(_get(cfg, "probe", False)),
-        probes=int(_get(cfg, "probes", 200)),
-        seed=int(_get(cfg, "seed", 0)),
+        probes=_get(cfg, "probes", 200, kind=int),
+        seed=_get(cfg, "seed", 0, kind=int),
     )
     payload = report.to_dict()
     payload["versions"] = _versions()

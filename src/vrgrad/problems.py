@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .geometry import box_kernel, l1_ball_kernel, soft_threshold_kernel
 
@@ -44,6 +43,18 @@ def _squares_mean(u, y):
     return float(r @ r) / (2.0 * u.size)
 
 
+def _expit(x):
+    """scipy's logistic sigmoid, imported on first use; the import rebinds this name.
+
+    scipy.special costs about 0.1 s to import, and least-squares runs never
+    need it.  After the first call the losses look up scipy's ufunc itself,
+    so an inner step pays no extra call.
+    """
+    global _expit
+    from scipy.special import expit as _expit
+    return _expit(x)
+
+
 LOSSES = {
     LEAST_SQUARES: Loss(mean=_squares_mean, coef=lambda u, y: u - y,
                         scalar=lambda u, y: u - y, lipschitz_scale=1.0, signed_labels=False),
@@ -51,8 +62,8 @@ LOSSES = {
     # the coefficient -y sigmoid(-y u) goes through expit, so extreme margins
     # saturate instead of overflowing
     LOGISTIC: Loss(mean=lambda u, y: float(np.logaddexp(0.0, -y * u).sum()) / u.size,
-                   coef=lambda u, y: -y * expit(-y * u),
-                   scalar=lambda u, y: -y * float(expit(-y * u)),
+                   coef=lambda u, y: -y * _expit(-y * u),
+                   scalar=lambda u, y: -y * float(_expit(-y * u)),
                    lipschitz_scale=0.25, signed_labels=True),
 }
 

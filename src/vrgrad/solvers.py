@@ -334,7 +334,7 @@ _DENSE_MAX_ENTRIES = 500_000
 
 
 def _full_grad_ops(problem: ProblemSpec):
-    """Smooth value and gradient for full-gradient work, on the dense or sparse matrix."""
+    """Smooth value, and value with gradient from one matvec, on the dense or sparse matrix."""
     mat = problem.matrix
     if mat.n_rows * mat.n_cols > _DENSE_MAX_ENTRIES:
         matvec, rmatvec = mat.matvec, mat.rmatvec
@@ -347,10 +347,11 @@ def _full_grad_ops(problem: ProblemSpec):
     def value(w):
         return loss.mean(matvec(w), y) + float(q @ w)
 
-    def grad(w):
-        return rmatvec(loss.coef(matvec(w), y)) / n + q
+    def value_grad(w):
+        u = matvec(w)
+        return loss.mean(u, y) + float(q @ w), rmatvec(loss.coef(u, y)) / n + q
 
-    return value, grad
+    return value, value_grad
 
 
 def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
@@ -376,7 +377,7 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
     n = problem.n
     step = problem.side.step_map()
     penalty = problem.side.penalty
-    value, grad = _full_grad_ops(problem)
+    value, value_grad = _full_grad_ops(problem)
 
     state = {"grad": 0, "probe": 0}
     eps_slack = 8.0 * np.finfo(np.float64).eps
@@ -395,9 +396,8 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
         the penalty absorbs the difference, and gating on the smooth part
         alone re-opens the cycle.
         """
-        g = grad(y)
+        f_y, g = value_grad(y)
         state["grad"] += n
-        f_y = value(y)
         state["probe"] += n
         F_y = f_y + penalty(y)
         noise = eps_slack * max(1.0, abs(f_y))
@@ -456,7 +456,7 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
 
         done = it == config.epochs
         if grad_mapping_tol is not None and (done or it % check_every == 0):
-            g = grad(x)
+            g = value_grad(x)[1]
             state["grad"] += n
             gm = x - step(x - g, 1.0)
             done = done or float(np.linalg.norm(gm)) <= grad_mapping_tol

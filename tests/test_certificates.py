@@ -206,11 +206,50 @@ def test_hoffman_bound_exact_across_block_boundaries(monkeypatch, block):
     assert hoffman_theta_bound(C, b, X[:2]) == hoffman_loop(C, X[:2])
 
 
-def test_hoffman_bound_designed_instance_at_budget_is_one():
-    # [I6; 2 I6] under a box: 24 columns, 190 050 subsets, theta exactly 1
+def count_svd_subsets(monkeypatch):
+    """Patch np.linalg.svd to record the number of matrices in each call."""
+    counted = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        counted.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(certificates.np.linalg, "svd", counting)
+    return counted
+
+
+def test_hoffman_bound_designed_instance_at_budget_is_one(monkeypatch):
+    # [I6; 2 I6] under a box: 24 columns, 190 050 subsets, theta exactly 1.
+    # Each direction appears four times, so 15 624 subsets are independent;
+    # decomposing those and their one-column extensions takes 46 116 SVDs.
+    counted = count_svd_subsets(monkeypatch)
     C, b = box_rows(-np.ones(6), np.ones(6))
     X = np.vstack([np.eye(6), 2.0 * np.eye(6)])
     assert hoffman_theta_bound(C, b, X) == 1.0
+    assert sum(counted) == 46_116
+    assert max(counted) == certificates._SVD_BLOCK
+
+
+def test_hoffman_extension_keeps_every_basis_reachable(monkeypatch):
+    # column 1 duplicates column 0, and column 2 is e1 + 1.5e-10 e2: the pairs
+    # {0, 2} and {1, 2} have sigma_min/sigma_max about 7.5e-11, not bases at
+    # rank_tol 1e-10 but above rank_tol/2, so they are still extended; the
+    # dependent pair {0, 1} is not, which skips {0, 1, 2} and {0, 1, 3}
+    X = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.5e-10, 0.0], [0.0, 0.0, 1.0]])
+    s = np.linalg.svd(X[[0, 2]].T, compute_uv=False)
+    assert 0.5e-10 < s[-1] / s[0] <= 1e-10
+    expected = hoffman_loop(None, X)
+    counted = count_svd_subsets(monkeypatch)
+    assert hoffman_theta_bound(None, None, X) == expected
+    assert counted == [4, 6, 2]  # the closed-form count is 4 + 6 + 4
+
+    # the pair {0, 1} is a basis with ratio 5e-6, far below 1, and only its
+    # extension {0, 1, 2} reaches the smallest sigma_min, so the bound needs it
+    X = np.array([[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0], [0.0, 1e-5, 1.0]])
+    s = np.linalg.svd(X.T, compute_uv=False)
+    assert hoffman_theta_bound(None, None, X) == 1.0 / s[-1] == hoffman_loop(None, X)
+    assert s[-1] < np.linalg.svd(X[:2].T, compute_uv=False)[-1]
 
 
 def test_hoffman_bound_rejects_non_finite_input():

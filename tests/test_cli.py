@@ -506,6 +506,14 @@ EXIT_CODES = {  # case: (command, config, --set overrides, exit code)
     "algorithm-not-object": ("bench", TINY_GRID, ["algorithms=[5]"], 1),
     "datasets-not-a-list": ("bench", TINY_GRID, ["datasets=5"], 1),
     "sweep-not-object": ("bench", TINY_GRID, ["sweep=3"], 1),
+    # values of the wrong JSON type
+    "epochs-a-list": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=[1]"], 1),
+    "m-a-list": ("solve", README_SOLVE, [NO_REFERENCE, "m=[1]"], 1),
+    "eta-an-object": ("solve", README_SOLVE, [NO_REFERENCE, 'eta={"a": 1}'], 1),
+    "seeds-a-number": ("bench", TINY_GRID, ["seeds=5"], 1),
+    "sweep-values-a-number": ("bench", TINY_GRID, ['sweep={"param": "eta", "values": 5}'], 1),
+    "eta-fractions-a-number": ("certify", CONTRACTIVE_CERTIFY, ["eta_fractions=0.1"], 1),
+    "m-values-of-strings": ("certify", CONTRACTIVE_CERTIFY, ['m_values=["x"]'], 1),
     # unknown names and invalid values
     "unknown-algorithm": ("solve", README_SOLVE, ["algorithm=adam"], 1),
     "unknown-dataset-kind": ("solve", README_SOLVE, ["dataset.kind=csv"], 1),

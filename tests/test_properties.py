@@ -1,9 +1,11 @@
 """Hypothesis properties of the inner-loop operators, the solvers and the Hoffman enumeration.
 
-Kernels, draws and the l1-ball projection; the side interface (step maps,
-penalties) and the full-gradient baseline's two matrix branches; the
-stochastic solvers' gradient-evaluation accounting and feasibility; then
-the batched Hoffman bound against its one-SVD-per-subset reference.
+Kernels, draws, the l1-ball projection and the positive homogeneity of
+the projections and the prox; the side interface (step maps, penalties)
+and the full-gradient baseline's two matrix branches; the stochastic
+solvers' gradient-evaluation accounting and feasibility; then the batched
+Hoffman bound, over extended bases, against its one-SVD-per-subset
+reference.
 """
 
 from unittest import mock
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from vrgrad import certificates, solvers
+from vrgrad.certificates import box_rows, l1_ball_rows
 from vrgrad.geometry import (
     box_kernel,
     l1_ball_kernel,
@@ -144,6 +147,29 @@ def assert_kkt(v, p, tau):
     assert np.all(np.abs(v[~on]) <= theta + tol)
 
 
+# magnitudes from 1e-6 to 1e6: scaled by up to 2**20 either way they stay far
+# from overflow and from subnormals, so the scaling itself never rounds
+normal_entries = st.one_of(st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6),
+                           st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0]))
+powers_of_two = st.integers(-20, 20).map(lambda k: 2.0 ** k)
+
+
+@PROPS
+@given(arrays(np.float64, st.integers(1, 24), elements=normal_entries), radii,
+       powers_of_two, st.data())
+def test_projections_and_prox_are_positively_homogeneous(v, tau, c, data):
+    # every operation in the kernels commutes exactly with a power-of-two
+    # scale, so each operator does too, bit for bit (== folds signed zeros)
+    assert np.array_equal(project_l1_ball(c * v, c * tau), c * project_l1_ball(v, tau))
+    bound = arrays(np.float64, v.size, elements=normal_entries)
+    a, b = data.draw(bound), data.draw(bound)
+    lower, upper = np.minimum(a, b), np.maximum(a, b)
+    assert np.array_equal(project_box(c * v, c * lower, c * upper),
+                          c * project_box(v, lower, upper))
+    t = data.draw(st.one_of(st.just(0.0), radii))
+    assert np.array_equal(prox_l1(c * v, c * t), c * prox_l1(v, t))
+
+
 huge = st.floats(1e300, 1e308)
 scaled_vectors = st.one_of(
     vectors,
@@ -243,23 +269,26 @@ def test_full_gradient_baseline_branches(case):
     X, y, q, w, task, _ = case
     problem = make_problem(X, y, task=task, q=q)
     with mock.patch.object(solvers, "_DENSE_MAX_ENTRIES", -1):
-        sparse_value, sparse_grad = solvers._full_grad_ops(problem)
+        sparse_value, sparse_value_grad = solvers._full_grad_ops(problem)
     with mock.patch.object(solvers, "_DENSE_MAX_ENTRIES", X.size):
-        dense_value, dense_grad = solvers._full_grad_ops(problem)
-    assert sparse_value(w) == smooth_value(problem, w)
-    assert sparse_grad(w).tobytes() == eval_full_grad(problem, w).tobytes()
+        dense_value, dense_value_grad = solvers._full_grad_ops(problem)
+    # value_grad's value is value's, from the same margins
+    (sparse_f, sparse_g), (dense_f, dense_g) = sparse_value_grad(w), dense_value_grad(w)
+    assert sparse_f == sparse_value(w) == smooth_value(problem, w)
+    assert dense_f == dense_value(w)
+    assert sparse_g.tobytes() == eval_full_grad(problem, w).tobytes()
     n, u = y.size, X @ w
     if task == "least_squares":
         value, a = float((u - y) @ (u - y)) / (2.0 * n), u - y
     else:
         value, a = float(np.logaddexp(0.0, -y * u).sum()) / n, -y * expit(-y * u)
-    assert dense_value(w) == value + float(q @ w)
-    assert dense_grad(w).tobytes() == (X.T @ a / n + q).tobytes()
+    assert dense_f == value + float(q @ w)
+    assert dense_g.tobytes() == (X.T @ a / n + q).tobytes()
     # the two sum in different orders: they agree to a few ulps of the terms' size
     size = (1.0 + np.abs(X).max()) * (1.0 + np.abs(w).sum()) + np.abs(q).sum()
     tol = 8.0 * EPS * X.size * size ** 2
-    assert abs(dense_value(w) - sparse_value(w)) <= tol
-    assert np.all(np.abs(dense_grad(w) - sparse_grad(w)) <= tol)
+    assert abs(dense_f - sparse_f) <= tol
+    assert np.all(np.abs(dense_g - sparse_g) <= tol)
 
 
 solver_cases = st.tuples(st.integers(1, 12), st.integers(1, 5)).flatmap(
@@ -311,19 +340,45 @@ def test_solvers_count_gradients_exactly_and_stay_feasible(case):
         assert np.all(w <= side.upper + sums * scale)
 
 
+def degenerate_rows(d):
+    """Rows of length d: random base rows, then copies, scaled copies, zero rows and sums.
+
+    A sum adds a small multiple of another row as well as a plain one, so some
+    column subsets sit near the basis test's threshold and its pruning margin.
+    """
+    base = arrays(np.float64, st.tuples(st.integers(1, 3), st.just(d)), elements=design_entries)
+    op = st.tuples(st.sampled_from(["copy", "scale", "zero", "sum"]),
+                   st.integers(0, 10), st.integers(0, 10),
+                   st.sampled_from([-3.5, -1.0, 0.25, 2.0, 1e-5, 1.5e-10, 1e-11]))
+
+    def build(rows, ops):
+        rows = list(rows)
+        for kind, i, j, c in ops:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append({"copy": a, "scale": c * a, "zero": 0.0 * a, "sum": a + c * b}[kind])
+        return np.array(rows)
+
+    return st.builds(build, base, st.lists(op, max_size=5))
+
+
+def constraint_rows(d):
+    """No rows, the box's or the l1 ball's rows, or random rows of design entries."""
+    return st.one_of(st.just(None), st.just(box_rows(-np.ones(d), np.ones(d))[0]),
+                     st.just(l1_ball_rows(d, 1.0)[0]) if d <= 3 else st.nothing(),
+                     arrays(np.float64, st.tuples(st.integers(0, 3), st.just(d)),
+                            elements=design_entries))
+
+
 @PROPS
-@given(st.integers(1, 3).flatmap(
-           lambda d: st.tuples(arrays(np.float64, st.tuples(st.integers(0, 3), st.just(d)),
-                                      elements=design_entries),
-                               arrays(np.float64, st.tuples(st.integers(1, 5), st.just(d)),
-                                      elements=design_entries))),
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(constraint_rows(d), degenerate_rows(d))),
        st.integers(1, 8))
 def test_hoffman_blocks_equal_the_per_subset_loop(design, block):
     C, X = design
+    b = None if C is None else np.zeros(len(C))
     expected = hoffman_loop(C, X)
     with mock.patch.object(certificates, "_SVD_BLOCK", block):
         if expected == 0.0:  # every row is zero: no basis exists
             with pytest.raises(ValueError, match="no linearly independent"):
-                certificates.hoffman_theta_bound(C, np.zeros(len(C)), X)
+                certificates.hoffman_theta_bound(C, b, X)
         else:
-            assert certificates.hoffman_theta_bound(C, np.zeros(len(C)), X) == expected
+            assert certificates.hoffman_theta_bound(C, b, X) == expected
