@@ -34,6 +34,17 @@ from .problems import (
 from .solvers import SolverConfig, run_afg
 
 
+# Fixed values, each with one use; the docstrings below say what they govern.
+_REFERENCE_STARTS = 3  # reference_solution's accelerated-baseline runs
+_REFERENCE_MAX_ITERATIONS = 10 ** 6  # iterations per run at most
+_RANK_TOL = 1e-10  # hoffman_theta_bound: a basis has sigma_min/sigma_max above this
+_MAX_COLUMNS = 24  # the enumeration's budget: columns of [C', X'] ...
+_MAX_SUBSETS = 200_000  # ... and column subsets
+_MU_GRID = 201  # mu_estimate: grid points over the logistic margins
+_DYKSTRA_MAX_SWEEPS = 10 ** 5  # ssc_probe: a projection still moving after this is skipped
+_DYKSTRA_MOVE_TOL = 1e-11  # a sweep moving less than this has converged
+_VARIANCE_DRAWS = 10 ** 5  # variance_diagnostic: samples of the direction
+
 # Column subsets per stacked SVD call in hoffman_theta_bound: large enough
 # that numpy's per-call overhead is a few percent of the LAPACK work, small
 # enough that each block's temporaries stay near 0.1 MB (blocks of 1024 raised
@@ -41,11 +52,11 @@ from .solvers import SolverConfig, run_afg
 _SVD_BLOCK = 256
 
 # hoffman_theta_bound stops extending a column subset once its computed
-# sigma_min/sigma_max is at most this fraction of rank_tol.  Adding a column
+# sigma_min/sigma_max is at most this fraction of _RANK_TOL.  Adding a column
 # cannot raise that ratio (interlacing), so a superset could still pass the
-# basis test only if the SVD erred by rank_tol/2 relative to sigma_max, 5e-11
-# at the default rank_tol: far beyond gesdd's rounding, a modest multiple of
-# eps for these matrices of at most max_columns columns.
+# basis test only if the SVD erred by 5e-11 relative to sigma_max: far beyond
+# gesdd's rounding, a modest multiple of eps for these matrices of at most
+# _MAX_COLUMNS columns.
 _PRUNE_FRACTION = 0.5
 
 
@@ -97,31 +108,25 @@ def _grad_mapping_norm(problem: ProblemSpec, w) -> float:
 
 
 def reference_solution(problem: ProblemSpec, tol: float = 1e-12,
-                       max_iterations: int = 10 ** 6, starts: int = 3,
                        seed: int = 0) -> OptimalFacts:
-    """Solve to gradient-mapping tolerance from several starts; collect facts.
+    """Solve to gradient-mapping tolerance from three starts; collect facts.
 
-    Each start runs the accelerated full-gradient baseline until the
-    unit-step gradient mapping norm drops below ``tol`` (or the iteration
-    cap).  The best final value becomes f*; the invariance of (X w*, q' w*)
-    across starts is checked to 1e-6 and folded into ``certified``.
+    Each start (zero, then random feasible points) runs the accelerated
+    full-gradient baseline until the unit-step gradient mapping norm drops
+    below ``tol``, or for 10^6 iterations.  The best final value becomes f*;
+    the invariance of (X w*, q' w*) across starts is checked to 1e-6 and
+    folded into ``certified``.
     """
     if tol < 1e-14:
         raise ValueError("tol below 1e-14 is not resolvable in double precision")
-    if starts < 1:
-        raise ValueError("need at least one start")
     rng = np.random.Generator(np.random.Philox(seed))
     start_points = [np.zeros(problem.d)]
-    start_points += [_random_feasible(problem, rng) for _ in range(starts - 1)]
+    start_points += [_random_feasible(problem, rng) for _ in range(_REFERENCE_STARTS - 1)]
 
-    finals = []
-    worst_gm = 0.0
-    for w0 in start_points:
-        cfg = SolverConfig(epochs=max_iterations, step_size=1.0)
-        trace = run_afg(problem, cfg, w0=w0, f_star=None,
-                        grad_mapping_tol=tol, record_every=10 ** 9)
-        finals.append(trace.final_iterate)
-        worst_gm = max(worst_gm, _grad_mapping_norm(problem, trace.final_iterate))
+    cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
+    finals = [run_afg(problem, cfg, w0=w0, grad_mapping_tol=tol,
+                      record_every=10 ** 9).final_iterate for w0 in start_points]
+    worst_gm = max(_grad_mapping_norm(problem, w) for w in finals)
 
     values = [eval_objective(problem, w) for w in finals]
     best = int(np.argmin(values))
@@ -132,14 +137,11 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12,
     lam = problem.regularizer.lam if problem.regularizer is not None else None
     reg_level = lam * float(np.abs(w_star).sum()) if lam is not None else None
 
-    unique = True
-    for w in finals:
-        if np.linalg.norm(problem.matrix.matvec(w) - r_star) > 1e-6:
-            unique = False
-        if abs(float(problem.q @ w) - s_star) > 1e-6:
-            unique = False
-        if lam is not None and abs(lam * float(np.abs(w).sum()) - reg_level) > 1e-6:
-            unique = False
+    unique = all(
+        np.linalg.norm(problem.matrix.matvec(w) - r_star) <= 1e-6
+        and abs(float(problem.q @ w) - s_star) <= 1e-6
+        and (lam is None or abs(lam * float(np.abs(w).sum()) - reg_level) <= 1e-6)
+        for w in finals)
 
     return OptimalFacts(
         f_star=float(min(values)),
@@ -176,9 +178,7 @@ def box_rows(lower, upper):
     return np.vstack([eye, -eye]), np.concatenate([upper, -lower])
 
 
-def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
-                        max_columns: int = 24,
-                        max_subsets: int = 200_000) -> float:
+def hoffman_theta_bound(C, b, X) -> float:
     """Exact-enumeration upper bound on the polyhedral error-bound constant.
 
     The bound is the max of 1/sigma_min(D) over all matrices D whose
@@ -187,8 +187,9 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
     depends only on the row spaces of C and X; b positions the polyhedron
     but cannot change its conditioning, so only its shape is validated.
 
-    Enumeration is exact or refused: more than ``max_columns`` total rows,
-    or a subset count past ``max_subsets``, raises EnumerationBudgetError
+    A subset is a basis when its sigma_min/sigma_max exceeds 1e-10
+    (``_RANK_TOL``).  Enumeration is exact or refused: more than 24 total
+    rows, or more than 200 000 column subsets, raises EnumerationBudgetError
     before X is densified or any SVD runs, rather than silently
     truncating.  A C or X with a NaN or infinite entry raises ValueError
     naming the matrix.
@@ -197,14 +198,10 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
     size-k candidate is a surviving size-(k-1) subset plus one column index
     above its last, so each subset is reached once, through its sorted
     prefixes, with its columns in increasing order.  A subset survives
-    unless its computed sigma_min/sigma_max is at most rank_tol/2; no
-    superset of a pruned subset can pass the basis test (``_PRUNE_FRACTION``
-    says why) while rank_tol/2 is far above the SVD's rounding, as the
-    default 1e-10 is.  A rank_tol near the rounding (1e-16 or 0) counts
-    numerically dependent subsets as bases, and which of those are reached
-    then differs from a loop over all subsets.  Each size's candidates go
-    through one stacked ``np.linalg.svd`` call per block of at most
-    ``_SVD_BLOCK``.  The stacked call runs the same LAPACK routine on every
+    unless its computed sigma_min/sigma_max is at most 5e-11, half the rank
+    tolerance; no superset of a pruned subset can pass the basis test
+    (``_PRUNE_FRACTION`` says why).  Each size's candidates go through one
+    stacked ``np.linalg.svd`` call per block of at most ``_SVD_BLOCK``.  The stacked call runs the same LAPACK routine on every
     matrix, so the singular values, and the bound, are bit for bit those of
     one call per subset; the block size only caps the stack's memory.
     """
@@ -223,15 +220,15 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
         raise ValueError("b must have one entry per row of C")
 
     total = C.shape[0] + X.shape[0]
-    if total > max_columns:
+    if total > _MAX_COLUMNS:
         raise EnumerationBudgetError(
-            f"[C', X'] has {total} columns; enumeration capped at {max_columns}"
+            f"[C', X'] has {total} columns; enumeration capped at {_MAX_COLUMNS}"
         )
     max_size = min(d, total)
     n_subsets = sum(math.comb(total, k) for k in range(1, max_size + 1))
-    if n_subsets > max_subsets:
+    if n_subsets > _MAX_SUBSETS:
         raise EnumerationBudgetError(
-            f"{n_subsets} column subsets exceed the budget of {max_subsets}"
+            f"{n_subsets} column subsets exceed the budget of {_MAX_SUBSETS}"
         )
     if hasattr(X, "toarray"):
         X = X.toarray()
@@ -241,8 +238,7 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
         raise ValueError("X has a non-finite entry")
     cols = np.vstack([C, X]).T  # shape (d, total): candidate columns
 
-    best = 0.0
-    found = False
+    best = 0.0  # stays 0 until a basis is found: 1/sigma_min of a basis is positive
     survivors = np.empty((1, 0), dtype=np.intp)  # the empty subset, extended to size 1
     for k in range(1, max_size + 1):
         # extend each survivor by every column after its last one
@@ -257,13 +253,13 @@ def hoffman_theta_bound(C, b, X, rank_tol: float = 1e-10,
             stack = cols[:, block].transpose(1, 0, 2)  # (len(block), d, k)
             s = np.linalg.svd(stack, compute_uv=False)
             # dependent subsets are not bases
-            basis = (s[:, 0] > 0.0) & (s[:, -1] > rank_tol * s[:, 0])
+            basis = (s[:, 0] > 0.0) & (s[:, -1] > _RANK_TOL * s[:, 0])
             if basis.any():
-                found = True
-                best = max(best, float(np.max(1.0 / s[basis, -1])))
-            kept.append(block[s[:, -1] > _PRUNE_FRACTION * rank_tol * s[:, 0]])
+                with np.errstate(over="ignore"):  # sigma_min below 1/DBL_MAX: bound inf
+                    best = max(best, float(np.max(1.0 / s[basis, -1])))
+            kept.append(block[s[:, -1] > _PRUNE_FRACTION * _RANK_TOL * s[:, 0]])
         survivors = np.concatenate(kept)
-    if not found:
+    if best == 0.0:
         raise ValueError("no linearly independent column subset (all rows zero?)")
     return best
 
@@ -333,22 +329,18 @@ def rate_grid_search(l_p: float, beta: float, eta_fractions=(0.02, 0.05, 0.1, 0.
     return best
 
 
-def bounded_gap_M(problem: ProblemSpec, facts: OptimalFacts,
-                  radius: float = None) -> float:
+def bounded_gap_M(problem: ProblemSpec, facts: OptimalFacts) -> float:
     """Bound on max_w f(w) - f* over the feasible set: g R + (L/2) R^2.
 
     g is the gradient norm at an optimum, R the feasible diameter (2 tau
     for the l1 ball, ||upper - lower|| for a box), L the full-gradient
-    smoothness bound.  Regularized problems have no intrinsic diameter;
-    pass the radius of a sublevel set explicitly.
+    smoothness bound.  A regularized problem (infinite diameter) or a
+    zero diameter raises ValueError.
     """
     g = float(np.linalg.norm(problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
-    if radius is None:
-        radius = problem.side.diameter
-        if math.isinf(radius):
-            raise ValueError("regularized problems need an explicit sublevel radius")
-    if not radius > 0:
-        raise ValueError("feasible set has zero diameter; gap bound degenerate")
+    radius = problem.side.diameter
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"gap bound needs a positive finite feasible diameter, not {radius:g}")
     L = compute_lipschitz_info(problem).global_bound
     return g * radius + 0.5 * L * radius ** 2
 
@@ -358,16 +350,15 @@ class MuEstimate(NamedTuple):
     exact: bool
 
 
-def mu_estimate(problem: ProblemSpec, facts: OptimalFacts = None,
-                grid: int = 201) -> MuEstimate:
+def mu_estimate(problem: ProblemSpec) -> MuEstimate:
     """Strong-convexity modulus of the link function on reachable margins.
 
     Least squares: exactly 1/n.  Logistic: the margins x_i' w are bounded
     over the compact feasible set, so sigma'(z)/n is minimized on a grid
-    over [0, z_max] (sigma'(z) is even and decreasing in |z|, making the
-    grid minimum the interval minimum up to grid resolution); reported as
-    an estimate.  ``facts`` is accepted for interface symmetry; the bound
-    depends only on the feasible set.
+    of ``_MU_GRID`` points over [0, z_max] (sigma'(z) is even and decreasing
+    in |z|, making the grid minimum the interval minimum up to grid
+    resolution); reported as an estimate.  The bound depends only on the
+    feasible set.
     """
     if not problem.is_constrained:
         raise ValueError("mu_estimate needs a compact feasible set")
@@ -384,7 +375,7 @@ def mu_estimate(problem: ProblemSpec, facts: OptimalFacts = None,
         z_max = float(np.max(np.abs(absX) @ mx)) if absX.size else 0.0
     from scipy.special import expit  # only the logistic loss needs scipy.special
 
-    zs = np.linspace(0.0, z_max, grid)
+    zs = np.linspace(0.0, z_max, _MU_GRID)
     sig = expit(zs)
     return MuEstimate(float(np.min(sig * (1.0 - sig))) / n, False)
 
@@ -399,7 +390,7 @@ class SSCProbe:
     skipped: int
 
 
-def _dykstra(start, proj_a, proj_b, max_sweeps, move_tol):
+def _dykstra(start, proj_a, proj_b):
     """Alternating projections with Dykstra's correction terms.
 
     Returns the limit point, or None when successive sweeps are still
@@ -409,12 +400,12 @@ def _dykstra(start, proj_a, proj_b, max_sweeps, move_tol):
     x = start.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    for _ in range(max_sweeps):
+    for _ in range(_DYKSTRA_MAX_SWEEPS):
         y = proj_a(x + p)
         p = x + p - y
         x_new = proj_b(y + q)
         q = y + q - x_new
-        if np.linalg.norm(x_new - x) < move_tol:
+        if np.linalg.norm(x_new - x) < _DYKSTRA_MOVE_TOL:
             if np.linalg.norm(x_new - y) > 1e-7 * (1.0 + np.linalg.norm(x_new)):
                 return None  # stalled outside the intersection
             return x_new
@@ -423,8 +414,7 @@ def _dykstra(start, proj_a, proj_b, max_sweeps, move_tol):
 
 
 def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
-              seed: int = 0, max_sweeps: int = 10 ** 5,
-              move_tol: float = 1e-11) -> SSCProbe:
+              seed: int = 0) -> SSCProbe:
     """Empirical worst-case ratio 2 (f(w) - f*) / dist(w, W*)^2 over probes.
 
     The optimal set is the polyhedron {X w = r*, q' w = s*} intersected
@@ -464,10 +454,10 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
         return v - pinv @ (A @ v - target)
 
     lam = problem.regularizer.lam if problem.regularizer is not None else None
+    ball_radius = None
     if problem.is_constrained:
         step = problem.side.step_map()
         proj_set = lambda v: step(v, 1.0)
-        ball_radius = None
     elif lam and lam > 0:
         ball_radius = facts.reg_level / lam  # = ||w*||_1
         if ball_radius > 0:
@@ -476,7 +466,6 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
             proj_set = lambda v: np.zeros_like(v)
     else:
         proj_set = None  # lam = 0: the optimal set is purely affine
-        ball_radius = None
 
     def probe_point(j):
         scale_cycle = (1e-3, 1e-2, 1e-1, 1.0)
@@ -492,16 +481,14 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
             w = proj_set(w)
         return w
 
-    ratios = []
-    worst = None
-    skipped = 0
+    ratios, worst, skipped = [], None, 0
     for j in range(probes):
         w = probe_point(j)
         gap = eval_objective(problem, w) - facts.f_star
         if proj_set is None:
             z = proj_affine(w)
         else:
-            z = _dykstra(w, proj_set, proj_affine, max_sweeps, move_tol)
+            z = _dykstra(w, proj_set, proj_affine)
             if z is None:
                 skipped += 1
                 continue
@@ -550,15 +537,13 @@ class VarianceDiagnostic:
 
 
 def variance_diagnostic(problem: ProblemSpec, dist: sampling.SamplingDistribution,
-                        w, w_snapshot, f_star: float,
-                        draws: int = 10 ** 5) -> VarianceDiagnostic:
-    """Sample the variance-reduced direction at (w, snapshot) ``draws`` times.
+                        w, w_snapshot, f_star: float) -> VarianceDiagnostic:
+    """Sample the variance-reduced direction at (w, snapshot) 10^5 times.
 
     Consumes the distribution's stream.  Desk-scale: densifies the design
     matrix to vectorize the per-component algebra.
     """
-    if draws < 2:
-        raise ValueError("need at least 2 draws")
+    draws = _VARIANCE_DRAWS
     w = np.asarray(w, dtype=np.float64).ravel()
     w_snapshot = np.asarray(w_snapshot, dtype=np.float64).ravel()
     n = problem.n

@@ -29,6 +29,13 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are ConfigErrors, so they exit 1, not 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _get(cfg: dict, key: str, default=_REQUIRED, kind=None):
     """cfg[key], or ``default`` when absent, converted by ``kind`` if given.
 
@@ -63,6 +70,13 @@ def _each(kind):
 
 def _float_array(value):
     return np.asarray(value, dtype=np.float64)
+
+
+def _flag(value):
+    """A ``kind`` for _get that accepts only JSON true or false."""
+    if not isinstance(value, bool):
+        raise TypeError("not true or false")
+    return value
 
 
 def load_config(path: str, overrides) -> dict:
@@ -114,7 +128,7 @@ def build_dataset(cfg: dict):
             _get(cfg, "path", kind=str),
             n_cols=_get(cfg, "n_cols", None, kind=int),
             task=task,
-            remap01=bool(cfg.get("remap01", False)),
+            remap01=_get(cfg, "remap01", False, kind=_flag),
         )
         return matrix, y, task or problems.LEAST_SQUARES
     if kind == "inline":
@@ -194,7 +208,7 @@ def _resolve_run(problem, info, cfg: dict, seed: int):
         sgd_initial_step=_get(cfg, "eta0", 1.0, kind=float),
         seed=seed,
         sampling_mode=mode,
-        average_epoch_output=bool(_get(cfg, "average_epoch_output", True)),
+        average_epoch_output=_get(cfg, "average_epoch_output", True, kind=_flag),
     )
     return algorithm, solver_cfg, eta_abs, m, l_p
 
@@ -244,18 +258,18 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def cmd_solve(cfg: dict, out_dir: str, seed: int = None) -> int:
+def cmd_solve(cfg: dict, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
-    run_seed = _get(cfg, "seed", 0, kind=int) if seed is None else int(seed)
+    run_seed = _get(cfg, "seed", 0, kind=int)
 
     info = problems.compute_lipschitz_info(problem)
     algorithm, solver_cfg, eta_abs, m, l_p = _resolve_run(problem, info, cfg, run_seed)
     ref_cfg = _get(cfg, "reference", {})
     facts = None
     f_star = None
-    if bool(_get(ref_cfg, "compute", True)):
+    if _get(ref_cfg, "compute", True, kind=_flag):
         facts = certificates.reference_solution(
             problem, tol=_get(ref_cfg, "tol", 1e-12, kind=float),
             seed=_get(ref_cfg, "seed", 0, kind=int))
@@ -332,13 +346,19 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
     for key in [sweep_param, *(k for a in algorithms for k in a)]:
         if key in ("dataset", "problem"):
             raise ConfigError(f"bench cells cannot set {key!r}; give it per dataset")
+    # a cell is named by these, in its trace file and its aggregate row
+    ds_names = [_get(ds_cfg, "name") for ds_cfg in datasets]
+    for what, values in (("dataset name", ds_names), ("algorithm name", names),
+                         ("seed", seeds), ("sweep value", sweep_values)):
+        for i, v in enumerate(values):
+            if any(v == u or str(v) == str(u) for u in values[:i]):
+                raise ConfigError(f"bench repeats the {what} {v!r}; cells would collide")
 
     base = {k: v for k, v in cfg.items()
             if k not in ("datasets", "algorithms", "seeds", "sweep")}
-    compute_reference = bool(_get(_get(cfg, "reference", {}), "compute", True))
+    compute_reference = _get(_get(cfg, "reference", {}), "compute", True, kind=_flag)
     manifest_cells = []
-    for ds_cfg in datasets:
-        ds_name = _get(ds_cfg, "name")
+    for ds_name, ds_cfg in zip(ds_names, datasets):
         problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
                                  "problem": _get(ds_cfg, "problem")})
         info = problems.compute_lipschitz_info(problem)
@@ -425,7 +445,7 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
         m_values=_get(cfg, "m_values", (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7),
                       kind=_each(float)),
         reference_tol=_get(cfg, "reference_tol", 1e-12, kind=float),
-        probe=bool(_get(cfg, "probe", False)),
+        probe=_get(cfg, "probe", False, kind=_flag),
         probes=_get(cfg, "probes", 200, kind=int),
         seed=_get(cfg, "seed", 0, kind=int),
     )
@@ -444,34 +464,26 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vrgrad",
         description="Variance-reduced stochastic solvers with rate certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run one solver, write trace.csv + manifest.json")
-    p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_solve.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
-    p_solve.add_argument("--out", default=".")
+    for command, text in (("solve", "run one solver, write trace.csv + manifest.json"),
+                          ("bench", "grids of (dataset, algorithm, seed) runs"),
+                          ("certify", "compute the linear-rate certificate")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+        p.add_argument("--out", default=".")
+        if command == "bench":
+            p.add_argument("--workers", type=int, default=1)
 
-    p_bench = sub.add_parser("bench", help="grids of (dataset, algorithm, seed) runs")
-    p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_bench.add_argument("--out", default=".")
-    p_bench.add_argument("--workers", type=int, default=1)
-
-    p_cert = sub.add_parser("certify", help="compute the linear-rate certificate")
-    p_cert.add_argument("--config", required=True)
-    p_cert.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_cert.add_argument("--out", default=".")
-
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config, args.set)
         if args.command == "solve":
-            return cmd_solve(cfg, args.out, seed=args.seed)
+            return cmd_solve(cfg, args.out)
         if args.command == "bench":
             return cmd_bench(cfg, args.out, workers=args.workers)
         return cmd_certify(cfg, args.out)

@@ -343,8 +343,11 @@ class LipschitzInfo:
     degenerate: np.ndarray = field(repr=False)
 
 
-def compute_lipschitz_info(problem: ProblemSpec, power_iterations: int = 50,
-                           tol: float = 1e-8) -> LipschitzInfo:
+_POWER_ITERATIONS = 50  # global_bound's power iteration takes at most this many steps,
+_POWER_TOL = 1e-8  # stopping once successive estimates agree to this relative tolerance
+
+
+def compute_lipschitz_info(problem: ProblemSpec) -> LipschitzInfo:
     """Compute per-component constants and the power-iteration global bound.
 
     Component i's constant is ||x_i||^2, over 4 for logistic.  A zero row
@@ -357,7 +360,7 @@ def compute_lipschitz_info(problem: ProblemSpec, power_iterations: int = 50,
         raise ValueError("problem has no components")
     degenerate = per == 0.0
     n = problem.n
-    sigma_sq = _top_singular_sq(problem.matrix, power_iterations, tol)
+    sigma_sq = _top_singular_sq(problem.matrix)
     return LipschitzInfo(
         per_component=per,
         avg=float(per.mean()),
@@ -367,7 +370,7 @@ def compute_lipschitz_info(problem: ProblemSpec, power_iterations: int = 50,
     )
 
 
-def _top_singular_sq(matrix, iterations, tol):
+def _top_singular_sq(matrix):
     # largest eigenvalue of X'X by power iteration; fixed-seed start so the
     # result is deterministic and (up to the convergence tolerance) a lower
     # estimate, keeping global_bound <= avg exact
@@ -378,13 +381,13 @@ def _top_singular_sq(matrix, iterations, tol):
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(_POWER_ITERATIONS):
         z = matrix.rmatvec(matrix.matvec(v))
         nz = float(np.linalg.norm(z))
         if nz == 0.0:
             return 0.0
         v = z / nz
-        if abs(nz - lam) <= tol * max(nz, 1.0):
+        if abs(nz - lam) <= _POWER_TOL * max(nz, 1.0):
             return nz
         lam = nz
     return lam

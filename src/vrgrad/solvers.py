@@ -37,6 +37,10 @@ class LineSearchError(RuntimeError):
     """Backtracking line search halved past its budget without acceptance."""
 
 
+_DIVERGENCE_FACTOR = 1e3  # an epoch objective past f0 + this * max(1, |f0|) diverged
+_MAX_HALVINGS = 60  # run_afg's line search gives up after this many in a row
+
+
 @dataclass
 class SolverConfig:
     """Shared solver knobs.
@@ -54,8 +58,6 @@ class SolverConfig:
     seed: int = 0
     sampling_mode: str = sampling.UNIFORM
     average_epoch_output: bool = True
-    strict_feasibility: bool = False
-    divergence_factor: float = 1e3
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -66,8 +68,6 @@ class SolverConfig:
             raise ValueError("inner_iterations must be >= 1")
         if self.sgd_initial_step < 0:
             raise ValueError("sgd_initial_step must be nonnegative")
-        if self.divergence_factor <= 0:
-            raise ValueError("divergence_factor must be positive")
 
 
 @dataclass
@@ -126,7 +126,8 @@ class _Rows:
         )
 
 
-def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
+def _start_point(problem: ProblemSpec, w0) -> np.ndarray:
+    """w0 (zeros by default), projected onto the feasible set if it lies outside."""
     if w0 is None:
         w = np.zeros(problem.d)
     else:
@@ -138,8 +139,6 @@ def _start_point(problem: ProblemSpec, w0, strict: bool) -> np.ndarray:
     if problem.is_constrained:
         pw = problem.side.step_map()(w, 0.0)
         if not np.allclose(pw, w, rtol=0.0, atol=1e-12):
-            if strict:
-                raise ValueError("w0 is infeasible and strict_feasibility is set")
             return pw
     return w
 
@@ -214,9 +213,9 @@ def _stochastic_run(problem, config, w0, f_star, info, algorithm):
     ``sgd`` runs SGD epochs of n steps on the seed's uniform stream;
     ``vrpsg2`` runs one as row 0, on a derived seed's stream, before the
     variance-reduced epochs.  An epoch objective that is not finite or
-    exceeds f0 + divergence_factor * max(1, |f0|) raises DivergenceError.
+    exceeds f0 + _DIVERGENCE_FACTOR * max(1, |f0|) raises DivergenceError.
     """
-    w = _start_point(problem, w0, config.strict_feasibility)
+    w = _start_point(problem, w0)
     n, theory_warning = problem.n, False
     if algorithm != "sgd":
         if info is None:
@@ -225,7 +224,7 @@ def _stochastic_run(problem, config, w0, f_star, info, algorithm):
         l_p = aggregate_lipschitz(info, dist)
         theory_warning = l_p > 0 and config.step_size >= 1.0 / (4.0 * l_p)
     f0 = eval_objective(problem, w)
-    threshold = f0 + config.divergence_factor * max(1.0, abs(f0))
+    threshold = f0 + _DIVERGENCE_FACTOR * max(1.0, abs(f0))
     rows, t0 = _Rows(), time.perf_counter()
 
     def record(k, cost, w_k, step_size):
@@ -263,8 +262,8 @@ def run_vrpsg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
         Step size must sit below 1/(4 L_P) for the linear-rate guarantee;
         larger steps still run but set ``theory_warning`` on the trace.
     w0 : array, optional
-        Start point, projected onto the feasible set when necessary
-        (an error instead if ``strict_feasibility``).  Defaults to 0.
+        Start point, projected onto the feasible set when necessary.
+        Defaults to 0.
     f_star : float, optional
         Reference optimal value; fills the trace's gap column.
     info : LipschitzInfo, optional
@@ -355,15 +354,14 @@ def _full_grad_ops(problem: ProblemSpec):
 
 
 def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
-            grad_mapping_tol: float = None, record_every: int = 1,
-            max_halvings: int = 60) -> RunTrace:
+            grad_mapping_tol: float = None, record_every: int = 1) -> RunTrace:
     """Accelerated full-gradient baseline with backtracking and restarts.
 
     Nesterov-style momentum over the projected / proximal gradient step.
     The step size backtracks by halving until the standard quadratic upper
     bound accepts the candidate, and doubles again between iterations; more
-    than ``max_halvings`` consecutive halvings raises LineSearchError.  The
-    momentum sequence restarts from the previous iterate whenever the
+    than ``_MAX_HALVINGS`` (60) consecutive halvings raises LineSearchError.
+    The momentum sequence restarts from the previous iterate whenever the
     objective would increase, which keeps the traced objective monotone
     (non-increasing up to the line search's float rounding allowance).
 
@@ -373,7 +371,7 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
     gradient mapping norm falls below it (checked with a fresh gradient,
     also n evaluations).
     """
-    w = _start_point(problem, w0, config.strict_feasibility)
+    w = _start_point(problem, w0)
     n = problem.n
     step = problem.side.step_map()
     penalty = problem.side.penalty
@@ -401,7 +399,7 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
         state["probe"] += n
         F_y = f_y + penalty(y)
         noise = eps_slack * max(1.0, abs(f_y))
-        for halvings in range(max_halvings + 1):
+        for halvings in range(_MAX_HALVINGS + 1):
             cand = step(y - s * g, s)
             diff = cand - y
             f_c = value(cand)
@@ -412,7 +410,7 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
                 return cand, f_c, s, may_grow
             s *= 0.5
         raise LineSearchError(
-            f"line search stalled after {max_halvings} halvings (step {s:g})"
+            f"line search stalled after {_MAX_HALVINGS} halvings (step {s:g})"
         )
 
     rows = _Rows()

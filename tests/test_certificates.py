@@ -60,7 +60,7 @@ def hoffman_oracle(C, X):
     return best
 
 
-def hoffman_loop(C, X, rank_tol=1e-10):
+def hoffman_loop(C, X):
     """The enumeration as one SVD per subset, kept as the reference."""
     cols = np.vstack([np.empty((0, X.shape[1])) if C is None else C, X]).T
     d, total = cols.shape
@@ -68,9 +68,10 @@ def hoffman_loop(C, X, rank_tol=1e-10):
     for k in range(1, min(d, total) + 1):
         for combo in itertools.combinations(range(total), k):
             s = np.linalg.svd(cols[:, combo], compute_uv=False)
-            if s[0] <= 0.0 or s[-1] <= rank_tol * s[0]:
+            if s[0] <= 0.0 or s[-1] <= 1e-10 * s[0]:
                 continue  # dependent subset; not a basis
-            best = max(best, 1.0 / s[-1])
+            with np.errstate(over="ignore"):  # a subnormal sigma_min
+                best = max(best, 1.0 / s[-1])
     return best
 
 
@@ -234,8 +235,9 @@ def test_hoffman_bound_designed_instance_at_budget_is_one(monkeypatch):
 def test_hoffman_extension_keeps_every_basis_reachable(monkeypatch):
     # column 1 duplicates column 0, and column 2 is e1 + 1.5e-10 e2: the pairs
     # {0, 2} and {1, 2} have sigma_min/sigma_max about 7.5e-11, not bases at
-    # rank_tol 1e-10 but above rank_tol/2, so they are still extended; the
-    # dependent pair {0, 1} is not, which skips {0, 1, 2} and {0, 1, 3}
+    # the rank tolerance 1e-10 but above half of it, so they are still
+    # extended; the dependent pair {0, 1} is not, which skips {0, 1, 2} and
+    # {0, 1, 3}
     X = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.5e-10, 0.0], [0.0, 0.0, 1.0]])
     s = np.linalg.svd(X[[0, 2]].T, compute_uv=False)
     assert 0.5e-10 < s[-1] / s[0] <= 1e-10
@@ -268,11 +270,13 @@ def test_hoffman_budget_refuses_before_any_svd(monkeypatch):
         raise AssertionError("SVD ran before the budget check")
 
     monkeypatch.setattr(certificates.np.linalg, "svd", no_svd)
-    C, b = box_rows(-np.ones(3), np.ones(3))
-    with pytest.raises(EnumerationBudgetError, match="exceed the budget of 10"):
-        hoffman_theta_bound(C, b, np.eye(3), max_subsets=10)
-    with pytest.raises(EnumerationBudgetError, match="capped at 8"):
-        hoffman_theta_bound(C, b, np.eye(3), max_columns=8)
+    # 16 box rows and 8 rows of X: 24 columns, the cap, but 1 271 625 subsets
+    C, b = box_rows(-np.ones(8), np.ones(8))
+    with pytest.raises(EnumerationBudgetError,
+                       match="1271625 column subsets exceed the budget of 200000"):
+        hoffman_theta_bound(C, b, np.eye(8))
+    with pytest.raises(EnumerationBudgetError, match="25 columns; enumeration capped at 24"):
+        hoffman_theta_bound(C, b, np.vstack([np.eye(8), np.ones((1, 8))]))
 
 
 def test_hoffman_budget_refuses_before_densifying(monkeypatch):
@@ -288,9 +292,10 @@ def test_hoffman_budget_refuses_before_densifying(monkeypatch):
     sparse = SparseDesignMatrix.from_dense(X)
     with pytest.raises(EnumerationBudgetError, match="40 columns"):
         hoffman_theta_bound(None, None, sparse)
-    C, b = box_rows(-np.ones(4), np.ones(4))
-    with pytest.raises(EnumerationBudgetError, match="exceed the budget of 100"):
-        hoffman_theta_bound(C, b, SparseDesignMatrix.from_dense(X[:3, :4]), max_subsets=100)
+    C, b = box_rows(-np.ones(8), np.ones(8))
+    with pytest.raises(EnumerationBudgetError,
+                       match="1271625 column subsets exceed the budget of 200000"):
+        hoffman_theta_bound(C, b, SparseDesignMatrix.from_dense(np.eye(8)))
 
 
 def test_constraint_row_descriptions_define_the_sets():
@@ -355,9 +360,8 @@ def test_bounded_gap_dominates_sampled_gaps():
     reg = make_problem(np.eye(3), np.zeros(3),
                        regularizer=L1Regularizer(lam=0.1))
     reg_facts = reference_solution(reg, tol=1e-12)
-    with pytest.raises(ValueError):
-        bounded_gap_M(reg, reg_facts)  # no intrinsic diameter
-    assert bounded_gap_M(reg, reg_facts, radius=2.0) > 0.0
+    with pytest.raises(ValueError, match="positive finite feasible diameter, not inf"):
+        bounded_gap_M(reg, reg_facts)
 
 
 def test_ssc_probe_positive_on_rank_deficient_instance():
@@ -400,7 +404,7 @@ def test_variance_reduced_direction_moments():
     rng = np.random.Generator(np.random.Philox(28))
     w = project_l1_ball(rng.standard_normal(prob.d), 4.0)
     snap = project_l1_ball(rng.standard_normal(prob.d), 4.0)
-    diag = variance_diagnostic(prob, dist, w, snap, facts.f_star, draws=10 ** 5)
+    diag = variance_diagnostic(prob, dist, w, snap, facts.f_star)
     # unbiasedness, coordinatewise, within 5 standard errors
     assert np.all(np.abs(diag.mean_grad - diag.full_grad)
                   <= 5.0 * diag.mean_se + 1e-12)
@@ -409,8 +413,6 @@ def test_variance_reduced_direction_moments():
     assert diag.variance_exact <= diag.bound * (1.0 + 1e-12)
     assert diag.variance_mc <= diag.bound + 3.0 * diag.variance_se
     assert abs(diag.variance_mc - diag.variance_exact) <= 5.0 * diag.variance_se
-    with pytest.raises(ValueError):
-        variance_diagnostic(prob, dist, w, snap, facts.f_star, draws=1)
 
 
 def test_certificate_pipeline_contractive_on_designed_instance():
@@ -436,3 +438,28 @@ def test_certificate_rate_consistent_with_rate_formula():
     report = build_certificate(prob, C, b)
     res = theoretical_rate(report.eta, report.m, report.l_p, report.beta)
     assert res.rho == pytest.approx(report.rho, rel=1e-12)
+
+
+@pytest.mark.parametrize("fn, keyword", [
+    ("solvers.SolverConfig", "strict_feasibility"), ("solvers.SolverConfig", "divergence_factor"),
+    ("solvers.run_afg", "max_halvings"),
+    ("certificates.reference_solution", "max_iterations"),
+    ("certificates.reference_solution", "starts"),
+    ("problems.compute_lipschitz_info", "power_iterations"),
+    ("problems.compute_lipschitz_info", "tol"),
+    ("certificates.hoffman_theta_bound", "rank_tol"),
+    ("certificates.hoffman_theta_bound", "max_columns"),
+    ("certificates.hoffman_theta_bound", "max_subsets"),
+    ("certificates.bounded_gap_M", "radius"),
+    ("certificates.mu_estimate", "facts"), ("certificates.mu_estimate", "grid"),
+    ("certificates.ssc_probe", "max_sweeps"), ("certificates.ssc_probe", "move_tol"),
+    ("certificates.variance_diagnostic", "draws"),
+    ("cli.cmd_solve", "seed"),
+])
+def test_fixed_values_are_not_keywords(fn, keyword):
+    # each of these had one value in use; it is a module constant now
+    import vrgrad.cli
+
+    module, name = fn.split(".")
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        getattr(getattr(vrgrad, module), name)(**{keyword: None})

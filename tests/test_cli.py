@@ -70,7 +70,7 @@ def test_solve_repeated_seed_is_byte_identical_outside_wall_ms(tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert main(["solve", "--config", cfg, "--seed", "7",
+        assert main(["solve", "--config", cfg, "--set", "seed=7",
                      "--out", str(out)]) == 0
         outs.append(read_rows(out / "trace.csv"))
     for ra, rb in zip(*outs):
@@ -338,6 +338,30 @@ def test_bench_builds_each_dataset_once(tmp_path, monkeypatch):
     assert calls == {"build_problem": 1, "compute_lipschitz_info": 1}
 
 
+@pytest.mark.parametrize("override, named", [
+    ('datasets=[{"name": "a"}, {"name": "a"}]', "dataset name 'a'"),
+    ('algorithms=[{"algorithm": "vrpsg", "eta": 0.05}, {"algorithm": "vrpsg", "eta": 0.5}]',
+     "algorithm name 'vrpsg'"),
+    ("seeds=[0, 1, 0]", "seed 0"),
+    ('sweep={"param": "eta", "values": [0.1, 0.2, 0.1]}', "sweep value 0.1"),
+    ('sweep={"param": "eta", "values": [1, 1.0]}', "sweep value 1.0"),
+])
+def test_bench_refuses_repeated_cell_names(tmp_path, monkeypatch, capsys, override, named):
+    # two cells with one name would share a trace file and an aggregate row
+    from vrgrad import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench built a problem before checking its cell names")
+
+    monkeypatch.setattr(cli, "build_problem", refuse)
+    cfg = bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20}])
+    assert main(["bench", "--config", write_config(tmp_path, cfg), "--set", override,
+                 "--out", str(tmp_path / "bench")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench repeats the ") and named in err
+    assert not (tmp_path / "bench").exists() or not any((tmp_path / "bench").iterdir())
+
+
 @pytest.mark.parametrize("where", ["sweep", "algorithm"])
 @pytest.mark.parametrize("key", ["dataset", "problem"])
 def test_bench_cells_cannot_redefine_the_problem(tmp_path, capsys, where, key):
@@ -494,7 +518,7 @@ TINY_GRID = bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 
 
 
 DIVERGING = [NO_REFERENCE, f"problem={json.dumps(HUGE_BOX)}"]
-EXIT_CODES = {  # case: (command, config, --set overrides, exit code)
+EXIT_CODES = {  # case: (command, config, --set overrides or "--flag value" args, exit code)
     "solve": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2"], 0),
     "solve-sgd": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2", "algorithm=sgd"], 0),
     "certify-contractive": ("certify", CONTRACTIVE_CERTIFY, [], 0),
@@ -514,6 +538,18 @@ EXIT_CODES = {  # case: (command, config, --set overrides, exit code)
     "sweep-values-a-number": ("bench", TINY_GRID, ['sweep={"param": "eta", "values": 5}'], 1),
     "eta-fractions-a-number": ("certify", CONTRACTIVE_CERTIFY, ["eta_fractions=0.1"], 1),
     "m-values-of-strings": ("certify", CONTRACTIVE_CERTIFY, ['m_values=["x"]'], 1),
+    # booleans take JSON true or false only
+    "bool-average-output-a-string": ("solve", README_SOLVE,
+                                     [NO_REFERENCE, 'average_epoch_output="false"'], 1),
+    "bool-reference-compute-a-string": ("solve", README_SOLVE, ['reference.compute="no"'], 1),
+    "bool-bench-reference-compute-a-list": ("bench", TINY_GRID, ["reference.compute=[0]"], 1),
+    "bool-probe-a-number": ("certify", CONTRACTIVE_CERTIFY, ["probe=1"], 1),
+    "bool-remap01-a-number": ("solve", README_SOLVE,
+                              ['dataset={"kind": "libsvm", "path": "a.svm", "remap01": 0}'], 1),
+    # usage errors
+    "unknown-flag": ("solve", README_SOLVE, ["--bogus 1"], 1),
+    "stale-seed-flag": ("solve", README_SOLVE, ["--seed 7"], 1),
+    "workers-not-a-number": ("bench", TINY_GRID, ["--workers x"], 1),
     # unknown names and invalid values
     "unknown-algorithm": ("solve", README_SOLVE, ["algorithm=adam"], 1),
     "unknown-dataset-kind": ("solve", README_SOLVE, ["dataset.kind=csv"], 1),
@@ -532,15 +568,29 @@ def test_each_failure_class_has_its_exit_code(tmp_path, capsys, case):
     command, config, overrides, code = EXIT_CODES[case]
     args = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
     for item in overrides:
-        args += ["--set", item]
+        args += item.split() if item.startswith("--") else ["--set", item]
     assert main(args) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code in (1, 2):
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        message, *usage = err.splitlines()
+        assert message.startswith("error: ")
+        # a usage error is followed by the usage of the command that refused it
+        usage_error = any(item.startswith("--") for item in overrides)
+        assert bool(usage) == usage_error
+        assert not usage or usage[0].startswith("usage: vrgrad")
         if code == 2:
             assert "diverged at epoch" in err
+        if case.startswith("bool-"):
+            assert "has a value of the wrong type" in message
+
+
+def test_a_missing_required_argument_returns_one(capsys):
+    # argparse would exit 2, the code for divergence; main returns 1 instead
+    assert main(["solve", "--out", "x"]) == 1
+    message, usage = capsys.readouterr().err.splitlines()
+    assert message == "error: the following arguments are required: --config"
+    assert usage.startswith("usage: vrgrad solve")
 
 
 def test_a_programming_error_is_not_a_tidy_exit(tmp_path, monkeypatch):

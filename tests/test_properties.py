@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
@@ -372,6 +372,7 @@ def constraint_rows(d):
 @PROPS
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(constraint_rows(d), degenerate_rows(d))),
        st.integers(1, 8))
+@example(design=(None, np.array([[5e-324]])), block=1)  # 1/sigma_min overflows to inf
 def test_hoffman_blocks_equal_the_per_subset_loop(design, block):
     C, X = design
     b = None if C is None else np.zeros(len(C))
