@@ -60,7 +60,7 @@ def main():
           f"({report.sampling_mode} sampling)")
     print(f"  Hoffman bound   theta      = {report.theta_bound:.6g}")
     print(f"  curvature       mu         = {report.mu:.6g}"
-          f"{' (exact for least squares)' if report.mu_exact else ''}")
+          f"{' (exact for least squares)' if problem.loss.kind == 'least_squares' else ''}")
     print(f"  gap bound       M          = {report.gap_bound:.6g}")
     print(f"  gradient at opt |grad h|   = {report.grad_norm_at_opt:.6g}")
     print(f"  error bound     beta       = {report.beta:.6g}")

@@ -62,7 +62,7 @@ def main():
     print(f"instance: n={n} d={spec.d} numerical rank={rank}, "
           f"l1 ball tau=10, L_P={l_p:.4g} (proportional sampling)")
 
-    facts = reference_solution(problem, tol=1e-12)
+    facts = reference_solution(problem)
     print(f"reference objective {facts.f_star:.12g} "
           f"(gradient-mapping norm {facts.tolerance_achieved:.2e})")
 

@@ -56,7 +56,7 @@ def main():
     info = compute_lipschitz_info(problem)
     p = info.per_component / info.per_component.sum()
     l_p = aggregate_lipschitz(info, p)
-    facts = reference_solution(problem, tol=1e-12)
+    facts = reference_solution(problem)
     support_star = nonzeros(facts.reference_solutions[0])
     print(f"noiseless fit, lam = {args.lam:g}, d = {spec.d}, "
           f"optimal support size = {support_star}")

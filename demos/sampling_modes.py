@@ -58,7 +58,7 @@ def main():
         l_uniform = aggregate_lipschitz(info, np.full(n, 1.0 / n))
         p = info.per_component / info.per_component.sum()
         l_prop = aggregate_lipschitz(info, p)
-        facts = reference_solution(problem, tol=1e-12)
+        facts = reference_solution(problem)
         gap_u = final_gap(problem, "uniform", l_uniform, facts,
                           args.epochs, args.seed)
         gap_p = final_gap(problem, "proportional", l_prop, facts,

@@ -50,7 +50,7 @@ def main():
     info = compute_lipschitz_info(problem)
     p = info.per_component / info.per_component.sum()
     l_p = aggregate_lipschitz(info, p)
-    facts = reference_solution(problem, tol=1e-12)
+    facts = reference_solution(problem)
     print(f"L_P = {l_p:.4g}; the guarantee edge eta = 1/(4 L_P) sits at "
           f"eta x L_P = 0.25\n")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from .geometry import project_l1_ball
 from .problems import (
     Box,
     L1Ball,
-    LipschitzInfo,
     ProblemSpec,
     aggregate_lipschitz,
     compute_lipschitz_info,
@@ -37,10 +36,10 @@ from .solvers import SolverConfig, run_afg
 # Fixed values, each with one use; the docstrings below say what they govern.
 _REFERENCE_STARTS = 3  # reference_solution's accelerated-baseline runs
 _REFERENCE_MAX_ITERATIONS = 10 ** 6  # iterations per run at most
+_REFERENCE_TOL = 1e-12  # ... stopping once the gradient mapping norm is below this
 _RANK_TOL = 1e-10  # hoffman_theta_bound: a basis has sigma_min/sigma_max above this
 _MAX_COLUMNS = 24  # the enumeration's budget: columns of [C', X'] ...
 _MAX_SUBSETS = 200_000  # ... and column subsets
-_MU_GRID = 201  # mu_estimate: grid points over the logistic margins
 _DYKSTRA_MAX_SWEEPS = 10 ** 5  # ssc_probe: a projection still moving after this is skipped
 _DYKSTRA_MOVE_TOL = 1e-11  # a sweep moving less than this has converged
 _VARIANCE_DRAWS = 10 ** 5  # variance_diagnostic: samples of the direction
@@ -107,24 +106,22 @@ def _grad_mapping_norm(problem: ProblemSpec, w) -> float:
     return float(np.linalg.norm(w - mapped))
 
 
-def reference_solution(problem: ProblemSpec, tol: float = 1e-12,
-                       seed: int = 0) -> OptimalFacts:
+def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     """Solve to gradient-mapping tolerance from three starts; collect facts.
 
-    Each start (zero, then random feasible points) runs the accelerated
-    full-gradient baseline until the unit-step gradient mapping norm drops
-    below ``tol``, or for 10^6 iterations.  The best final value becomes f*;
-    the invariance of (X w*, q' w*) across starts is checked to 1e-6 and
-    folded into ``certified``.
+    Each start (zero, then random feasible points drawn from ``seed``) runs
+    the accelerated full-gradient baseline until the unit-step gradient
+    mapping norm drops below 1e-12 (``_REFERENCE_TOL``), or for 10^6
+    iterations.  The best final value becomes f*; the invariance of
+    (X w*, q' w*) across starts is checked to 1e-6 and folded into
+    ``certified``.
     """
-    if tol < 1e-14:
-        raise ValueError("tol below 1e-14 is not resolvable in double precision")
     rng = np.random.Generator(np.random.Philox(seed))
     start_points = [np.zeros(problem.d)]
     start_points += [_random_feasible(problem, rng) for _ in range(_REFERENCE_STARTS - 1)]
 
     cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
-    finals = [run_afg(problem, cfg, w0=w0, grad_mapping_tol=tol,
+    finals = [run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
                       record_every=10 ** 9).final_iterate for w0 in start_points]
     worst_gm = max(_grad_mapping_norm(problem, w) for w in finals)
 
@@ -150,7 +147,7 @@ def reference_solution(problem: ProblemSpec, tol: float = 1e-12,
         grad_h_at_r_star=grad_h,
         reference_solutions=finals,
         tolerance_achieved=worst_gm,
-        certified=unique and worst_gm <= tol,
+        certified=unique and worst_gm <= _REFERENCE_TOL,
         reg_level=reg_level,
     )
 
@@ -329,42 +326,34 @@ def rate_grid_search(l_p: float, beta: float, eta_fractions=(0.02, 0.05, 0.1, 0.
     return best
 
 
-def bounded_gap_M(problem: ProblemSpec, facts: OptimalFacts) -> float:
+def bounded_gap_M(problem: ProblemSpec, grad_norm: float, l_global: float) -> float:
     """Bound on max_w f(w) - f* over the feasible set: g R + (L/2) R^2.
 
-    g is the gradient norm at an optimum, R the feasible diameter (2 tau
-    for the l1 ball, ||upper - lower|| for a box), L the full-gradient
-    smoothness bound.  A regularized problem (infinite diameter) or a
-    zero diameter raises ValueError.
+    g = ``grad_norm`` is the gradient norm at an optimum, R the feasible
+    diameter (2 tau for the l1 ball, ||upper - lower|| for a box), L =
+    ``l_global`` the full-gradient smoothness bound.  A regularized problem
+    (infinite diameter) or a zero diameter raises ValueError.
     """
-    g = float(np.linalg.norm(problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
     radius = problem.side.diameter
     if not 0.0 < radius < math.inf:
         raise ValueError(f"gap bound needs a positive finite feasible diameter, not {radius:g}")
-    L = compute_lipschitz_info(problem).global_bound
-    return g * radius + 0.5 * L * radius ** 2
+    return grad_norm * radius + 0.5 * l_global * radius ** 2
 
 
-class MuEstimate(NamedTuple):
-    value: float
-    exact: bool
-
-
-def mu_estimate(problem: ProblemSpec) -> MuEstimate:
+def mu_estimate(problem: ProblemSpec) -> float:
     """Strong-convexity modulus of the link function on reachable margins.
 
-    Least squares: exactly 1/n.  Logistic: the margins x_i' w are bounded
-    over the compact feasible set, so sigma'(z)/n is minimized on a grid
-    of ``_MU_GRID`` points over [0, z_max] (sigma'(z) is even and decreasing
-    in |z|, making the grid minimum the interval minimum up to grid
-    resolution); reported as an estimate.  The bound depends only on the
-    feasible set.
+    Least squares: exactly 1/n.  Logistic: sigma'(z_max)/n, where z_max
+    bounds |x_i' w| over the compact feasible set and sigma'(z) =
+    sigma(z)(1 - sigma(z)); sigma' is even and decreasing in |z|, so this
+    is its minimum over every reachable margin.  The bound depends only on
+    the feasible set.
     """
     if not problem.is_constrained:
         raise ValueError("mu_estimate needs a compact feasible set")
     n = problem.n
     if problem.loss.kind == "least_squares":
-        return MuEstimate(1.0 / n, True)
+        return 1.0 / n
     c = problem.constraint
     if isinstance(c, L1Ball):
         max_entry = float(np.abs(problem.matrix.data).max()) if problem.matrix.data.size else 0.0
@@ -375,9 +364,8 @@ def mu_estimate(problem: ProblemSpec) -> MuEstimate:
         z_max = float(np.max(np.abs(absX) @ mx)) if absX.size else 0.0
     from scipy.special import expit  # only the logistic loss needs scipy.special
 
-    zs = np.linspace(0.0, z_max, _MU_GRID)
-    sig = expit(zs)
-    return MuEstimate(float(np.min(sig * (1.0 - sig))) / n, False)
+    sig = expit(z_max)
+    return float(sig * (1.0 - sig)) / n
 
 
 @dataclass
@@ -385,7 +373,6 @@ class SSCProbe:
     """Result of empirically probing f(w) - f* >= (beta/2) dist(w, W*)^2."""
 
     beta_empirical: float
-    worst_point: np.ndarray
     ratios_used: int
     skipped: int
 
@@ -470,18 +457,13 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
     def probe_point(j):
         scale_cycle = (1e-3, 1e-2, 1e-1, 1.0)
         if problem.is_constrained and j % 2 == 0:
-            c = problem.constraint
-            if isinstance(c, L1Ball):
-                mags = rng.dirichlet(np.ones(problem.d))
-                signs = rng.integers(0, 2, problem.d) * 2.0 - 1.0
-                return c.tau * rng.random() * signs * mags
-            return rng.uniform(c.lower, c.upper)
+            return _random_feasible(problem, rng)
         w = w_star + scale_cycle[j % 4] * rng.standard_normal(problem.d)
         if problem.is_constrained:
             w = proj_set(w)
         return w
 
-    ratios, worst, skipped = [], None, 0
+    ratios, skipped = [], 0
     for j in range(probes):
         w = probe_point(j)
         gap = eval_objective(problem, w) - facts.f_star
@@ -498,10 +480,7 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
         dist_sq = float(np.dot(w - z, w - z))
         if dist_sq < 1e-16:
             continue
-        ratio = 2.0 * gap / dist_sq
-        if worst is None or ratio < worst[0]:
-            worst = (ratio, w)
-        ratios.append(ratio)
+        ratios.append(2.0 * gap / dist_sq)
 
     if skipped > 0.1 * probes:
         raise CertificateError(
@@ -514,8 +493,7 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
         raise CertificateError(
             f"nonpositive empirical ratio {beta_emp:g}; reference accuracy is insufficient"
         )
-    return SSCProbe(beta_empirical=beta_emp, worst_point=worst[1],
-                    ratios_used=len(ratios), skipped=skipped)
+    return SSCProbe(beta_empirical=beta_emp, ratios_used=len(ratios), skipped=skipped)
 
 
 @dataclass
@@ -590,12 +568,7 @@ def variance_diagnostic(problem: ProblemSpec, dist: sampling.SamplingDistributio
 
 @dataclass
 class CertificateReport:
-    """Everything the certify pipeline computed, JSON-serializable.
-
-    ``provenance`` maps each field to "computed" or "user-supplied" so a
-    reader can tell which constants were derived from the instance and
-    which were taken on trust.
-    """
+    """Everything the certify pipeline computed, JSON-serializable."""
 
     l_global: float
     l_avg: float
@@ -603,7 +576,6 @@ class CertificateReport:
     l_p: float
     theta_bound: float
     mu: float
-    mu_exact: bool
     grad_norm_at_opt: float
     gap_bound: float
     beta: float
@@ -615,19 +587,16 @@ class CertificateReport:
     reference_certified: bool
     sampling_mode: str
     beta_empirical: Optional[float] = None
-    provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["provenance"] = dict(self.provenance)
-        return out
+        return dict(self.__dict__)
 
 
 def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.PROPORTIONAL,
                       eta_fractions=(0.02, 0.05, 0.1, 0.2),
                       m_values=(10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7),
-                      reference_tol: float = 1e-12, probe: bool = False,
-                      probes: int = 200, seed: int = 0) -> CertificateReport:
+                      probe: bool = False, probes: int = 200,
+                      seed: int = 0) -> CertificateReport:
     """Run the whole certificate pipeline on one desk-scale instance.
 
     Computes the reference solution, Lipschitz constants for the requested
@@ -636,7 +605,7 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     epoch factor.  The report carries the grid minimum even when it is not
     contractive; callers inspect ``contractive``.
     """
-    facts = reference_solution(problem, tol=reference_tol, seed=seed)
+    facts = reference_solution(problem, seed=seed)
     if not facts.certified:
         raise CertificateError("reference solve did not certify; cannot ground the constants")
     info = compute_lipschitz_info(problem)
@@ -644,27 +613,23 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     l_p = aggregate_lipschitz(info, dist)
     theta = hoffman_theta_bound(C, b, problem.matrix)
     mu = mu_estimate(problem)
-    gap_bound = bounded_gap_M(problem, facts)
     grad_norm = float(np.linalg.norm(
         problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
-    beta = beta_from_constants(theta, mu.value, gap_bound, grad_norm)
+    gap_bound = bounded_gap_M(problem, grad_norm, info.global_bound)
+    beta = beta_from_constants(theta, mu, gap_bound, grad_norm)
     eta, m, rate = rate_grid_search(l_p, beta, eta_fractions, m_values)
 
     beta_emp = None
     if probe:
         beta_emp = ssc_probe(problem, facts, probes=probes, seed=seed).beta_empirical
 
-    prov = {k: "computed" for k in (
-        "l_global", "l_avg", "l_max", "l_p", "theta_bound", "mu",
-        "grad_norm_at_opt", "gap_bound", "beta", "rho", "f_star")}
     return CertificateReport(
         l_global=info.global_bound,
         l_avg=info.avg,
         l_max=info.max_component,
         l_p=l_p,
         theta_bound=theta,
-        mu=mu.value,
-        mu_exact=mu.exact,
+        mu=mu,
         grad_norm_at_opt=grad_norm,
         gap_bound=gap_bound,
         beta=beta,
@@ -676,5 +641,4 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
         reference_certified=facts.certified,
         sampling_mode=sampling_mode,
         beta_empirical=beta_emp,
-        provenance=prov,
     )

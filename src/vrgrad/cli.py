@@ -55,7 +55,7 @@ def _get(cfg: dict, key: str, default=_REQUIRED, kind=None):
         return value
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
 
 
@@ -66,6 +66,22 @@ def _each(kind):
             raise TypeError("not a list")
         return [kind(v) for v in values]
     return convert
+
+
+def _number(value):
+    """A ``kind`` for _get that accepts only a JSON number, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
+    return float(value)
+
+
+def _integer(value):
+    """A ``kind`` for _get that accepts only a JSON number with an integral value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
 
 
 def _float_array(value):
@@ -112,13 +128,13 @@ def build_dataset(cfg: dict):
     kind = _get(cfg, "kind", "synthetic")
     if kind == "synthetic":
         spec = data.SyntheticSpec(
-            n=_get(cfg, "n", kind=int),
-            d=_get(cfg, "d", kind=int),
-            rank=_get(cfg, "rank", kind=int),
+            n=_get(cfg, "n", kind=_integer),
+            d=_get(cfg, "d", kind=_integer),
+            rank=_get(cfg, "rank", kind=_integer),
             task=_get(cfg, "task", problems.LEAST_SQUARES, kind=str),
-            noise_std=_get(cfg, "noise_std", 0.0, kind=float),
-            row_scale_spread=_get(cfg, "row_scale_spread", 1.0, kind=float),
-            seed=_get(cfg, "seed", 0, kind=int),
+            noise_std=_get(cfg, "noise_std", 0.0, kind=_number),
+            row_scale_spread=_get(cfg, "row_scale_spread", 1.0, kind=_number),
+            seed=_get(cfg, "seed", 0, kind=_integer),
         )
         matrix, y = data.gen_synthetic(spec)
         return matrix, y, spec.task
@@ -126,7 +142,7 @@ def build_dataset(cfg: dict):
         task = _get(cfg, "task", None, kind=str)
         matrix, y = data.read_libsvm(
             _get(cfg, "path", kind=str),
-            n_cols=_get(cfg, "n_cols", None, kind=int),
+            n_cols=_get(cfg, "n_cols", None, kind=_integer),
             task=task,
             remap01=_get(cfg, "remap01", False, kind=_flag),
         )
@@ -156,7 +172,7 @@ def build_problem(cfg: dict):
     if ccfg is not None:
         ctype = _get(ccfg, "type")
         if ctype == "l1_ball":
-            constraint = problems.L1Ball(tau=_get(ccfg, "tau", kind=float))
+            constraint = problems.L1Ball(tau=_get(ccfg, "tau", kind=_number))
         elif ctype == "box":
             constraint = problems.Box(
                 lower=_expand_bound(_get(ccfg, "lower", kind=_float_array), matrix.n_cols),
@@ -165,7 +181,7 @@ def build_problem(cfg: dict):
         else:
             raise ConfigError(f"unknown constraint type {ctype!r}; valid: l1_ball, box")
     elif rcfg is not None:
-        regularizer = problems.L1Regularizer(lam=_get(rcfg, "lam", kind=float))
+        regularizer = problems.L1Regularizer(lam=_get(rcfg, "lam", kind=_number))
     else:
         raise ConfigError("problem needs a constraint or a regularizer")
     loss = problems.LossSpec(kind=task, labels=y)
@@ -174,6 +190,9 @@ def build_problem(cfg: dict):
 
 
 _ALGORITHMS = ("vrpsg", "prox_svrg", "sgd", "afg", "vrpsg2")
+# the keys _resolve_run reads: all that a bench sweep may vary
+_RUN_KEYS = ("algorithm", "sampling", "eta", "eta_units", "m", "m_factor", "epochs", "eta0",
+             "average_epoch_output")
 
 
 def _resolve_run(problem, info, cfg: dict, seed: int):
@@ -186,7 +205,7 @@ def _resolve_run(problem, info, cfg: dict, seed: int):
     dist = sampling.build_distribution(mode, info, seed=seed)
     l_p = problems.aggregate_lipschitz(info, dist)
 
-    eta = _get(cfg, "eta", 1.0, kind=float)
+    eta = _get(cfg, "eta", 1.0, kind=_number)
     units = _get(cfg, "eta_units", "inv_lp")
     if units == "inv_lp":
         if l_p <= 0:
@@ -197,15 +216,15 @@ def _resolve_run(problem, info, cfg: dict, seed: int):
     else:
         raise ConfigError(f"unknown eta_units {units!r}; valid: inv_lp, absolute")
 
-    m = _get(cfg, "m", None, kind=int)
-    m_factor = _get(cfg, "m_factor", None, kind=float)
+    m = _get(cfg, "m", None, kind=_integer)
+    m_factor = _get(cfg, "m_factor", None, kind=_number)
     if m is None and m_factor is not None:
         m = max(1, int(round(m_factor * problem.n)))
     solver_cfg = solvers.SolverConfig(
-        epochs=_get(cfg, "epochs", 10, kind=int),
+        epochs=_get(cfg, "epochs", 10, kind=_integer),
         step_size=eta_abs,
         inner_iterations=m,
-        sgd_initial_step=_get(cfg, "eta0", 1.0, kind=float),
+        sgd_initial_step=_get(cfg, "eta0", 1.0, kind=_number),
         seed=seed,
         sampling_mode=mode,
         average_epoch_output=_get(cfg, "average_epoch_output", True, kind=_flag),
@@ -258,22 +277,34 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _reference_compute(cfg: dict) -> bool:
+    """The ``reference`` block's ``compute`` switch, the block's only key.
+
+    The reference solve's tolerance and seed are fixed, so a config that
+    still sets ``reference_tol`` or another key of the block is refused,
+    naming the key, rather than ignored.
+    """
+    ref_cfg = _get(cfg, "reference", {})
+    compute = _get(ref_cfg, "compute", True, kind=_flag)
+    fixed = ["reference_tol"] if "reference_tol" in cfg else []
+    fixed += [f"reference.{k}" for k in ref_cfg if k != "compute"]
+    if fixed:
+        raise ConfigError(f"config key {fixed[0]!r} is not accepted: the reference block takes "
+                          "only 'compute', and the reference tolerance and seed are fixed")
+    return compute
+
+
 def cmd_solve(cfg: dict, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    compute_reference = _reference_compute(cfg)
     problem = build_problem(cfg)
-    run_seed = _get(cfg, "seed", 0, kind=int)
+    run_seed = _get(cfg, "seed", 0, kind=_integer)
 
     info = problems.compute_lipschitz_info(problem)
     algorithm, solver_cfg, eta_abs, m, l_p = _resolve_run(problem, info, cfg, run_seed)
-    ref_cfg = _get(cfg, "reference", {})
-    facts = None
-    f_star = None
-    if _get(ref_cfg, "compute", True, kind=_flag):
-        facts = certificates.reference_solution(
-            problem, tol=_get(ref_cfg, "tol", 1e-12, kind=float),
-            seed=_get(ref_cfg, "seed", 0, kind=int))
-        f_star = facts.f_star
+    facts = certificates.reference_solution(problem) if compute_reference else None
+    f_star = None if facts is None else facts.f_star
 
     trace = _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
     write_trace_csv(out / "trace.csv", trace)
@@ -334,7 +365,7 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
     out.mkdir(parents=True, exist_ok=True)
     datasets, algorithms = _blocks(cfg, "datasets"), _blocks(cfg, "algorithms")
     names = [_get(a, "name", a.get("algorithm"), kind=str) for a in algorithms]
-    seeds = _get(cfg, "seeds", [0], kind=_each(int))
+    seeds = _get(cfg, "seeds", [0], kind=_each(_integer))
     sweep = cfg.get("sweep")
     sweep_param, sweep_values = None, [None]
     if sweep is not None:
@@ -342,8 +373,14 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
         sweep_values = _get(sweep, "values")
         if not sweep_values or not isinstance(sweep_values, list):
             raise ConfigError("sweep.values must be a non-empty list")
+        if sweep_param not in _RUN_KEYS:
+            raise ConfigError(f"sweep.param {sweep_param!r} is not a run key; "
+                              f"valid: {', '.join(_RUN_KEYS)}")
+        for v in sweep_values:
+            if isinstance(v, (list, dict)):
+                raise ConfigError(f"sweep value {v!r} is not a JSON scalar")
     # each dataset's problem is built once, so a cell may not redefine it
-    for key in [sweep_param, *(k for a in algorithms for k in a)]:
+    for key in (k for a in algorithms for k in a):
         if key in ("dataset", "problem"):
             raise ConfigError(f"bench cells cannot set {key!r}; give it per dataset")
     # a cell is named by these, in its trace file and its aggregate row
@@ -356,16 +393,13 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
 
     base = {k: v for k, v in cfg.items()
             if k not in ("datasets", "algorithms", "seeds", "sweep")}
-    compute_reference = _get(_get(cfg, "reference", {}), "compute", True, kind=_flag)
+    compute_reference = _reference_compute(cfg)
     manifest_cells = []
     for ds_name, ds_cfg in zip(ds_names, datasets):
         problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
                                  "problem": _get(ds_cfg, "problem")})
         info = problems.compute_lipschitz_info(problem)
-        facts = None
-        if compute_reference:
-            facts = certificates.reference_solution(
-                problem, tol=_get(cfg, "reference_tol", 1e-12, kind=float))
+        facts = certificates.reference_solution(problem) if compute_reference else None
         f_star = None if facts is None else facts.f_star
         jobs = []
         for name, algo_cfg in zip(names, algorithms):
@@ -429,6 +463,8 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
 def cmd_certify(cfg: dict, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if not _reference_compute(cfg):
+        raise ConfigError("certify needs the reference solve; reference.compute cannot be false")
     problem = build_problem(cfg)
     c = problem.constraint
     if isinstance(c, problems.L1Ball):
@@ -441,20 +477,18 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
     report = certificates.build_certificate(
         problem, C, b,
         sampling_mode=_get(cfg, "sampling", sampling.PROPORTIONAL),
-        eta_fractions=_get(cfg, "eta_fractions", (0.02, 0.05, 0.1, 0.2), kind=_each(float)),
+        eta_fractions=_get(cfg, "eta_fractions", (0.02, 0.05, 0.1, 0.2), kind=_each(_number)),
         m_values=_get(cfg, "m_values", (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7),
-                      kind=_each(float)),
-        reference_tol=_get(cfg, "reference_tol", 1e-12, kind=float),
+                      kind=_each(_integer)),
         probe=_get(cfg, "probe", False, kind=_flag),
-        probes=_get(cfg, "probes", 200, kind=int),
-        seed=_get(cfg, "seed", 0, kind=int),
+        probes=_get(cfg, "probes", 200, kind=_integer),
+        seed=_get(cfg, "seed", 0, kind=_integer),
     )
     payload = report.to_dict()
     payload["versions"] = _versions()
     _write_json(out / "certificate.json", payload)
-    print(f"theta <= {report.theta_bound:.6g}, mu = {report.mu:.6g}"
-          f"{'' if report.mu_exact else ' (grid estimate)'}, M <= {report.gap_bound:.6g}, "
-          f"beta >= {report.beta:.6g}")
+    print(f"theta <= {report.theta_bound:.6g}, mu = {report.mu:.6g}, "
+          f"M <= {report.gap_bound:.6g}, beta >= {report.beta:.6g}")
     print(f"best grid point: eta = {report.eta:.6g}, m = {report.m}, rho = {report.rho:.6g} "
           f"({'contractive' if report.contractive else 'NOT contractive'})")
     if report.beta_empirical is not None:

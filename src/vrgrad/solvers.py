@@ -81,7 +81,6 @@ class RunTrace:
     honest.
     """
 
-    algorithm: str
     epoch: np.ndarray
     grad_evals: np.ndarray
     objective: np.ndarray
@@ -111,9 +110,8 @@ class _Rows:
         if probes is not None:
             self.probe_evals.append(probes)
 
-    def trace(self, algorithm, w, f0, theory_warning=False, with_probes=False):
+    def trace(self, w, f0, theory_warning=False, with_probes=False):
         return RunTrace(
-            algorithm=algorithm,
             epoch=np.asarray(self.epoch, dtype=np.int64),
             grad_evals=np.asarray(self.grad_evals, dtype=np.int64),
             objective=np.asarray(self.objective),
@@ -247,7 +245,7 @@ def _stochastic_run(problem, config, w0, f_star, info, algorithm):
         m = config.inner_iterations if config.inner_iterations is not None else n
         w = _epochs(problem, record, w, dist, epochs, config.step_size, m,
                     average=config.average_epoch_output)
-    return rows.trace(algorithm, w, f0, theory_warning=theory_warning)
+    return rows.trace(w, f0, theory_warning=theory_warning)
 
 
 def run_vrpsg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
@@ -462,4 +460,4 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
             rows.add(it, state["grad"], F_x, f_star, t0, probes=state["probe"])
         if done:
             break
-    return rows.trace("afg", x, f0, with_probes=True)
+    return rows.trace(x, f0, with_probes=True)

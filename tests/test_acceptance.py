@@ -83,7 +83,7 @@ def primary():
     """Rank-deficient l1-ball instance shared by the budget comparisons."""
     prob = synthetic_problem(seed=34, noise_std=0.25, spread=3.0,
                              constraint=L1Ball(tau=10.0))
-    facts = reference_solution(prob, tol=1e-12)
+    facts = reference_solution(prob)
     assert facts.certified
     info = compute_lipschitz_info(prob)
     l_p = aggregate_lipschitz(info, build_distribution(PROPORTIONAL, info, seed=0))
@@ -159,7 +159,7 @@ def test_criterion_04_fixed_budget_comparison(primary):
 def test_criterion_05_sampling_mode_separation():
     prob = synthetic_problem(seed=0, noise_std=0.25, spread=10.0,
                              constraint=L1Ball(tau=10.0))
-    facts = reference_solution(prob, tol=1e-12)
+    facts = reference_solution(prob)
     assert facts.certified
     info = compute_lipschitz_info(prob)
     gaps = {}
@@ -184,7 +184,7 @@ def test_criterion_05_sampling_mode_separation():
 def test_criterion_06_regularized_linear_convergence():
     prob = synthetic_problem(seed=6, noise_std=0.0, spread=3.0,
                              regularizer=L1Regularizer(lam=1e-3))
-    facts = reference_solution(prob, tol=1e-12)
+    facts = reference_solution(prob)
     assert facts.certified
     info = compute_lipschitz_info(prob)
     l_p = aggregate_lipschitz(info, build_distribution(PROPORTIONAL, info, seed=0))
@@ -216,7 +216,7 @@ def test_criterion_07_supporting_diagnostics_battery():
     )
 
     # (b) semi-strong convexity over 50 probe points
-    facts = reference_solution(prob, tol=1e-12)
+    facts = reference_solution(prob)
     probe = ssc_probe(prob, facts, probes=50, seed=0)
     ssc_ok = probe.beta_empirical > 0.0
 
@@ -246,15 +246,15 @@ def test_criterion_08_certificate_composition():
     box = Box(lower=np.full(2, -1.0), upper=np.full(2, 1.0))
     prob = make_problem(X, X @ w, constraint=box)
 
-    facts = reference_solution(prob, tol=1e-12)
+    facts = reference_solution(prob)
     C, b = box_rows(box.lower, box.upper)
     theta = hoffman_theta_bound(C, b, prob.matrix)
     mu = mu_estimate(prob)
-    M = bounded_gap_M(prob, facts)
     g = float(np.linalg.norm(
         prob.matrix.rmatvec(facts.grad_h_at_r_star) + prob.q))
-    beta = beta_from_constants(theta, mu.value, M, g)
     info = compute_lipschitz_info(prob)
+    M = bounded_gap_M(prob, g, info.global_bound)
+    beta = beta_from_constants(theta, mu, M, g)
     l_p = aggregate_lipschitz(info, build_distribution(PROPORTIONAL, info, seed=0))
     eta, m, rate = rate_grid_search(l_p, beta)
 
@@ -266,7 +266,7 @@ def test_criterion_08_certificate_composition():
     yc = Xc @ rng.standard_normal(4) + 0.1 * rng.standard_normal(40)
     control = make_problem(Xc, yc, constraint=Box(lower=np.full(4, -2.0),
                                                   upper=np.full(4, 2.0)))
-    cfacts = reference_solution(control, tol=1e-12)
+    cfacts = reference_solution(control)
     cprobe = ssc_probe(control, cfacts, probes=100, seed=0)
     mu_tilde = float(np.linalg.eigvalsh(Xc.T @ Xc)[0]) / 40.0
 

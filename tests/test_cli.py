@@ -362,6 +362,40 @@ def test_bench_refuses_repeated_cell_names(tmp_path, monkeypatch, capsys, overri
     assert not (tmp_path / "bench").exists() or not any((tmp_path / "bench").iterdir())
 
 
+@pytest.mark.parametrize("sweep, named", [
+    ({"param": "foo", "values": [1, 2]}, "sweep.param 'foo' is not a run key"),
+    ({"param": "m", "values": [[1], [2]]}, "sweep value [1] is not a JSON scalar"),
+])
+def test_bench_checks_its_sweep_before_building_a_problem(tmp_path, monkeypatch, capsys,
+                                                          sweep, named):
+    from vrgrad import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench built a problem before checking its sweep")
+
+    monkeypatch.setattr(cli, "build_problem", refuse)
+    cfg = bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20}], sweep=sweep)
+    assert main(["bench", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "bench")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
+def test_a_sweep_may_vary_exactly_the_keys_a_run_reads(monkeypatch):
+    from vrgrad import cli, problems
+
+    problem = cli.build_problem(BASE_SOLVE)
+    info = problems.compute_lipschitz_info(problem)
+    read, original = [], cli._get
+
+    def recorded(cfg, key, *args, **kwargs):
+        read.append(key)
+        return original(cfg, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_get", recorded)
+    cli._resolve_run(problem, info, BASE_SOLVE, 0)
+    assert sorted(read) == sorted(cli._RUN_KEYS)
+
+
 @pytest.mark.parametrize("where", ["sweep", "algorithm"])
 @pytest.mark.parametrize("key", ["dataset", "problem"])
 def test_bench_cells_cannot_redefine_the_problem(tmp_path, capsys, where, key):
@@ -503,7 +537,12 @@ def test_certificate_matches_shipped_schema(tmp_path):
     out = tmp_path / "cert"
     assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "certificate.json").read_text())
-    load_schema("certificate_report.schema.json").validate(payload)
+    validator = load_schema("certificate_report.schema.json")
+    validator.validate(payload)
+    # the report's keys plus versions, each required, and no other: a field
+    # removed from the report cannot linger in the schema
+    assert sorted(validator.schema["required"]) == sorted(payload) == sorted(
+        list(certificates.CertificateReport.__dataclass_fields__) + ["versions"])
 
 
 HUGE_BOX = {"constraint": {"type": "box", "lower": -1e12, "upper": 1e12}}
@@ -538,6 +577,26 @@ EXIT_CODES = {  # case: (command, config, --set overrides or "--flag value" args
     "sweep-values-a-number": ("bench", TINY_GRID, ['sweep={"param": "eta", "values": 5}'], 1),
     "eta-fractions-a-number": ("certify", CONTRACTIVE_CERTIFY, ["eta_fractions=0.1"], 1),
     "m-values-of-strings": ("certify", CONTRACTIVE_CERTIFY, ['m_values=["x"]'], 1),
+    # numbers are JSON numbers, and an integer has an integral value
+    "epochs-a-fraction": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2.5"], 1),
+    "epochs-a-bool": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=true"], 1),
+    "epochs-a-string": ("solve", README_SOLVE, [NO_REFERENCE, 'epochs="4"'], 1),
+    "epochs-an-integral-float": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2.0"], 0),
+    "eta-a-bool": ("solve", README_SOLVE, [NO_REFERENCE, "eta=true"], 1),
+    "eta-beyond-a-float": ("solve", README_SOLVE, [NO_REFERENCE, "eta=" + "9" * 400], 1),
+    "m-a-fraction": ("solve", README_SOLVE, [NO_REFERENCE, "m=7.9"], 1),
+    "m-values-a-fraction": ("certify", CONTRACTIVE_CERTIFY, ["m_values=[10.5]"], 1),
+    # a sweep varies a key a run reads, over JSON scalars
+    "sweep-param-not-a-run-key": ("bench", TINY_GRID, ['sweep={"param": "foo", "values": [1, 2]}'], 1),
+    "sweep-values-not-scalars": ("bench", TINY_GRID, ['sweep={"param": "m", "values": [[1], [2]]}'],
+                                 1),
+    # the reference solve's tolerance and seed are fixed; setting one is refused
+    "fixed-reference.tol": ("solve", README_SOLVE, ["reference.tol=1e-10"], 1),
+    "fixed-reference.seed": ("solve", README_SOLVE, ["reference.seed=0"], 1),
+    "fixed-bench-reference.tol": ("bench", TINY_GRID, ["reference.tol=1e-30"], 1),
+    "fixed-bench-reference_tol": ("bench", TINY_GRID, ["reference_tol=1e-12"], 1),
+    "fixed-certify-reference_tol": ("certify", CONTRACTIVE_CERTIFY, ["reference_tol=1e-12"], 1),
+    "certify-without-reference": ("certify", CONTRACTIVE_CERTIFY, ["reference.compute=false"], 1),
     # booleans take JSON true or false only
     "bool-average-output-a-string": ("solve", README_SOLVE,
                                      [NO_REFERENCE, 'average_epoch_output="false"'], 1),
@@ -583,6 +642,8 @@ def test_each_failure_class_has_its_exit_code(tmp_path, capsys, case):
             assert "diverged at epoch" in err
         if case.startswith("bool-"):
             assert "has a value of the wrong type" in message
+        if case.startswith("fixed-"):
+            assert f"config key {overrides[-1].split('=')[0]!r} is not accepted" in message
 
 
 def test_a_missing_required_argument_returns_one(capsys):

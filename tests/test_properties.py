@@ -5,7 +5,7 @@ the projections and the prox; the side interface (step maps, penalties)
 and the full-gradient baseline's two matrix branches; the stochastic
 solvers' gradient-evaluation accounting and feasibility; then the batched
 Hoffman bound, over extended bases, against its one-SVD-per-subset
-reference.
+reference, and the closed-form mu against the 201-point grid it replaced.
 """
 
 from unittest import mock
@@ -383,3 +383,32 @@ def test_hoffman_blocks_equal_the_per_subset_loop(design, block):
                 certificates.hoffman_theta_bound(C, b, X)
         else:
             assert certificates.hoffman_theta_bound(C, b, X) == expected
+
+
+def mu_on_the_grid(problem):
+    """mu as it was computed before its closed form: min sigma'(z)/n on 201 points of [0, z_max]."""
+    c = problem.constraint
+    if isinstance(c, L1Ball):
+        data = problem.matrix.data
+        z_max = c.tau * float(np.abs(data).max()) if data.size else 0.0
+    else:
+        mx = np.maximum(np.abs(c.lower), np.abs(c.upper))
+        z_max = float(np.max(np.abs(problem.matrix.toarray()) @ mx))
+    sig = expit(np.linspace(0.0, z_max, 201))
+    return float(np.min(sig * (1.0 - sig))) / problem.n
+
+
+@PROPS
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)), elements=design_entries),
+       st.one_of(st.floats(1e-300, 1e300), st.just(0.0)), st.booleans())
+@example(np.zeros((2, 3)), 1.0, True)  # z_max = 0
+@example(np.ones((1, 1)), 37.0, True)  # sigma(z) rounds to 1 beyond about 36.7
+@example(np.ones((1, 1)), 745.0, True)  # exp(-z) underflows to 0 near 745
+@example(np.ones((1, 1)), 1e308, True)
+def test_mu_is_sigma_prime_at_the_largest_margin(X, radius, ball):
+    # sigma' is even and decreasing in |z|, so the grid minimum sits at z_max
+    d = X.shape[1]
+    side = (L1Ball(tau=radius) if ball and radius > 0.0
+            else Box(lower=np.full(d, -radius), upper=np.full(d, radius)))
+    problem = make_problem(X, np.ones(X.shape[0]), task="logistic", constraint=side)
+    assert certificates.mu_estimate(problem) == mu_on_the_grid(problem)
