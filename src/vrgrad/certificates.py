@@ -18,15 +18,14 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import sampling
-from .geometry import project_l1_ball
 from .problems import (
-    Box,
     L1Ball,
     ProblemSpec,
     aggregate_lipschitz,
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
+    gradient_mapping_norm,
     margin_coefficients,
     smooth_value,
 )
@@ -72,10 +71,10 @@ class OptimalFacts:
     """High-accuracy reference facts about one problem's optimal set.
 
     ``r_star`` and ``s_star`` are the margin vector X w* and linear level
-    q' w*, constant across the whole optimal set; ``reg_level`` holds the
-    penalty level lam*||w*||_1 for regularized problems, which plays the
-    same role there.  ``certified`` means every start reached the gradient
-    mapping tolerance and all finals agree on (r*, s*) to 1e-6.
+    q' w*, constant across the whole optimal set; ``reg_level``, the side's
+    penalty at w* (lam*||w*||_1, or 0 under a constraint), plays the same
+    role.  ``certified`` means every start reached the gradient mapping
+    tolerance and all finals agree on the three to 1e-6.
     """
 
     f_star: float
@@ -85,25 +84,7 @@ class OptimalFacts:
     reference_solutions: List[np.ndarray]
     tolerance_achieved: float
     certified: bool
-    reg_level: Optional[float] = None
-
-
-def _random_feasible(problem: ProblemSpec, rng: np.random.Generator) -> np.ndarray:
-    c = problem.constraint
-    if isinstance(c, L1Ball):
-        g = rng.standard_normal(problem.d)
-        l1 = np.abs(g).sum()
-        if l1 == 0.0:
-            return np.zeros(problem.d)
-        return (0.9 * c.tau * rng.random() / l1) * g
-    if isinstance(c, Box):
-        return rng.uniform(c.lower, c.upper)
-    return rng.standard_normal(problem.d)
-
-
-def _grad_mapping_norm(problem: ProblemSpec, w) -> float:
-    mapped = problem.side.step_map()(w - eval_full_grad(problem, w), 1.0)
-    return float(np.linalg.norm(w - mapped))
+    reg_level: float = 0.0
 
 
 def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
@@ -118,12 +99,12 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     start_points = [np.zeros(problem.d)]
-    start_points += [_random_feasible(problem, rng) for _ in range(_REFERENCE_STARTS - 1)]
+    start_points += [problem.side.sample(rng, problem.d) for _ in range(_REFERENCE_STARTS - 1)]
 
     cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
     finals = [run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
                       record_every=10 ** 9).final_iterate for w0 in start_points]
-    worst_gm = max(_grad_mapping_norm(problem, w) for w in finals)
+    worst_gm = max(gradient_mapping_norm(problem, w, eval_full_grad(problem, w)) for w in finals)
 
     values = [eval_objective(problem, w) for w in finals]
     best = int(np.argmin(values))
@@ -131,13 +112,12 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     r_star = problem.matrix.matvec(w_star)
     grad_h = margin_coefficients(problem, r_star) / problem.n
     s_star = float(problem.q @ w_star)
-    lam = problem.regularizer.lam if problem.regularizer is not None else None
-    reg_level = lam * float(np.abs(w_star).sum()) if lam is not None else None
+    reg_level = problem.side.penalty(w_star)
 
     unique = all(
         np.linalg.norm(problem.matrix.matvec(w) - r_star) <= 1e-6
         and abs(float(problem.q @ w) - s_star) <= 1e-6
-        and (lam is None or abs(lam * float(np.abs(w).sum()) - reg_level) <= 1e-6)
+        and abs(problem.side.penalty(w) - reg_level) <= 1e-6
         for w in finals)
 
     return OptimalFacts(
@@ -296,8 +276,8 @@ def theoretical_rate(eta: float, m: int, l_p: float, beta: float) -> RateResult:
         raise ValueError("l_p must be positive and finite")
     if not (beta > 0 and np.isfinite(beta)):
         raise ValueError("beta must be positive and finite")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not (float(m).is_integer() and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, not {m!r}")
     if not 0 < eta < 1.0 / (4.0 * l_p):
         raise ValueError(
             f"eta must lie in (0, 1/(4 L_P)) = (0, {1.0 / (4.0 * l_p):g}) for the rate to apply"
@@ -343,28 +323,19 @@ def bounded_gap_M(problem: ProblemSpec, grad_norm: float, l_global: float) -> fl
 def mu_estimate(problem: ProblemSpec) -> float:
     """Strong-convexity modulus of the link function on reachable margins.
 
-    Least squares: exactly 1/n.  Logistic: sigma'(z_max)/n, where z_max
-    bounds |x_i' w| over the compact feasible set and sigma'(z) =
-    sigma(z)(1 - sigma(z)); sigma' is even and decreasing in |z|, so this
-    is its minimum over every reachable margin.  The bound depends only on
-    the feasible set.
+    Least squares: exactly 1/n.  Logistic: sigma'(z_max)/n, where z_max =
+    ``side.margin_bound(X)`` bounds |x_i' w| over the compact feasible set
+    and sigma'(z) = sigma(z)(1 - sigma(z)); sigma' is even and decreasing in
+    |z|, so this is its minimum over every reachable margin.
     """
     if not problem.is_constrained:
         raise ValueError("mu_estimate needs a compact feasible set")
     n = problem.n
     if problem.loss.kind == "least_squares":
-        return 1.0 / n
-    c = problem.constraint
-    if isinstance(c, L1Ball):
-        max_entry = float(np.abs(problem.matrix.data).max()) if problem.matrix.data.size else 0.0
-        z_max = c.tau * max_entry
-    else:
-        mx = np.maximum(np.abs(c.lower), np.abs(c.upper))
-        absX = problem.matrix.toarray()
-        z_max = float(np.max(np.abs(absX) @ mx)) if absX.size else 0.0
+        return 1.0 / n  # before margin_bound, which would densify a box's X
     from scipy.special import expit  # only the logistic loss needs scipy.special
 
-    sig = expit(z_max)
+    sig = expit(problem.side.margin_bound(problem.matrix))
     return float(sig * (1.0 - sig)) / n
 
 
@@ -377,24 +348,23 @@ class SSCProbe:
     skipped: int
 
 
-def _dykstra(start, proj_a, proj_b):
-    """Alternating projections with Dykstra's correction terms.
+def _dykstra(start, step, proj_affine):
+    """Dykstra's alternating projections: ``step`` at unit step, then ``proj_affine``.
 
-    Returns the limit point, or None when successive sweeps are still
-    moving after the budget or the two set projections disagree at the
-    claimed limit.
+    Returns x once a sweep moves it less than ``_DYKSTRA_MOVE_TOL`` and it
+    lies within 1e-7 (1 + ||x||) of y, else None after the budget: x can
+    settle before y does, as when the two sets meet in a single point.
     """
     x = start.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for _ in range(_DYKSTRA_MAX_SWEEPS):
-        y = proj_a(x + p)
+        y = step(x + p, 1.0)
         p = x + p - y
-        x_new = proj_b(y + q)
+        x_new = proj_affine(y + q)
         q = y + q - x_new
-        if np.linalg.norm(x_new - x) < _DYKSTRA_MOVE_TOL:
-            if np.linalg.norm(x_new - y) > 1e-7 * (1.0 + np.linalg.norm(x_new)):
-                return None  # stalled outside the intersection
+        if (np.linalg.norm(x_new - x) < _DYKSTRA_MOVE_TOL
+                and np.linalg.norm(x_new - y) <= 1e-7 * (1.0 + np.linalg.norm(x_new))):
             return x_new
         x = x_new
     return None
@@ -440,37 +410,32 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
     def proj_affine(v):
         return v - pinv @ (A @ v - target)
 
-    lam = problem.regularizer.lam if problem.regularizer is not None else None
     ball_radius = None
     if problem.is_constrained:
         step = problem.side.step_map()
-        proj_set = lambda v: step(v, 1.0)
-    elif lam and lam > 0:
-        ball_radius = facts.reg_level / lam  # = ||w*||_1
-        if ball_radius > 0:
-            proj_set = lambda v: project_l1_ball(v, ball_radius)
-        else:
-            proj_set = lambda v: np.zeros_like(v)
+    elif problem.regularizer.lam > 0:
+        ball_radius = facts.reg_level / problem.regularizer.lam  # = ||w*||_1
+        step = L1Ball(ball_radius).step_map() if ball_radius > 0 else lambda v, s: np.zeros_like(v)
     else:
-        proj_set = None  # lam = 0: the optimal set is purely affine
+        step = None  # lam = 0: the optimal set is purely affine
 
     def probe_point(j):
         scale_cycle = (1e-3, 1e-2, 1e-1, 1.0)
         if problem.is_constrained and j % 2 == 0:
-            return _random_feasible(problem, rng)
+            return problem.side.sample(rng, problem.d)
         w = w_star + scale_cycle[j % 4] * rng.standard_normal(problem.d)
         if problem.is_constrained:
-            w = proj_set(w)
+            w = step(w, 1.0)
         return w
 
     ratios, skipped = [], 0
     for j in range(probes):
         w = probe_point(j)
         gap = eval_objective(problem, w) - facts.f_star
-        if proj_set is None:
+        if step is None:
             z = proj_affine(w)
         else:
-            z = _dykstra(w, proj_set, proj_affine)
+            z = _dykstra(w, step, proj_affine)
             if z is None:
                 skipped += 1
                 continue

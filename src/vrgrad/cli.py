@@ -5,8 +5,8 @@ descend into nested objects; values are parsed as JSON when possible).
 Outputs are deterministic byte-for-byte given the same config and seed,
 except for wall-clock columns.
 
-Exit codes: 0 done, 1 config or validation error, 2 solver divergence,
-3 certificate found no contractive rate.
+Exit codes: 0 done, 1 config or validation error, 2 solver divergence or a
+stalled line search, 3 certificate found no contractive rate.
 """
 
 from __future__ import annotations
@@ -85,7 +85,11 @@ def _integer(value):
 
 
 def _float_array(value):
-    return np.asarray(value, dtype=np.float64)
+    """A ``kind`` for _get that accepts a JSON number or nested lists of them, as an array."""
+    array = np.asarray(value, dtype=object)  # a ragged list keeps lists as its entries
+    for item in array.flat:
+        _number(item)
+    return array.astype(np.float64)
 
 
 def _flag(value):
@@ -521,7 +525,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(cfg, args.out, workers=args.workers)
         return cmd_certify(cfg, args.out)
-    except solvers.DivergenceError as e:
+    except (solvers.DivergenceError, solvers.LineSearchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError, certificates.CertificateError) as e:

@@ -165,7 +165,8 @@ class LossSpec:
 # The three sides share one interface: step_map() is the map (v, s) -> next
 # point for a step of size s (the projection, or the l1 prox), built on the
 # unchecked geometry kernels because the side was checked when it was built;
-# penalty(w) is its term in the objective; diameter is infinite for a penalty.
+# penalty(w) is its term in the objective; sample(rng, d) draws a point of the
+# set; diameter and margin_bound(X), the largest |x_i' w| there, are inf for a penalty.
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,16 @@ class L1Ball:
     @property
     def diameter(self) -> float:
         return 2.0 * self.tau
+
+    def sample(self, rng, d) -> np.ndarray:
+        g = rng.standard_normal(d)
+        l1 = np.abs(g).sum()
+        if l1 == 0.0:
+            return np.zeros(d)
+        return (0.9 * self.tau * rng.random() / l1) * g
+
+    def margin_bound(self, matrix) -> float:
+        return self.tau * float(np.max(np.abs(matrix.data), initial=0.0))
 
 
 @dataclass
@@ -218,6 +229,13 @@ class Box:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
 
+    def sample(self, rng, d) -> np.ndarray:
+        return rng.uniform(self.lower, self.upper)
+
+    def margin_bound(self, matrix) -> float:
+        absX = np.abs(matrix.toarray())  # a sparse product may sum in another order
+        return float(np.max(absX @ np.maximum(np.abs(self.lower), np.abs(self.upper)), initial=0.0))
+
 
 @dataclass(frozen=True)
 class L1Regularizer:
@@ -239,6 +257,12 @@ class L1Regularizer:
         return self.lam * float(np.abs(w).sum()) if self.lam > 0 else 0.0
 
     diameter = float("inf")
+
+    def sample(self, rng, d) -> np.ndarray:
+        return rng.standard_normal(d)
+
+    def margin_bound(self, matrix) -> float:
+        return float("inf")
 
 
 @dataclass
@@ -325,6 +349,11 @@ def eval_full_grad(problem: ProblemSpec, w) -> np.ndarray:
     u = problem.matrix.matvec(w)
     a = margin_coefficients(problem, u)
     return problem.matrix.rmatvec(a) / problem.n + problem.q
+
+
+def gradient_mapping_norm(problem: ProblemSpec, w, g) -> float:
+    """Norm of the unit-step gradient mapping w - step_map(w - g, 1), g the gradient at w."""
+    return float(np.linalg.norm(w - problem.side.step_map()(w - g, 1.0)))
 
 
 @dataclass

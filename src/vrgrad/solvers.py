@@ -25,6 +25,7 @@ from .problems import (
     aggregate_lipschitz,
     compute_lipschitz_info,
     eval_objective,
+    gradient_mapping_norm,
     margin_coefficients,
 )
 
@@ -134,10 +135,9 @@ def _start_point(problem: ProblemSpec, w0) -> np.ndarray:
             raise ValueError(f"w0 has length {w.size}, expected {problem.d}")
         if not np.all(np.isfinite(w)):
             raise ValueError("w0 must be finite")
-    if problem.is_constrained:
-        pw = problem.side.step_map()(w, 0.0)
-        if not np.allclose(pw, w, rtol=0.0, atol=1e-12):
-            return pw
+    pw = problem.side.step_map()(w, 0.0)  # a penalty's step of size 0 returns w's values
+    if not np.allclose(pw, w, rtol=0.0, atol=1e-12):
+        return pw
     return w
 
 
@@ -452,10 +452,8 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
 
         done = it == config.epochs
         if grad_mapping_tol is not None and (done or it % check_every == 0):
-            g = value_grad(x)[1]
             state["grad"] += n
-            gm = x - step(x - g, 1.0)
-            done = done or float(np.linalg.norm(gm)) <= grad_mapping_tol
+            done = gradient_mapping_norm(problem, x, value_grad(x)[1]) <= grad_mapping_tol or done
         if done or it % record_every == 0:
             rows.add(it, state["grad"], F_x, f_star, t0, probes=state["probe"])
         if done:

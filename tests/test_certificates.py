@@ -124,6 +124,8 @@ def test_rate_formula_monotone_in_m_and_validation():
         theoretical_rate(0.1, 10, -1.0, 1.0)
     with pytest.raises(ValueError):
         theoretical_rate(0.1, 10, 1.0, 0.0)
+    with pytest.raises(ValueError, match="m must be an integer >= 1, not 10.5"):
+        theoretical_rate(0.1, 10.5, 1.0, 1.0)
 
 
 def test_rate_grid_search_returns_grid_minimum():
@@ -136,6 +138,14 @@ def test_rate_grid_search_returns_grid_minimum():
     )
     assert res.rho == pytest.approx(manual, rel=1e-14)
     assert eta in (0.025, 0.05) and m in (10, 1000)
+
+
+def test_rate_grid_search_reports_the_m_it_rates():
+    # the reported m is the m whose rate is reported, so a fractional m is refused
+    with pytest.raises(ValueError, match="m must be an integer"):
+        rate_grid_search(1.0, 0.5, (0.02,), (10.5,))
+    eta, m, res = rate_grid_search(1.0, 0.5, (0.02,), (10.0,))
+    assert m == 10 and res == theoretical_rate(0.02, 10, 1.0, 0.5)
 
 
 def test_beta_from_constants_frozen_value():
@@ -315,7 +325,7 @@ def test_constraint_row_descriptions_define_the_sets():
         l1_ball_rows(5, 1.0)
 
 
-def test_mu_estimate_values():
+def test_mu_estimate_values(monkeypatch):
     ls = rank_deficient_ball_problem()
     assert mu_estimate(ls) == 1.0 / 30.0
     rng = np.random.Generator(np.random.Philox(25))
@@ -327,6 +337,14 @@ def test_mu_estimate_values():
                        regularizer=L1Regularizer(lam=0.1))
     with pytest.raises(ValueError):
         mu_estimate(reg)
+    # a least-squares box needs no margin bound, so its X is never densified
+    box = make_problem(X, rng.standard_normal(12), constraint=Box(-np.ones(3), np.ones(3)))
+
+    def no_toarray(self):
+        raise AssertionError("X was densified")
+
+    monkeypatch.setattr(SparseDesignMatrix, "toarray", no_toarray)
+    assert mu_estimate(box) == 1.0 / 12
 
 
 def test_reference_solution_certifies_and_invariants_agree():
@@ -334,6 +352,7 @@ def test_reference_solution_certifies_and_invariants_agree():
     facts = reference_solution(prob, seed=0)
     assert facts.certified
     assert facts.tolerance_achieved <= 1e-12
+    assert facts.reg_level == 0.0  # a constraint's penalty
     # (X w*, q' w*) invariant across all starts, here and under a different
     # draw of random starting points
     other = reference_solution(prob, seed=1)
@@ -370,18 +389,32 @@ def test_ssc_probe_positive_on_rank_deficient_instance():
     assert probe.skipped <= 10
 
 
-def test_ssc_probe_meets_strong_convexity_on_control():
-    # full-rank control: f is mu-strongly convex with mu = lam_min(X'X)/n,
-    # so the empirical worst ratio can only sit above that modulus
+def strongly_convex_control(**side):
+    """Least squares on a full-rank 40 x 4 design, and its modulus lam_min(X'X)/n."""
     rng = np.random.Generator(np.random.Philox(27))
     X = rng.standard_normal((40, 4)) + 0.5
     w = rng.standard_normal(4)
     y = X @ w + 0.1 * rng.standard_normal(40)
+    return make_problem(X, y, **side), float(np.linalg.eigvalsh(X.T @ X)[0]) / 40.0
+
+
+def test_ssc_probe_meets_strong_convexity_on_control():
+    # full-rank control: f is mu-strongly convex with mu = lam_min(X'X)/n,
+    # so the empirical worst ratio can only sit above that modulus
     box = Box(lower=np.full(4, -2.0), upper=np.full(4, 2.0))
-    prob = make_problem(X, y, constraint=box)
+    prob, mu_tilde = strongly_convex_control(constraint=box)
     facts = reference_solution(prob)
     probe = ssc_probe(prob, facts, probes=100, seed=0)
-    mu_tilde = float(np.linalg.eigvalsh(X.T @ X)[0]) / 40.0
+    assert probe.beta_empirical >= mu_tilde - 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 0.05, 0.5])
+def test_regularized_ssc_probe_meets_strong_convexity_on_control(lam):
+    # the optimal set is the single point w*: for lam > 0, Dykstra's x reaches
+    # it after two sweeps, before y does, so a projection waits for y to agree
+    prob, mu_tilde = strongly_convex_control(regularizer=L1Regularizer(lam=lam))
+    probe = ssc_probe(prob, reference_solution(prob), probes=100, seed=0)
+    assert probe.skipped == 0
     assert probe.beta_empirical >= mu_tilde - 1e-6
 
 

@@ -586,6 +586,11 @@ EXIT_CODES = {  # case: (command, config, --set overrides or "--flag value" args
     "eta-beyond-a-float": ("solve", README_SOLVE, [NO_REFERENCE, "eta=" + "9" * 400], 1),
     "m-a-fraction": ("solve", README_SOLVE, [NO_REFERENCE, "m=7.9"], 1),
     "m-values-a-fraction": ("certify", CONTRACTIVE_CERTIFY, ["m_values=[10.5]"], 1),
+    # an array entry is a JSON number too
+    "box-bound-a-string": ("certify", CONTRACTIVE_CERTIFY, ['problem.constraint.lower="-1"'], 1),
+    "box-bound-a-bool": ("certify", CONTRACTIVE_CERTIFY, ["problem.constraint.upper=true"], 1),
+    "inline-X-of-strings": ("certify", CONTRACTIVE_CERTIFY,
+                            ['dataset.X=[["1", "0"], ["0", "1"], [2, 0], [0, 2], [1, 0], [0, 1]]'], 1),
     # a sweep varies a key a run reads, over JSON scalars
     "sweep-param-not-a-run-key": ("bench", TINY_GRID, ['sweep={"param": "foo", "values": [1, 2]}'], 1),
     "sweep-values-not-scalars": ("bench", TINY_GRID, ['sweep={"param": "m", "values": [[1], [2]]}'],
@@ -613,11 +618,17 @@ EXIT_CODES = {  # case: (command, config, --set overrides or "--flag value" args
     "unknown-algorithm": ("solve", README_SOLVE, ["algorithm=adam"], 1),
     "unknown-dataset-kind": ("solve", README_SOLVE, ["dataset.kind=csv"], 1),
     "zero-epochs": ("solve", README_SOLVE, ["epochs=0"], 1),
+    "unknown-eta-units": ("solve", README_SOLVE, [NO_REFERENCE, "eta_units=lp"], 1),
+    "unknown-constraint-type": ("solve", README_SOLVE, ["problem.constraint.type=simplex"], 1),
+    "both-sides": ("solve", README_SOLVE, ['problem.regularizer={"lam": 0.1}'], 1),
+    "neither-side": ("solve", README_SOLVE, ["problem={}"], 1),
     "certify-regularized": ("certify", README_SOLVE, ['problem={"regularizer": {"lam": 0.1}}'], 1),
     # divergence, through each kind of epoch of the one engine
     "sgd-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=sgd", "eta0=1e3"], 2),
     "warm-start-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=vrpsg2", "eta0=1e3"], 2),
     "vrpsg-diverges": ("solve", README_SOLVE, DIVERGING + ["eta=1e7", "eta_units=absolute"], 2),
+    "line-search-stalls": ("solve", README_SOLVE,
+                           [NO_REFERENCE, "algorithm=afg", "eta=1e300", "eta_units=absolute"], 2),
     "certify-not-contractive": ("certify", NON_CONTRACTIVE_CERTIFY, [], 3),
 }
 
@@ -639,7 +650,8 @@ def test_each_failure_class_has_its_exit_code(tmp_path, capsys, case):
         assert bool(usage) == usage_error
         assert not usage or usage[0].startswith("usage: vrgrad")
         if code == 2:
-            assert "diverged at epoch" in err
+            stalled = case == "line-search-stalls"
+            assert ("line search stalled" if stalled else "diverged at epoch") in err
         if case.startswith("bool-"):
             assert "has a value of the wrong type" in message
         if case.startswith("fixed-"):

@@ -15,6 +15,7 @@ from vrgrad.problems import (
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
+    gradient_mapping_norm,
     smooth_value,
 )
 
@@ -242,3 +243,46 @@ def test_problem_spec_validation():
         L1Ball(tau=-2.0)
     with pytest.raises(ValueError):
         L1Regularizer(lam=-0.5)
+
+
+@pytest.mark.parametrize("side", [
+    L1Ball(tau=1.5),
+    Box(lower=[-1.0, 0.5, -2.0], upper=[0.5, 3.0, -1.0]),
+    L1Regularizer(lam=0.1),
+], ids=["l1_ball", "box", "regularizer"])
+def test_side_samples_lie_in_the_set_and_bound_its_margins(side):
+    rng = np.random.Generator(np.random.Philox(16))
+    X = rng.standard_normal((5, 3))
+    bound = side.margin_bound(SparseDesignMatrix.from_dense(X))
+    draws = np.array([side.sample(rng, 3) for _ in range(200)])
+    step = side.step_map()
+    assert all(np.array_equal(step(w, 0.0), w) for w in draws)  # a point of the set stays
+    assert np.all(np.abs(draws @ X.T) <= bound)
+    empty = side.margin_bound(SparseDesignMatrix.from_dense(np.zeros((2, 3))))
+    if isinstance(side, L1Regularizer):
+        assert bound == empty == np.inf
+    else:
+        assert 0.0 < bound < np.inf and empty == 0.0
+    if isinstance(side, L1Ball):  # attained at a vertex tau * sign(x_ij) e_j
+        assert bound == 1.5 * np.abs(X).max()
+
+
+def test_l1_ball_sample_of_a_zero_direction_is_zero():
+    class ZeroDirection:
+        def standard_normal(self, d):
+            return np.zeros(d)
+
+        def random(self):
+            raise AssertionError("drew a radius for a zero direction")
+
+    assert np.array_equal(L1Ball(tau=1.0).sample(ZeroDirection(), 3), np.zeros(3))
+
+
+def test_gradient_mapping_norm_is_the_unit_step_residual():
+    free = random_least_squares(20, 4, seed=17, regularizer=L1Regularizer(lam=0.0))
+    w = np.arange(4.0)
+    g = eval_full_grad(free, w)
+    assert gradient_mapping_norm(free, w, g) == float(np.linalg.norm(g))  # no penalty: g itself
+    ball = random_least_squares(20, 4, seed=17, constraint=L1Ball(tau=1.0))
+    # from 0, the step to (3, 0, 0, 0) projects to (1, 0, 0, 0)
+    assert gradient_mapping_norm(ball, np.zeros(4), np.array([-3.0, 0.0, 0.0, 0.0])) == 1.0

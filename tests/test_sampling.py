@@ -121,3 +121,21 @@ def test_draw_count_advances():
     assert dist.draw_count == 10
     with pytest.raises(ValueError):
         draw_many(dist, -1)
+
+
+class _TopOfTheUnitInterval:
+    """A generator whose every draw is 1 - 2**-53, the largest double below 1."""
+
+    def random(self, size=None):
+        u = 1.0 - 2.0 ** -53
+        return u if size is None else np.full(size, u)
+
+
+def test_a_draw_at_or_above_the_last_cumulative_sum_takes_the_last_index():
+    # ten probabilities of 0.1 sum to 1 - 2**-53 in float64, so that draw is
+    # not below cumulative[-1] and the search runs past the last index
+    dist = SamplingDistribution(p=np.full(10, 0.1), seed=0)
+    assert dist.cumulative[-1] == 1.0 - 2.0 ** -53
+    dist._gen = _TopOfTheUnitInterval()
+    assert draw(dist) == 9
+    assert draw_many(dist, 3).tolist() == [9, 9, 9]

@@ -204,6 +204,10 @@ def test_start_point_handling():
         run_vrpsg(prob, loose, w0=np.ones(prob.d + 1))
     with pytest.raises(ValueError):
         run_vrpsg(prob, loose, w0=np.full(prob.d, np.nan))
+    # a penalty's step of size 0 moves nothing, so a regularized run starts at w0
+    reg = random_least_squares(24, 6, seed=50, regularizer=L1Regularizer(lam=0.3))
+    w0 = np.array([2.0, -0.0, -1.5, 0.25, 0.0, 1e-13])
+    assert run_prox_svrg(reg, loose, w0=w0).initial_objective == eval_objective(reg, w0)
 
 
 def test_solver_problem_kind_guards():
