@@ -70,11 +70,13 @@ class EnumerationBudgetError(CertificateError):
 class OptimalFacts:
     """High-accuracy reference facts about one problem's optimal set.
 
-    ``r_star`` and ``s_star`` are the margin vector X w* and linear level
-    q' w*, constant across the whole optimal set; ``reg_level``, the side's
-    penalty at w* (lam*||w*||_1, or 0 under a constraint), plays the same
-    role.  ``certified`` means every start reached the gradient mapping
-    tolerance and all finals agree on the three to 1e-6.
+    ``r_star`` is the margin vector X w*, constant across the whole optimal
+    set, and so is s_star + reg_level: the linear level ``s_star`` = q' w*
+    plus ``reg_level``, the side's penalty at w* (lam*||w*||_1, or 0 under a
+    constraint).  Under a penalty with q != 0 the two parts can trade off
+    along the optimal set, so neither is constant alone.  ``certified``
+    means every start reached the gradient mapping tolerance and all finals
+    agree on X w and on q' w + penalty(w) to 1e-6.
     """
 
     f_star: float
@@ -87,26 +89,45 @@ class OptimalFacts:
     reg_level: float = 0.0
 
 
+class ReferenceRun(NamedTuple):
+    """One accelerated-baseline run to the reference tolerance."""
+
+    w: np.ndarray  # its final iterate
+    objective: float
+    gradient_mapping: float  # the unit-step gradient mapping norm at w
+
+
+def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
+    """Run the accelerated baseline from w0 (zero by default) to the reference tolerance.
+
+    AFG stops once the unit-step gradient mapping norm drops below 1e-12
+    (``_REFERENCE_TOL``), or after 10^6 iterations.  ``solve`` and ``bench``
+    read f* from one such run from zero; ``reference_solution`` makes one
+    per start.
+    """
+    cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
+    w = run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
+                record_every=10 ** 9).final_iterate
+    return ReferenceRun(w, eval_objective(problem, w),
+                        gradient_mapping_norm(problem, w, eval_full_grad(problem, w)))
+
+
 def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     """Solve to gradient-mapping tolerance from three starts; collect facts.
 
-    Each start (zero, then random feasible points drawn from ``seed``) runs
-    the accelerated full-gradient baseline until the unit-step gradient
-    mapping norm drops below 1e-12 (``_REFERENCE_TOL``), or for 10^6
-    iterations.  The best final value becomes f*; the invariance of
-    (X w*, q' w*) across starts is checked to 1e-6 and folded into
-    ``certified``.
+    Each start (zero, then random feasible points drawn from ``seed``) is
+    one ``reference_run``.  The best final value becomes f*; the invariance
+    of X w* and of q' w* + penalty(w*) across starts is checked to 1e-6 and
+    folded into ``certified``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     start_points = [np.zeros(problem.d)]
     start_points += [problem.side.sample(rng, problem.d) for _ in range(_REFERENCE_STARTS - 1)]
+    runs = [reference_run(problem, w0) for w0 in start_points]
+    finals = [run.w for run in runs]
+    worst_gm = max(run.gradient_mapping for run in runs)
 
-    cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
-    finals = [run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
-                      record_every=10 ** 9).final_iterate for w0 in start_points]
-    worst_gm = max(gradient_mapping_norm(problem, w, eval_full_grad(problem, w)) for w in finals)
-
-    values = [eval_objective(problem, w) for w in finals]
+    values = [run.objective for run in runs]
     best = int(np.argmin(values))
     w_star = finals[best]
     r_star = problem.matrix.matvec(w_star)
@@ -114,10 +135,10 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     s_star = float(problem.q @ w_star)
     reg_level = problem.side.penalty(w_star)
 
+    level = s_star + reg_level
     unique = all(
         np.linalg.norm(problem.matrix.matvec(w) - r_star) <= 1e-6
-        and abs(float(problem.q @ w) - s_star) <= 1e-6
-        and abs(problem.side.penalty(w) - reg_level) <= 1e-6
+        and abs(float(problem.q @ w) + problem.side.penalty(w) - level) <= 1e-6
         for w in finals)
 
     return OptimalFacts(
@@ -375,11 +396,13 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
     """Empirical worst-case ratio 2 (f(w) - f*) / dist(w, W*)^2 over probes.
 
     The optimal set is the polyhedron {X w = r*, q' w = s*} intersected
-    with the feasible set (constrained), or {X w = r*, lam ||w||_1 = s*}
-    (regularized; realized as the ball ||w||_1 <= s*/lam, which the
-    optimal-value argument forces to hold with equality, checked on each
-    limit).  Distances come from Dykstra alternating projections between
-    the affine part and the convex part.
+    with the feasible set (constrained), or {X w = r*, lam ||w||_1 = reg_level}
+    (regularized with q = 0; realized as the ball ||w||_1 <= reg_level/lam,
+    which the optimal-value argument forces to hold with equality, checked
+    on each limit).  That ball misses the optimal set's q row, so a
+    regularized problem with q != 0 raises CertificateError.  Distances come
+    from Dykstra alternating projections between the affine part and the
+    convex part.
 
     Probes mix random feasible points with perturbations of the reference
     optimum at several scales.  A probe whose projection fails to converge
@@ -388,6 +411,9 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
     optimal set (dist^2 < 1e-16) are excluded from the ratio, not counted
     as skips.
     """
+    if not problem.is_constrained and np.any(problem.q):
+        raise CertificateError("ssc_probe models a regularized optimal set only for q = 0; "
+                               "this problem has a nonzero q")
     if not facts.certified:
         raise CertificateError("reference facts are not certified; solve tighter first")
     if problem.d > 50:

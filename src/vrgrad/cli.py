@@ -307,8 +307,8 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
 
     info = problems.compute_lipschitz_info(problem)
     algorithm, solver_cfg, eta_abs, m, l_p = _resolve_run(problem, info, cfg, run_seed)
-    facts = certificates.reference_solution(problem) if compute_reference else None
-    f_star = None if facts is None else facts.f_star
+    ref = certificates.reference_run(problem) if compute_reference else None
+    f_star = None if ref is None else ref.objective
 
     trace = _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
     write_trace_csv(out / "trace.csv", trace)
@@ -324,10 +324,9 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         "l_p": l_p,
         "theory_warning": bool(trace.theory_warning),
         "final_objective": float(trace.objective[-1]),
-        "reference": None if facts is None else {
-            "f_star": facts.f_star,
-            "tolerance_achieved": facts.tolerance_achieved,
-            "certified": bool(facts.certified),
+        "reference": None if ref is None else {
+            "f_star": ref.objective,
+            "tolerance_achieved": ref.gradient_mapping,
         },
     }
     _write_json(out / "manifest.json", manifest)
@@ -403,8 +402,8 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
         problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
                                  "problem": _get(ds_cfg, "problem")})
         info = problems.compute_lipschitz_info(problem)
-        facts = certificates.reference_solution(problem) if compute_reference else None
-        f_star = None if facts is None else facts.f_star
+        ref = certificates.reference_run(problem) if compute_reference else None
+        f_star = None if ref is None else ref.objective
         jobs = []
         for name, algo_cfg in zip(names, algorithms):
             for sv in sweep_values:
@@ -448,8 +447,8 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
                         str(int(runs[0].grad_evals[i])),
                         repr(float(np.mean(gaps))),
                     ]) + "\n")
-        ref_note = ("no reference solve" if facts is None else
-                    f"f* = {facts.f_star:.12g} (certified={facts.certified})")
+        ref_note = ("no reference solve" if ref is None else
+                    f"f* = {f_star:.12g} (gradient mapping {ref.gradient_mapping:.1e})")
         print(f"{ds_name}: {ref_note}, wrote {agg_path}")
 
     manifest = {

@@ -155,9 +155,11 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
     step_size/sqrt(t) at global step t; it outputs its last iterate, for n
     evaluations.  A step does O(d) vector work: one draw_many call per
     epoch, eta times the snapshot gradient formed once per epoch (per SGD
-    step, only when q is nonzero), a running sum only when averaging.
-    Nothing is checked per step: ``record(label, cost, output, step_size)``
-    checks each epoch's output, and a NaN iterate stays NaN until then.
+    step, only when q is nonzero), a running sum only when averaging, and a
+    row that holds every column used whole rather than gathered and
+    scattered through its indices.  Nothing is checked per step:
+    ``record(label, cost, output, step_size)`` checks each epoch's output,
+    and a NaN iterate stays NaN until then.
     """
     mat = problem.matrix
     n, d = problem.n, problem.d
@@ -192,11 +194,15 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
                 if has_q:  # eta times a zero q stays zero
                     eta_snap_grad = eta * q
             lo, hi = indptr[i], indptr[i + 1]
-            idx = indices[lo:hi]
             val = values[lo:hi]
-            c = (coef(float(val @ w[idx]), y[i]) - snap_coef[i]) / weight[i]
             v = w - eta_snap_grad
-            v[idx] -= (eta * c) * val
+            if hi - lo == d:  # a full row's indices are 0..d-1: no gather or scatter
+                c = (coef(float(val @ w), y[i]) - snap_coef[i]) / weight[i]
+                v -= (eta * c) * val
+            else:
+                idx = indices[lo:hi]
+                c = (coef(float(val @ w[idx]), y[i]) - snap_coef[i]) / weight[i]
+                v[idx] -= (eta * c) * val
             w = step(v, eta)
             if average:
                 acc += w

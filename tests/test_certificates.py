@@ -364,6 +364,40 @@ def test_reference_solution_certifies_and_invariants_agree():
         assert np.linalg.norm(prob.matrix.matvec(w) - facts.r_star) <= 1e-6
 
 
+def duplicated_column_problem():
+    """X = [a, a, b] under lam = 0.05 with q = (0.1, 0, 0): the optimum is a segment.
+
+    Along it w1 and w2 trade off, so q' w and lam ||w||_1 vary while their
+    sum stays constant.
+    """
+    rng = np.random.Generator(np.random.Philox(3))
+    a, b = rng.standard_normal((2, 20))
+    X = np.column_stack([a, a, b])
+    y = X @ np.array([1.0, 0.5, -1.0]) + 0.1 * rng.standard_normal(20)
+    return make_problem(X, y, q=np.array([0.1, 0.0, 0.0]),
+                        regularizer=L1Regularizer(lam=0.05))
+
+
+def test_reference_solution_compares_the_invariant_sum_across_starts():
+    prob = duplicated_column_problem()
+    facts = reference_solution(prob)
+    assert facts.certified
+    linear = [float(prob.q @ w) for w in facts.reference_solutions]
+    penalty = [prob.side.penalty(w) for w in facts.reference_solutions]
+    assert max(linear) - min(linear) > 1e-3  # each part differs between the finals
+    assert max(penalty) - min(penalty) > 1e-3
+    sums = [s + p for s, p in zip(linear, penalty)]
+    assert max(sums) - min(sums) <= 1e-12
+    assert sums[0] == pytest.approx(facts.s_star + facts.reg_level, abs=1e-12)
+
+
+def test_ssc_probe_refuses_a_regularized_problem_with_q():
+    # its ball model ||w||_1 <= reg_level/lam has no q row, so it is wrong here
+    prob = duplicated_column_problem()
+    with pytest.raises(CertificateError, match="only for q = 0"):
+        ssc_probe(prob, reference_solution(prob), probes=10)
+
+
 def test_bounded_gap_dominates_sampled_gaps():
     prob = rank_deficient_ball_problem()
     facts = reference_solution(prob)

@@ -59,7 +59,7 @@ def test_solve_writes_trace_and_manifest(tmp_path):
     assert int(rows[-1]["grad_evals"]) == 4 * (40 + 2 * 30)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["algorithm"] == "vrpsg"
-    assert manifest["reference"]["certified"] is True
+    assert manifest["reference"]["tolerance_achieved"] <= 1e-12
     assert manifest["rows"] == 4
     assert float(rows[-1]["gap"]) == pytest.approx(
         float(rows[-1]["objective"]) - manifest["reference"]["f_star"], abs=1e-12)
@@ -307,6 +307,7 @@ def test_bench_honours_reference_compute(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("bench ran a reference solve it was told to skip")
 
+    monkeypatch.setattr(certificates, "reference_run", refuse)
     monkeypatch.setattr(certificates, "reference_solution", refuse)
     cfg = bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20}],
                        reference={"compute": False})
@@ -315,6 +316,27 @@ def test_bench_honours_reference_compute(tmp_path, monkeypatch, capsys):
     assert "no reference solve" in capsys.readouterr().out
     assert [r["gap"] for r in read_rows(out / "trace_tiny_vr_s0.csv")] == ["nan"] * 3
     assert [r["mean_gap"] for r in read_rows(out / "aggregate_tiny.csv")] == ["nan"] * 3
+
+
+@pytest.mark.parametrize("command, starts", [("solve", 1), ("bench", 1), ("certify", 3)])
+def test_reference_runs_per_command(tmp_path, monkeypatch, command, starts):
+    # solve and bench read only f*, from one run from zero; certify needs
+    # three starts to check that X w* is unique.  The bench's afg cell runs
+    # through solvers.run_afg and is not counted.
+    original, w0s = certificates.run_afg, []
+
+    def counted(*args, **kwargs):
+        w0s.append(kwargs["w0"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "run_afg", counted)
+    cfg = {"solve": BASE_SOLVE, "certify": CONTRACTIVE_CERTIFY,
+           "bench": bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20},
+                                  {"name": "afg", "algorithm": "afg"}])}[command]
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(w0s) == starts
+    assert w0s[0] is None or not np.any(w0s[0])
 
 
 def test_bench_builds_each_dataset_once(tmp_path, monkeypatch):
@@ -512,7 +534,13 @@ def test_solve_manifest_matches_shipped_schema(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "manifest.json").read_text())
-    load_schema("run_manifest.schema.json").validate(payload)
+    validator = load_schema("run_manifest.schema.json")
+    validator.validate(payload)
+    # the reference block is closed: exactly f_star and tolerance_achieved, or null
+    assert set(payload["reference"]) == {"f_star", "tolerance_achieved"}
+    for reference in (dict(payload["reference"], certified=True), {"f_star": 0.5}):
+        assert not validator.is_valid(dict(payload, reference=reference))
+    assert validator.is_valid(dict(payload, reference=None))
 
 
 def test_bench_manifest_matches_shipped_schema(tmp_path):

@@ -6,6 +6,7 @@ full gradient, so one epoch must equal one projected (or proximal) gradient
 step, whatever the sampled index.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from vrgrad.problems import (
     Box,
     L1Ball,
     L1Regularizer,
+    SparseDesignMatrix,
     aggregate_lipschitz,
     compute_lipschitz_info,
     eval_full_grad,
@@ -353,6 +355,26 @@ def reference_sgd_run(problem, eta0, passes, seed):
     return np.array(objectives), w
 
 
+# the solvers step a row holding every column as a whole vector, and any
+# other row through its indices: each design is held to the plain loop
+DESIGNS = ("full", "mixed", "sparse")
+
+
+def thinned(problem, design):
+    """The problem with the entries at (i + j) % 3 == 0 of its dense design dropped.
+
+    "sparse" drops them from every row, so no row is full; "mixed" from the
+    odd rows only; "full" keeps every row whole.
+    """
+    X = problem.matrix.toarray()
+    i, j = np.indices(X.shape)
+    X[((i + j) % 3 == 0) & {"full": False, "mixed": i % 2 == 1, "sparse": True}[design]] = 0.0
+    thin = dataclasses.replace(problem, matrix=SparseDesignMatrix.from_dense(X))
+    full_rows = np.diff(thin.matrix.indptr) == thin.d
+    assert (full_rows.all(), full_rows.any()) == (design == "full", design != "sparse")
+    return thin
+
+
 @pytest.mark.parametrize("side", ["l1", "box", "lam"])
 @pytest.mark.parametrize("loss", ["least_squares", "logistic"])
 def test_vr_runs_match_the_plain_reference_loop(side, loss):
@@ -360,15 +382,16 @@ def test_vr_runs_match_the_plain_reference_loop(side, loss):
           "box": {"constraint": Box(lower=np.full(7, -0.2), upper=np.full(7, 0.3))},
           "lam": {"regularizer": L1Regularizer(lam=0.05)}}[side]
     make = random_least_squares if loss == "least_squares" else random_logistic
-    prob = make(40, 7, seed=60, **kw)
     run = run_prox_svrg if side == "lam" else run_vrpsg
-    for mode, avg in ((UNIFORM, True), (PROPORTIONAL, False)):
-        cfg = SolverConfig(epochs=3, step_size=0.05, inner_iterations=25, seed=4,
-                           sampling_mode=mode, average_epoch_output=avg)
-        objectives, w = reference_vr_run(prob, cfg)
-        trace = run(prob, cfg)
-        assert trace.objective.tobytes() == objectives.tobytes()
-        assert np.array_equal(trace.final_iterate, w)  # a prox zero's sign may differ
+    for design in DESIGNS:
+        prob = thinned(make(40, 7, seed=60, **kw), design)
+        for mode, avg in ((UNIFORM, True), (PROPORTIONAL, False)):
+            cfg = SolverConfig(epochs=3, step_size=0.05, inner_iterations=25, seed=4,
+                               sampling_mode=mode, average_epoch_output=avg)
+            objectives, w = reference_vr_run(prob, cfg)
+            trace = run(prob, cfg)
+            assert trace.objective.tobytes() == objectives.tobytes(), design
+            assert np.array_equal(trace.final_iterate, w), design  # a prox zero's sign may differ
 
 
 def odd_size_problem(side, loss, with_q):
@@ -391,12 +414,13 @@ def odd_size_problem(side, loss, with_q):
 @pytest.mark.parametrize("side", ["l1", "box"])
 @pytest.mark.parametrize("loss", ["least_squares", "logistic"])
 def test_sgd_matches_the_plain_reference_loop(loss, side, with_q):
-    prob = odd_size_problem(side, loss, with_q)
-    trace = run_projected_sgd(prob, SolverConfig(epochs=3, step_size=1.0,
-                                                 sgd_initial_step=0.4, seed=6))
-    objectives, w = reference_sgd_run(prob, 0.4, 3, seed=6)
-    assert trace.objective.tobytes() == objectives.tobytes()
-    assert trace.final_iterate.tobytes() == w.tobytes()
+    for design in DESIGNS:
+        prob = thinned(odd_size_problem(side, loss, with_q), design)
+        trace = run_projected_sgd(prob, SolverConfig(epochs=3, step_size=1.0,
+                                                     sgd_initial_step=0.4, seed=6))
+        objectives, w = reference_sgd_run(prob, 0.4, 3, seed=6)
+        assert trace.objective.tobytes() == objectives.tobytes(), design
+        assert trace.final_iterate.tobytes() == w.tobytes(), design
 
 
 @pytest.mark.parametrize("with_q", [False, True])
