@@ -1,0 +1,386 @@
+/* The m inner steps of one epoch of vrgrad.solvers._epochs, compiled.
+ *
+ * solvers._numpy_steps is the specification: for the same inputs this file
+ * returns the same bits.  It does the same floating-point operations in the
+ * same order, and it takes from numpy the three pieces whose order numpy
+ * owns: the row dot is the BLAS ddot that `@` calls (its pointer is passed
+ * in), the l1 sum is numpy's pairwise sum, and max, min, clip and sign keep
+ * numpy's NaN rules.  Build with -O2 -ffp-contract=off: a fused multiply-add
+ * would round once where numpy rounds twice.
+ *
+ * Two shortcuts change the work and not the result.  The l1-ball threshold
+ * sorts only the magnitudes above a Michelot lower bound, and a guard sends
+ * every case it cannot vouch for to the full sort.  The l1 penalty steps only
+ * its active set: a coordinate at +0 that the row does not touch, with
+ * |eta g_j| <= eta lam, is +0 again after the step.
+ */
+
+#include <float.h>
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int64_t);
+
+enum { SQUARES, LOGISTIC };
+enum { BALL, BOX, PENALTY, IDENTITY }; /* IDENTITY is the penalty at lam = 0 */
+
+/* geometry._RESOLUTION, 2**26 eps */
+#define RESOLUTION (67108864.0 * DBL_EPSILON)
+
+/* numpy's maximum and minimum: a NaN in either argument wins, a tie returns the second */
+static inline double np_max(double a, double b) { return (a > b || a != a) ? a : b; }
+static inline double np_min(double a, double b) { return (a < b || a != a) ? a : b; }
+static inline double np_sign(double x) { return x > 0.0 ? 1.0 : x < 0.0 ? -1.0 : x == 0.0 ? 0.0 : x; }
+
+/* v - v.clip(-t, t) for t > 0: geometry.soft_threshold_kernel on one entry */
+static inline double soft(double x, double t)
+{
+    double c = x != x ? x : x > -t ? (x < t ? x : t) : -t;
+    return x - c;
+}
+
+/* numpy's pairwise summation of a contiguous float64 array */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* float(x @ y) for contiguous x and y of length n */
+static inline double dot(ddot_fn ddot, const double *x, const double *y, int64_t n)
+{
+    return n ? 0.0 + ddot(n, x, 1, y, 1) : 0.0;
+}
+
+/* A nonnegative double's bits, complemented: ascending keys are descending values. */
+static inline uint64_t key_of(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return ~b;
+}
+
+static inline double value_of(uint64_t key)
+{
+    uint64_t b = ~key;
+    double x;
+    memcpy(&x, &b, sizeof x);
+    return x;
+}
+
+static void insertion_sort(uint64_t *key, int64_t n)
+{
+    for (int64_t i = 1; i < n; i++) {
+        uint64_t x = key[i];
+        int64_t j = i;
+        for (; j > 0 && key[j - 1] > x; j--)
+            key[j] = key[j - 1];
+        key[j] = x;
+    }
+}
+
+/* Sort n keys ascending by distributing them over up to 2048 buckets of equal
+   width between the least and the greatest, then by the same in any bucket of
+   more than 16; a last insertion pass orders the small buckets, moving no key
+   out of its bucket.  So a step pays O(n) for keys spread as magnitudes are,
+   where a comparison sort would pay O(n log n): qsort in its place, on the
+   prefix and in the fallback, made solve_s on solve-l1-ls 16 % slower. */
+static void bucket_sort(uint64_t *key, uint64_t *tmp, int64_t n)
+{
+    if (n > 16) {
+        uint64_t lo = key[0], hi = key[0];
+        for (int64_t i = 1; i < n; i++) {
+            lo = key[i] < lo ? key[i] : lo;
+            hi = key[i] > hi ? key[i] : hi;
+        }
+        if (lo == hi)
+            return;
+        int bits = 64 - __builtin_clzll((uint64_t)n), top = 64 - __builtin_clzll(hi - lo);
+        bits = bits > 11 ? 11 : bits;
+        int shift = top > bits ? top - bits : 0;
+        int64_t buckets = (int64_t)((hi - lo) >> shift) + 1, start[2050];
+        memset(start, 0, (size_t)(buckets + 1) * sizeof *start);
+        for (int64_t i = 0; i < n; i++)
+            start[((key[i] - lo) >> shift) + 1]++;
+        for (int64_t b = 0; b < buckets; b++)
+            start[b + 1] += start[b];
+        for (int64_t i = 0; i < n; i++)
+            tmp[start[(key[i] - lo) >> shift]++] = key[i];
+        memcpy(key, tmp, (size_t)n * sizeof *key);
+        for (int64_t b = 0, first = 0; b < buckets; first = start[b++])
+            if (start[b] - first > 16)
+                bucket_sort(key + first, tmp, start[b] - first);
+    }
+    insertion_sort(key, n);
+}
+
+/* The last k < n with s_k > (s_0 + ... + s_k - tau) / (k + 1), s the keys' values
+   in descending order, or -1; csum[k] holds that numerator. */
+static int64_t last_passing(const uint64_t *key, int64_t n, double tau, double *csum)
+{
+    double run = 0.0;
+    int64_t last = -1;
+    for (int64_t k = 0; k < n; k++) {
+        double s = value_of(key[k]);
+        run += s;
+        csum[k] = run - tau;
+        if (s > csum[k] / (double)(k + 1))
+            last = k;
+    }
+    return last;
+}
+
+/* geometry._l1_ball_by_gaps */
+static void l1_ball_by_gaps(const double *v, const double *mags, double *out, int64_t d,
+                            double tau, uint64_t *key, uint64_t *tmp)
+{
+    for (int64_t j = 0; j < d; j++) {
+        if (!isfinite(mags[j])) {
+            for (int64_t i = 0; i < d; i++)
+                out[i] = NAN;
+            return;
+        }
+        key[j] = key_of(mags[j]);
+    }
+    bucket_sort(key, tmp, d);
+    double below = 0.0, below_k = 0.0;
+    int64_t k = 0;
+    for (int64_t j = 0; j + 1 < d; j++) {
+        below += (double)(j + 1) * (value_of(key[j]) - value_of(key[j + 1]));
+        if (below < tau) {
+            k = j + 1;
+            below_k = below;
+        }
+    }
+    double s_k = value_of(key[k]), shift = (tau - below_k) / ((double)k + 1.0);
+    for (int64_t j = 0; j < d; j++)
+        out[j] = np_sign(v[j]) * np_max((mags[j] - s_k) + shift, 0.0);
+}
+
+/* geometry.l1_ball_kernel(v, tau) into out */
+static void l1_ball(const double *v, double *out, int64_t d, double tau, double *mags,
+                    double *csum, uint64_t *key, uint64_t *tmp)
+{
+    for (int64_t j = 0; j < d; j++)
+        mags[j] = fabs(v[j]);
+    double total = 0.0 + pairwise(mags, d);
+    if (total <= tau) {
+        memcpy(out, v, (size_t)d * sizeof *out);
+        return;
+    }
+    if (!(tau > total * ((double)d * RESOLUTION))) {
+        l1_ball_by_gaps(v, mags, out, d, tau, key, tmp);
+        return;
+    }
+    /* Two Michelot steps give t at or below the threshold: the magnitudes above
+       (total - tau) / d, collected in one pass, then those of them above the
+       mean excess over tau.  Sorted descending, the magnitudes above t are a
+       prefix of the whole, so the prefix sums and the test agree with the full
+       sort's there; the guard shows that no later position passes, with room
+       for the rounding of every sum involved. */
+    double t = (total - tau) / (double)d, above = 0.0;
+    int64_t count = 0, big = 0, k = -1;
+    for (int64_t j = 0; j < d; j++) { /* no branch: a branch on the test mispredicts */
+        key[count] = key_of(mags[j]);
+        above += mags[j] * (double)(mags[j] > t);
+        count += mags[j] > t;
+    }
+    /* so everything left out lies at or below t, whatever the rounding */
+    if (count && (above - tau) / (double)count > t)
+        t = (above - tau) / (double)count;
+    for (int64_t a = 0; a < count; a++) {
+        key[big] = key[a];
+        big += value_of(key[a]) > t;
+    }
+    if (big) {
+        bucket_sort(key, tmp, big);
+        k = last_passing(key, big, tau, csum);
+        if (!(csum[big - 1] - (double)big * t > 4.0 * (double)d * DBL_EPSILON * total))
+            k = -1;
+    }
+    if (k < 0) {
+        for (int64_t j = 0; j < d; j++)
+            key[j] = key_of(mags[j]);
+        bucket_sort(key, tmp, d);
+        k = last_passing(key, d, tau, csum);
+    }
+    /* np.sign(v) * np.maximum(mags - theta, 0.0) for the finite v this branch
+       sees: max(mags - theta, 0) with v's sign bit, and +0 where v is +0 or -0.
+       It is formed on the bits, with no branch on mags - theta: written with
+       np_sign and np_max, this loop made solve_s on solve-l1-ls 14 % slower. */
+    double theta = csum[k] / ((double)k + 1.0);
+    for (int64_t j = 0; j < d; j++) {
+        double x = mags[j] - theta;
+        uint64_t xb, vb, nonzero = -(uint64_t)(v[j] != 0.0);
+        memcpy(&xb, &x, sizeof xb);
+        memcpy(&vb, &v[j], sizeof vb);
+        xb = ((xb & ~(uint64_t)((int64_t)xb >> 63)) | (vb & 0x8000000000000000u)) & nonzero;
+        memcpy(&out[j], &xb, sizeof xb);
+    }
+}
+
+static inline double coefficient(int64_t loss, double u, double y)
+{
+    if (loss == SQUARES)
+        return u - y;
+    double z = -y * u;
+    return -y * (1.0 / (1.0 + exp(-z))); /* scipy's expit */
+}
+
+/* Run m inner steps from w, in place; add each iterate into acc unless it is NULL.
+ *
+ * indptr, indices, values: the CSR design with d columns; labels, loss: the loss.
+ * side, radius, lower, upper: the side (radius is tau or lam; the bounds are the box's).
+ * draws: the m row indices.  snap_coef, weight: per row, the snapshot coefficient
+ * and n p_i.  eta, eta_grad: the step and eta times the snapshot gradient; or, when
+ * sgd_t >= 0, an SGD epoch whose step t (counted from sgd_t + 1) is eta / sqrt(t),
+ * with eta_grad zero and eta_t q in its place when q is not NULL; an SGD epoch
+ * runs under a ball or a box only.
+ * Returns 0, or -1 when scratch memory cannot be had.
+ */
+int vrgrad_steps(ddot_fn ddot, int64_t d, const int64_t *indptr, const int64_t *indices,
+                 const double *values, const double *labels, int64_t loss, int64_t side,
+                 double radius, const double *lower, const double *upper, const int64_t *draws,
+                 int64_t m, const double *snap_coef, const double *weight, double eta,
+                 const double *eta_grad, int64_t sgd_t, const double *q, double *w, double *acc)
+{
+    int sparse = side == PENALTY;
+    size_t nd = d > 0 ? (size_t)d : 1;
+    double *fbuf = malloc(5 * nd * sizeof *fbuf);
+    uint64_t *ubuf = malloc(2 * nd * sizeof *ubuf);
+    int64_t *ibuf = sparse ? calloc(4 * nd, sizeof *ibuf) : NULL;
+    if (!fbuf || !ubuf || (sparse && !ibuf)) {
+        free(fbuf);
+        free(ubuf);
+        free(ibuf);
+        return -1;
+    }
+    double *v = fbuf, *row_w = fbuf + nd, *mags = fbuf + 2 * nd, *csum = fbuf + 3 * nd;
+    double *sgd_grad = fbuf + 4 * nd;
+    uint64_t *key = ubuf, *tmp = ubuf + nd;
+    const double *g = eta_grad;
+    if (sgd_t >= 0) {
+        memcpy(sgd_grad, eta_grad, (size_t)d * sizeof *sgd_grad);
+        g = sgd_grad;
+    }
+
+    /* the penalty's active set: coordinates stepped every time, and the nonzeros */
+    int64_t *mark = ibuf, *always = ibuf + nd, *nz = ibuf + 2 * nd, *nz_next = ibuf + 3 * nd;
+    int64_t n_always = 0, n_nz = 0, stamp = 0;
+    double t = eta * radius;
+    if (sparse) {
+        for (int64_t j = 0; j < d; j++) {
+            if (!(fabs(g[j]) <= t))
+                always[n_always++] = j;
+            if (w[j] != 0.0 || signbit(w[j]))
+                nz[n_nz++] = j;
+        }
+    }
+
+    for (int64_t s = 0; s < m; s++) {
+        int64_t i = draws[s], lo = indptr[i], nnz = indptr[i + 1] - lo;
+        const double *val = values + lo;
+        const int64_t *idx = indices + lo;
+        int full = nnz == d;
+        double e = eta;
+        if (sgd_t >= 0) {
+            e = eta / sqrt((double)(sgd_t + s + 1));
+            if (q)
+                for (int64_t j = 0; j < d; j++)
+                    sgd_grad[j] = e * q[j];
+        }
+        double u;
+        if (full) {
+            u = dot(ddot, val, w, d);
+        } else {
+            for (int64_t k = 0; k < nnz; k++)
+                row_w[k] = w[idx[k]];
+            u = dot(ddot, val, row_w, nnz);
+        }
+        double c = (coefficient(loss, u, labels[i]) - snap_coef[i]) / weight[i];
+        double ec = e * c;
+
+        if (sparse) {
+            int64_t n_next = 0;
+            stamp++;
+            for (int64_t k = 0; k < nnz; k++) {
+                int64_t j = idx[k];
+                mark[j] = stamp;
+                w[j] = soft((w[j] - g[j]) - ec * val[k], t);
+                if (w[j] != 0.0)
+                    nz_next[n_next++] = j;
+            }
+            for (int pass = 0; pass < 2; pass++) {
+                const int64_t *list = pass ? nz : always;
+                int64_t len = pass ? n_nz : n_always;
+                for (int64_t a = 0; a < len; a++) {
+                    int64_t j = list[a];
+                    if (mark[j] == stamp)
+                        continue;
+                    mark[j] = stamp;
+                    w[j] = soft(w[j] - g[j], t);
+                    if (w[j] != 0.0)
+                        nz_next[n_next++] = j;
+                }
+            }
+            int64_t *swap = nz;
+            nz = nz_next;
+            nz_next = swap;
+            n_nz = n_next;
+            if (acc)
+                for (int64_t a = 0; a < n_nz; a++)
+                    acc[nz[a]] += w[nz[a]];
+            continue;
+        }
+
+        for (int64_t j = 0; j < d; j++)
+            v[j] = w[j] - g[j];
+        if (full) {
+            for (int64_t j = 0; j < d; j++)
+                v[j] -= ec * val[j];
+        } else {
+            for (int64_t k = 0; k < nnz; k++)
+                v[idx[k]] -= ec * val[k];
+        }
+        switch (side) {
+        case BALL:
+            l1_ball(v, w, d, radius, mags, csum, key, tmp);
+            break;
+        case BOX:
+            for (int64_t j = 0; j < d; j++)
+                w[j] = np_min(np_max(v[j], lower[j]), upper[j]);
+            break;
+        default:
+            memcpy(w, v, (size_t)d * sizeof *w);
+        }
+        if (acc)
+            for (int64_t j = 0; j < d; j++)
+                acc[j] += w[j];
+    }
+    free(fbuf);
+    free(ubuf);
+    free(ibuf);
+    return 0;
+}

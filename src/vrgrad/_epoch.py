@@ -1,0 +1,77 @@
+"""Build and load the compiled inner steps in ``_epoch.c``.
+
+The source is compiled on first use with the system ``gcc`` into this
+package's ``__pycache__``, under a name keyed by a hash of the source and
+the flags, and loaded through ctypes; later processes load the cached
+library.  The compiler writes to a temporary name that is then renamed
+into place, so processes that build at once do not see each other's half
+written files.  ``load()`` returns None, quietly, when there is no
+compiler, the cache cannot be written, the build fails, or numpy's BLAS
+``ddot`` cannot be found: the caller then runs the numpy loop.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+_SOURCE = Path(__file__).with_name("_epoch.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# numpy's `x @ y` on float64 vectors calls this ddot (64-bit integer BLAS)
+_DDOT_NAMES = ("scipy_cblas_ddot64_", "cblas_ddot64_")
+
+
+def _build(compiler) -> Path:
+    source = _SOURCE.read_bytes()
+    tag = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
+    target = _CACHE / f"_epoch-{tag}.so"
+    if not target.exists():
+        _CACHE.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=_CACHE, prefix="_epoch-", suffix=".tmp")
+        os.close(fd)
+        try:
+            subprocess.run([compiler, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return target
+
+
+def _ddot():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    blas = ctypes.CDLL(umath.__file__)
+    for name in _DDOT_NAMES:
+        if hasattr(blas, name):
+            return ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def load():
+    """(vrgrad_steps as a ctypes function, address of numpy's ddot), or None."""
+    compiler = shutil.which("gcc")
+    if compiler is None:
+        return None
+    try:
+        ddot = _ddot()
+        if ddot is None:
+            return None
+        fn = ctypes.CDLL(str(_build(compiler))).vrgrad_steps
+    except (OSError, ImportError, subprocess.SubprocessError):
+        return None
+    p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn.argtypes = [p, i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p, i64, p, p, p]
+    fn.restype = ctypes.c_int
+    return fn, ddot

@@ -27,7 +27,6 @@ class SamplingDistribution:
 
     p: np.ndarray
     seed: int
-    draw_count: int = 0
     _gen: np.random.Generator = field(default=None, repr=False)
     cumulative: np.ndarray = field(init=False, repr=False)
 
@@ -75,7 +74,6 @@ def draw(dist: SamplingDistribution) -> int:
     i = int(np.searchsorted(dist.cumulative, u, side="right"))
     if i >= dist.p.size:  # guard the u ~ 1.0 edge against cumulative[-1] rounding below 1
         i = dist.p.size - 1
-    dist.draw_count += 1
     return i
 
 
@@ -86,5 +84,4 @@ def draw_many(dist: SamplingDistribution, count: int) -> np.ndarray:
     u = dist._gen.random(count)
     idx = np.searchsorted(dist.cumulative, u, side="right")
     np.minimum(idx, dist.p.size - 1, out=idx)
-    dist.draw_count += count
     return idx

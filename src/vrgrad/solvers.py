@@ -10,6 +10,7 @@ inner steps adds n + 2m to the counter.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -19,9 +20,16 @@ import numpy as np
 
 from . import sampling
 from .problems import (
+    LEAST_SQUARES,
+    LOGISTIC,
     LOSSES,
+    Box,
+    L1Ball,
+    L1Regularizer,
     LipschitzInfo,
+    LossSpec,
     ProblemSpec,
+    SparseDesignMatrix,
     aggregate_lipschitz,
     compute_lipschitz_info,
     eval_objective,
@@ -142,7 +150,8 @@ def _start_point(problem: ProblemSpec, w0) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by the epoch check
-def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, average=False):
+def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, average=False,
+            steps=None):
     """The one epoch loop, in which every stochastic runner takes its inner steps.
 
     A variance-reduced epoch takes the full gradient at the snapshot, then m steps
@@ -153,29 +162,33 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
     same step from a zero snapshot, so the snapshot gradient is q, with a
     weight of exactly 1 (n * (1/n) rounds below 1 for n = 49) and eta =
     step_size/sqrt(t) at global step t; it outputs its last iterate, for n
-    evaluations.  A step does O(d) vector work: one draw_many call per
-    epoch, eta times the snapshot gradient formed once per epoch (per SGD
-    step, only when q is nonzero), a running sum only when averaging, and a
-    row that holds every column used whole rather than gathered and
-    scattered through its indices.  Nothing is checked per step:
+    evaluations.
+
+    The snapshot, one draw_many call and the epoch check stay here; the m
+    steps are one call of ``steps``, by default ``_inner_steps(problem)``.
+    That is the C kernel of ``_epoch.c`` when it builds (with the system
+    gcc, cached in this package's ``__pycache__`` under a hash of source
+    and flags), finds numpy's BLAS ddot, and matches the numpy loop on a
+    fixed probe for this side and loss; otherwise, quietly, it is the
+    numpy loop ``_numpy_steps``.  The two give the same bits: the kernel
+    repeats the loop's operations in its order, calls the ddot that ``@``
+    calls and sums the l1 norm pairwise as numpy does.  It saves work only
+    where no bit can move: the l1-ball threshold sorts the magnitudes above
+    a Michelot lower bound, and the l1 penalty steps its active set, in
+    O(active + row) instead of O(d).  Nothing is checked per step:
     ``record(label, cost, output, step_size)`` checks each epoch's output,
     and a NaN iterate stays NaN until then.
     """
-    mat = problem.matrix
-    n, d = problem.n, problem.d
-    step = problem.side.step_map()
-    coef = LOSSES[problem.loss.kind].scalar
-    y = problem.loss.labels.tolist()
+    mat, n = problem.matrix, problem.n
     q, has_q = problem.q, bool(np.any(problem.q))
-    indptr, indices, values = mat.indptr.tolist(), mat.indices, mat.data
-    eta = step_size
+    steps = steps or _inner_steps(problem)
     if sgd:
         t, cost = 0, n
-        snap_coef, weight = [0.0] * n, [1.0] * n
-        eta_snap_grad = np.zeros(d)
+        snap_coef, weight = np.zeros(n), np.ones(n)
+        eta_snap_grad = np.zeros(problem.d)
     else:
-        cost = n + 2 * m
-        weight = (n * dist.p).tolist()
+        t, cost = None, n + 2 * m
+        weight = n * dist.p
 
     for k in labels:
         if not sgd:
@@ -183,19 +196,48 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
             snap_grad = mat.rmatvec(snap_coef) / n
             if has_q:
                 snap_grad = snap_grad + q
-            eta_snap_grad = eta * snap_grad
-            snap_coef = snap_coef.tolist()
-        w = w_tilde  # never written in place: each step makes a new vector
+            eta_snap_grad = step_size * snap_grad
+        w_tilde = steps(w_tilde, sampling.draw_many(dist, m), snap_coef, weight,
+                        step_size, eta_snap_grad, average, t)
+        if sgd:
+            t += m
+        record(k, cost, w_tilde, step_size)
+    return w_tilde
+
+
+def _numpy_steps(problem):
+    """One epoch's inner steps as a numpy loop: the specification of ``_epoch.c``.
+
+    The returned ``steps(w, draws, snap_coef, weight, eta, eta_snap_grad,
+    average, t)`` takes a step from w for each drawn row i, with the
+    snapshot coefficient ``snap_coef[i]``, the weight n p_i and
+    ``eta_snap_grad``, eta times the snapshot gradient.  With ``t`` set it
+    is an SGD epoch instead: its step t' (counted on from t) is
+    eta/sqrt(t'), with eta_snap_grad zero, or eta/sqrt(t') times q.  It
+    returns the average of the iterates, or the last one.  A step does O(d)
+    vector work; a row that holds every column is used whole rather than
+    gathered and scattered through its indices.
+    """
+    mat, d = problem.matrix, problem.d
+    step = problem.side.step_map()
+    coef = LOSSES[problem.loss.kind].scalar
+    y = problem.loss.labels.tolist()
+    q, has_q = problem.q, bool(np.any(problem.q))
+    indptr, indices, values = mat.indptr.tolist(), mat.indices, mat.data
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def steps(w, draws, snap_coef, weight, eta, eta_snap_grad, average, t):
+        snap_coef, weight, eta0 = snap_coef.tolist(), weight.tolist(), eta
         acc = np.zeros(d) if average else None
-        for i in sampling.draw_many(dist, m).tolist():
-            if sgd:
+        for i in draws.tolist():
+            if t is not None:
                 t += 1
-                eta = step_size / math.sqrt(t)
+                eta = eta0 / math.sqrt(t)
                 if has_q:  # eta times a zero q stays zero
                     eta_snap_grad = eta * q
             lo, hi = indptr[i], indptr[i + 1]
             val = values[lo:hi]
-            v = w - eta_snap_grad
+            v = w - eta_snap_grad  # w is never written in place: each step makes a new vector
             if hi - lo == d:  # a full row's indices are 0..d-1: no gather or scatter
                 c = (coef(float(val @ w), y[i]) - snap_coef[i]) / weight[i]
                 v -= (eta * c) * val
@@ -206,9 +248,99 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
             w = step(v, eta)
             if average:
                 acc += w
-        w_tilde = acc / m if average else w
-        record(k, cost, w_tilde, step_size)
-    return w_tilde
+        return acc / draws.size if average else w
+    return steps
+
+
+# the loss and side codes of _epoch.c; _IDENTITY is the penalty at lam = 0
+_LOSS_CODES = {LEAST_SQUARES: 0, LOGISTIC: 1}
+_BALL, _BOX, _PENALTY, _IDENTITY = range(4)
+
+
+def _side_args(side):
+    """(code, radius, lower, upper): the side as ``_epoch.c`` steps it."""
+    if isinstance(side, L1Ball):
+        return _BALL, side.tau, None, None
+    if isinstance(side, Box):
+        return _BOX, 0.0, side.lower, side.upper
+    return (_PENALTY if side.lam > 0 else _IDENTITY), side.lam, None, None
+
+
+def _compiled_steps(problem, kernel):
+    """``_numpy_steps(problem)``'s steps through the kernel that ``_epoch.load()`` returned."""
+    fn, ddot = kernel
+    mat = problem.matrix
+    code, radius, lower, upper = _side_args(problem.side)
+    q = problem.q if np.any(problem.q) else None
+    fixed = (ddot, problem.d, mat.indptr, mat.indices, mat.data, problem.loss.labels,
+             _LOSS_CODES[problem.loss.kind], code, radius, lower, upper)
+    fixed = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in fixed]
+    q_ptr = None if q is None else q.ctypes.data
+
+    def steps(w, draws, snap_coef, weight, eta, eta_snap_grad, average, t):
+        w = np.array(w, dtype=np.float64)
+        acc = np.zeros(problem.d) if average else None
+        draws = np.ascontiguousarray(draws, dtype=np.int64)
+        snap_coef = np.ascontiguousarray(snap_coef, dtype=np.float64)
+        weight = np.ascontiguousarray(weight, dtype=np.float64)
+        eta_snap_grad = np.ascontiguousarray(eta_snap_grad, dtype=np.float64)
+        if fn(*fixed, draws.ctypes.data, draws.size, snap_coef.ctypes.data, weight.ctypes.data,
+              eta, eta_snap_grad.ctypes.data, -1 if t is None else t, q_ptr, w.ctypes.data,
+              None if acc is None else acc.ctypes.data):
+            raise MemoryError("no scratch memory for the inner steps")
+        return acc / draws.size if average else w
+    return steps
+
+
+def _inner_steps(problem):
+    """The compiled steps if the kernel loads and passes its probe for this side and loss.
+
+    Otherwise the numpy loop.
+    """
+    from . import _epoch
+
+    kernel = _epoch.load()
+    if kernel is not None and _probe(_side_args(problem.side)[0], problem.loss.kind):
+        return _compiled_steps(problem, kernel)
+    return _numpy_steps(problem)
+
+
+@functools.lru_cache(maxsize=None)  # once per process, side and loss
+def _probe(code, loss):
+    """Whether both loops give the same bits on a fixed 12 x 7 problem with this side and loss.
+
+    Its rows are full, empty and partial, q is nonzero, and it runs an SGD
+    epoch (under a constraint) and averaged and last-iterate epochs.
+    """
+    rng = np.random.Generator(np.random.Philox(0xE90C))
+    n, d = 12, 7
+    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
+    X[0], X[1] = rng.standard_normal(d), 0.0
+    lower, upper = np.full(d, -0.3), np.full(d, 0.3)
+    lower[0] = upper[0] = 0.1
+    side = {_BALL: L1Ball(tau=0.5), _BOX: Box(lower=lower, upper=upper),
+            _PENALTY: L1Regularizer(lam=0.05), _IDENTITY: L1Regularizer(lam=0.0)}[code]
+    problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
+                          loss=LossSpec(kind=loss, labels=np.where(rng.random(n) < 0.5, -1.0, 1.0)),
+                          q=0.1 * rng.standard_normal(d), **{
+                              "constraint" if code < _PENALTY else "regularizer": side})
+    from . import _epoch
+
+    runs = []
+    for steps in (_numpy_steps(problem), _compiled_steps(problem, _epoch.load())):
+        out = []
+
+        def record(k, cost, w, step_size):
+            out.append((w + 0.0).tobytes())
+        w = np.zeros(d)
+        dist = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=1)
+        if code < _PENALTY:  # SGD runs under a constraint only
+            w = _epochs(problem, record, w, dist, range(1), 0.5, n, sgd=True, steps=steps)
+        for average in (True, False):
+            w = _epochs(problem, record, w, dist, range(2), 0.05, n, average=average,
+                        steps=steps)
+        runs.append(out)
+    return runs[0] == runs[1]
 
 
 def _stochastic_run(problem, config, w0, f_star, info, algorithm):

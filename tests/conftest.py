@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vrgrad import _epoch, solvers
 from vrgrad.problems import (
     Box,
     L1Ball,
@@ -44,6 +45,20 @@ def random_logistic(n, d, seed, constraint=None, regularizer=None):
     y = np.where(X @ w + 0.3 * rng.standard_normal(n) >= 0, 1.0, -1.0)
     return make_problem(X, y, task="logistic", constraint=constraint,
                         regularizer=regularizer)
+
+
+def inner_steps(loop):
+    """A stand-in for ``solvers._inner_steps`` that always takes one loop.
+
+    ``loop`` is "compiled" (the kernel of ``_epoch.c``; the test is skipped
+    where it does not build) or "numpy" (``solvers._numpy_steps``).
+    """
+    if loop == "numpy":
+        return solvers._numpy_steps
+    kernel = _epoch.load()
+    if kernel is None:
+        pytest.skip("the compiled inner-step kernel does not build here")
+    return lambda problem: solvers._compiled_steps(problem, kernel)
 
 
 @pytest.fixture

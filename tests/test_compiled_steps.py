@@ -1,0 +1,110 @@
+"""The compiled inner-step kernel: that it loads where it can, and that its absence is quiet.
+
+Bit-identity with the numpy loop is checked by the golden traces (both
+loops against one table) and by the differential properties in
+``test_properties.py``; this file covers the build, the cache and the
+fallback.
+"""
+
+import shutil
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from vrgrad import _epoch, solvers
+from vrgrad.problems import L1Ball, L1Regularizer
+from vrgrad.solvers import SolverConfig, run_prox_svrg, run_vrpsg
+
+from conftest import random_least_squares, random_logistic
+
+GCC = shutil.which("gcc")
+
+
+@pytest.fixture
+def fresh_load(monkeypatch, tmp_path):
+    """load() with its per-process answer forgotten and an empty cache directory."""
+    monkeypatch.setattr(_epoch, "_CACHE", tmp_path / "cache")
+    _epoch.load.cache_clear()
+    yield tmp_path / "cache"
+    _epoch.load.cache_clear()
+
+
+def _vrpsg_trace():
+    problem = random_least_squares(30, 8, seed=4, constraint=L1Ball(tau=0.5))
+    return run_vrpsg(problem, SolverConfig(epochs=3, step_size=0.02, seed=2))
+
+
+@pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
+def test_kernel_loads_and_passes_every_probe_where_gcc_is_on_path():
+    # a silent fallback to the numpy loop would keep every other test green
+    kernel = _epoch.load()
+    assert kernel is not None
+    for code in range(4):
+        for loss in ("least_squares", "logistic"):
+            assert solvers._probe(code, loss), (code, loss)
+    problem = random_logistic(10, 4, seed=1, regularizer=L1Regularizer(lam=0.1))
+    assert solvers._inner_steps(problem).__qualname__.startswith("_compiled_steps")
+
+
+@pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
+def test_build_is_cached_under_a_hash_and_leaves_no_temporary(fresh_load):
+    assert _epoch.load() is not None
+    built = sorted(p.name for p in fresh_load.iterdir())
+    assert len(built) == 1 and built[0].startswith("_epoch-") and built[0].endswith(".so")
+    _epoch.load.cache_clear()
+    assert _epoch.load() is not None
+    assert sorted(p.name for p in fresh_load.iterdir()) == built  # loaded, not rebuilt
+
+
+@pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
+def test_concurrent_builds_rename_whole_libraries_into_place(fresh_load):
+    with ThreadPoolExecutor(2) as pool:
+        paths = list(pool.map(lambda _: _epoch._build(GCC), range(2)))
+    assert paths[0] == paths[1]
+    assert [p.name for p in fresh_load.iterdir()] == [paths[0].name]
+
+
+def test_no_compiler_on_path_falls_back_quietly(fresh_load, monkeypatch, capfd):
+    want = _vrpsg_trace()
+    monkeypatch.setenv("PATH", "")
+    _epoch.load.cache_clear()
+    assert _epoch.load() is None
+    problem = random_least_squares(5, 3, seed=0, regularizer=L1Regularizer(lam=0.1))
+    assert solvers._inner_steps(problem).__qualname__.startswith("_numpy_steps")
+    got = _vrpsg_trace()
+    assert got.objective.tobytes() == want.objective.tobytes()
+    assert (got.final_iterate + 0.0).tobytes() == (want.final_iterate + 0.0).tobytes()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_unwritable_cache_falls_back_quietly(fresh_load, monkeypatch, tmp_path, capfd):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where the cache directory's parent should be")
+    monkeypatch.setattr(_epoch, "_CACHE", blocker / "cache")
+    assert _epoch.load() is None
+    problem = random_logistic(12, 4, seed=3, regularizer=L1Regularizer(lam=0.05))
+    trace = run_prox_svrg(problem, SolverConfig(epochs=2, step_size=0.1, seed=1))
+    assert np.all(np.isfinite(trace.objective))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_failing_compiler_falls_back_quietly(fresh_load, monkeypatch, tmp_path, capfd):
+    fake = tmp_path / "bin"
+    fake.mkdir()
+    (fake / "gcc").write_text("#!/bin/sh\necho broken >&2\nexit 1\n")
+    (fake / "gcc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(fake))
+    assert _epoch.load() is None
+    assert not any(fresh_load.iterdir())  # the failed build's temporary is gone
+    assert capfd.readouterr() == ("", "")
+
+
+def test_import_does_not_touch_the_kernel():
+    import subprocess
+
+    code = "import sys, vrgrad, vrgrad.cli; print('vrgrad._epoch' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(_epoch._SOURCE.parents[1])})
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,9 @@ Each case runs one solver on a tiny problem, writes its trace with the CLI's
 iterate's bytes (signed zeros folded to +0.0), and hashes the result.  The
 cases cover every algorithm x side x loss x sampling x averaging
 combination the solvers distinguish: ``sgd`` and ``afg`` ignore sampling
-and averaging, so they run once per side and loss.
+and averaging, so they run once per side and loss.  Each case runs through
+both inner-step loops, the compiled kernel (the bare case name) and the
+numpy loop (the name with ``-numpy``), against the one table.
 
 A change that alters a trace on purpose re-freezes the table below with
 
@@ -22,6 +24,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from vrgrad import solvers
 from vrgrad.cli import write_trace_csv
 from vrgrad.problems import (
     Box,
@@ -39,6 +42,8 @@ from vrgrad.solvers import (
     run_prox_svrg,
     run_vrpsg,
 )
+
+from conftest import inner_steps
 
 N, D = 20, 6
 SIDES = {
@@ -169,8 +174,11 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", list(_cases()))
-def test_trace_matches_frozen_hash(case, tmp_path):
+@pytest.mark.parametrize("case, loop", [
+    pytest.param(case, loop, id=case if loop == "compiled" else f"{case}-numpy")
+    for loop in ("compiled", "numpy") for case in _cases()])
+def test_trace_matches_frozen_hash(case, loop, tmp_path, monkeypatch):
+    monkeypatch.setattr(solvers, "_inner_steps", inner_steps(loop))
     assert _digest(_run(case), str(tmp_path)) == GOLDEN[case]
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from vrgrad import certificates, solvers
+from vrgrad import _epoch, certificates, solvers
 from vrgrad.certificates import box_rows, l1_ball_rows
 from vrgrad.geometry import (
     box_kernel,
@@ -31,6 +31,9 @@ from vrgrad.problems import (
     Box,
     L1Ball,
     L1Regularizer,
+    LossSpec,
+    ProblemSpec,
+    SparseDesignMatrix,
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
@@ -45,7 +48,7 @@ from vrgrad.solvers import (
     run_vrpsg,
 )
 
-from conftest import make_problem
+from conftest import inner_steps, make_problem
 from test_certificates import hoffman_loop
 
 EPS = np.finfo(np.float64).eps
@@ -118,8 +121,9 @@ def test_draw_many_blocks_match_repeated_draw(seed, mode, blocks, scales):
     got = np.concatenate([draw_many(bulk, b) for b in blocks] + [np.empty(0, np.int64)])
     want = np.array([draw(single) for _ in range(sum(blocks))], dtype=np.int64)
     assert np.array_equal(got, want)
-    assert bulk.draw_count == single.draw_count == sum(blocks)
-    assert draw(bulk) == draw(single)  # the streams stay in step afterwards
+    # both streams stand at draw sum(blocks), and stay in step afterwards
+    assert np.array_equal(draw_many(bulk, 5), draw_many(single, 5))
+    assert draw(bulk) == draw(single)
 
 
 def rounding(v, tau):
@@ -338,6 +342,120 @@ def test_solvers_count_gradients_exactly_and_stay_feasible(case):
         scale = np.maximum(np.abs(side.lower), np.abs(side.upper))
         assert np.all(w >= side.lower - sums * scale)
         assert np.all(w <= side.upper + sums * scale)
+
+
+# ---- the compiled inner steps against the numpy loop, bit for bit
+
+KERNEL = _epoch.load()
+needs_kernel = pytest.mark.skipif(KERNEL is None, reason="the compiled kernel does not build here")
+
+
+def csr_designs(max_n=6, max_d=8):
+    """(n, d, indptr, indices, data) with rows that are full, partial or empty."""
+    def rows(nd):
+        n, d = nd
+        kinds = st.sampled_from(["full", "partial", "empty"])
+        cols = kinds.flatmap(lambda k: st.just(list(range(d))) if k == "full" else
+                             st.just([]) if k == "empty" else
+                             st.sets(st.integers(0, d - 1), min_size=1).map(sorted))
+        return st.tuples(st.just(n), st.just(d), st.lists(cols, min_size=n, max_size=n),
+                         st.lists(st.floats(-2.0, 2.0), min_size=n * d, max_size=n * d))
+    return st.tuples(st.integers(1, max_n), st.integers(1, max_d)).flatmap(rows)
+
+
+def kernel_sides(d):
+    ball = st.sampled_from([0.5, 3.0, 1e6, 1e-13]).map(lambda tau: L1Ball(tau=tau))
+    bounds = st.tuples(arrays(np.float64, d, elements=st.floats(-1.0, 0.5)),
+                       arrays(np.float64, d, elements=st.sampled_from([0.0, 0.0, 0.3, 1.0])))
+    box = bounds.map(lambda lw: Box(lower=lw[0], upper=lw[0] + lw[1]))
+    lam = st.sampled_from([0.0, 0.02, 0.5]).map(lambda lam: L1Regularizer(lam=lam))
+    return st.one_of(ball, box, lam)
+
+
+differential_cases = csr_designs().flatmap(lambda design: st.tuples(
+    st.just(design), kernel_sides(design[1]),
+    st.sampled_from(["least_squares", "logistic"]),
+    st.sampled_from(["vrpsg", "vrpsg2", "sgd"]), st.booleans(),
+    st.sampled_from([1.0, 375.0]),  # 375: margins near the logistic's saturation at 750
+    st.booleans(),  # q nonzero
+    st.sampled_from([0.03, 0.4, 1e4]),  # 1e4 blows up
+    st.integers(1, 7), st.sampled_from([UNIFORM, PROPORTIONAL]), st.integers(0, 2 ** 32 - 1)))
+
+
+def outcome(run):
+    try:
+        trace = run()
+    except (solvers.DivergenceError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (trace.epoch.tobytes(), trace.grad_evals.tobytes(), trace.objective.tobytes(),
+            (trace.final_iterate + 0.0).tobytes())
+
+
+@needs_kernel
+@PROPS
+@given(differential_cases)
+@example(((2, 3, [[0, 1, 2], []], [1.0, -1.5, 0.5, 0.0, 0.0, 0.0]), L1Regularizer(lam=0.02),
+           "logistic", "vrpsg", True, 375.0, True, 1e4, 5, PROPORTIONAL, 3))  # diverges at epoch 1
+def test_compiled_steps_equal_the_numpy_loop(case):
+    (n, d, cols, values), side, loss, algorithm, avg, scale, with_q, eta, m, mode, seed = case
+    indices = [j for row in cols for j in row]
+    data = [values[k] * scale for k in range(len(indices))]
+    matrix = SparseDesignMatrix(n, d, np.cumsum([0] + [len(r) for r in cols]), indices, data)
+    rng = np.random.Generator(np.random.Philox(seed))
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0) * (1.0 if loss == "logistic" else 2.0)
+    q = 0.3 * rng.standard_normal(d) if with_q else None
+    if isinstance(side, L1Regularizer):
+        algorithm, where = "prox_svrg", {"regularizer": side}
+    else:
+        where = {"constraint": side}
+    problem = ProblemSpec(matrix=matrix, loss=LossSpec(kind=loss, labels=labels), q=q, **where)
+    w0 = 2.0 * rng.standard_normal(d)
+    config = SolverConfig(epochs=3, step_size=eta, inner_iterations=m, seed=seed,
+                          sgd_initial_step=min(eta, 1.0) * 5.0, sampling_mode=mode,
+                          average_epoch_output=avg)
+    run = {"vrpsg": run_vrpsg, "vrpsg2": run_hybrid_vrpsg2, "sgd": run_projected_sgd,
+           "prox_svrg": run_prox_svrg}[algorithm]
+    got = {}
+    for loop in ("numpy", "compiled"):
+        with mock.patch.object(solvers, "_inner_steps", inner_steps(loop)):
+            got[loop] = outcome(lambda: run(problem, config, w0=w0))
+    assert got["compiled"] == got["numpy"]
+
+
+@needs_kernel
+@PROPS
+@given(vectors, st.one_of(radii, st.just(1e-13), st.floats(1e290, 1e308)))
+@example(np.array([1e308, 1e308]), 1.0)  # the l1 sum overflows
+@example(np.array([3.0, 3.0, 3.0, -3.0, 1.0, 1.0]), 5.0)  # ties across the threshold
+# three magnitudes tie at the threshold, and the rounded test admits them: the
+# partial sort alone would stop short, so the guard must send this to the full sort
+@example(np.array([0.5629921770044009, 1.43046318141301, -0.5758757359602791,
+                   -0.10530144599225422, 0.10530144599225422, -0.10530144599225422,
+                   0.06926315598997633, 0.04509221114797176, -0.05515059068711284]),
+         2.253426756400927)
+# tau is numpy's pairwise l1 sum, which a sequential sum would overshoot
+@example(np.array([-1.370340246561741, 2.1755979241438617, -1.387413231554587,
+                   -1.0775204968476604, -1.2008631075528253, 1.1103678017586875,
+                   -0.8880848611591907, 0.6686564129642129, 0.5875101525212513,
+                   0.25967041104814037, -1.3075789066569106, -0.6121063779878204,
+                   1.6731149700340762, -1.2907543993826185, -0.8316549603684383,
+                   -0.1622465227803788, 0.808990072037372, 0.251639190604869,
+                   0.7420441592953383, -1.0672942329719948, 0.9447765939160119]),
+         20.418225032147987)
+# tau lies between the sorted sequential sum and numpy's pairwise sum, so the
+# threshold is negative, and the zero entry must stay zero
+@example(np.array([-2.556, 0.0, -0.568, -0.453, -0.216, -2.02, -0.232, -0.865, 3.323, 0.226,
+                   -0.353, -0.281, -0.668, -1.055, -0.391, 0.482, -0.239]),
+         13.927999999999999)
+def test_compiled_step_projects_like_the_l1_ball_kernel(v, tau):
+    # one step from w = 0 on an empty row with a zero coefficient is the projection of -g
+    problem = ProblemSpec(matrix=SparseDesignMatrix(1, v.size, [0, 0], [], []),
+                          loss=LossSpec(kind="least_squares", labels=[0.0]),
+                          constraint=L1Ball(tau=tau))
+    steps = inner_steps("compiled")(problem)
+    w = steps(np.zeros(v.size), np.zeros(1, np.int64), np.zeros(1), np.ones(1), 1.0, -v,
+              False, None)
+    assert (w + 0.0).tobytes() == (project_l1_ball(v, tau) + 0.0).tobytes()
 
 
 def degenerate_rows(d):
