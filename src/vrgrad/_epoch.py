@@ -5,9 +5,10 @@ package's ``__pycache__``, under a name keyed by a hash of the source and
 the flags, and loaded through ctypes; later processes load the cached
 library.  The compiler writes to a temporary name that is then renamed
 into place, so processes that build at once do not see each other's half
-written files.  ``load()`` returns None, quietly, when there is no
-compiler, the cache cannot be written, the build fails, or numpy's BLAS
-``ddot`` cannot be found: the caller then runs the numpy loop.
+written files, and a new build removes the libraries of older sources.
+``load()`` returns None, quietly, when there is no compiler, the cache
+cannot be written, the build fails, or numpy's BLAS ``ddot`` cannot be
+found: the caller then runs the numpy loop.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def _build(compiler) -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in set(_CACHE.glob("_epoch-*.so")) - {target}:  # from older sources
+            stale.unlink(missing_ok=True)
     return target
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import sampling
 from .problems import (
-    L1Ball,
     ProblemSpec,
     aggregate_lipschitz,
     compute_lipschitz_info,
@@ -39,8 +38,6 @@ _REFERENCE_TOL = 1e-12  # ... stopping once the gradient mapping norm is below t
 _RANK_TOL = 1e-10  # hoffman_theta_bound: a basis has sigma_min/sigma_max above this
 _MAX_COLUMNS = 24  # the enumeration's budget: columns of [C', X'] ...
 _MAX_SUBSETS = 200_000  # ... and column subsets
-_DYKSTRA_MAX_SWEEPS = 10 ** 5  # ssc_probe: a projection still moving after this is skipped
-_DYKSTRA_MOVE_TOL = 1e-11  # a sweep moving less than this has converged
 _VARIANCE_DRAWS = 10 ** 5  # variance_diagnostic: samples of the direction
 
 # Column subsets per stacked SVD call in hoffman_theta_bound: large enough
@@ -70,23 +67,19 @@ class EnumerationBudgetError(CertificateError):
 class OptimalFacts:
     """High-accuracy reference facts about one problem's optimal set.
 
-    ``r_star`` is the margin vector X w*, constant across the whole optimal
-    set, and so is s_star + reg_level: the linear level ``s_star`` = q' w*
-    plus ``reg_level``, the side's penalty at w* (lam*||w*||_1, or 0 under a
-    constraint).  Under a penalty with q != 0 the two parts can trade off
-    along the optimal set, so neither is constant alone.  ``certified``
-    means every start reached the gradient mapping tolerance and all finals
-    agree on X w and on q' w + penalty(w) to 1e-6.
+    X w = ``r_star`` all over the optimal set, so the smooth part's gradient
+    X' grad_h(r*) + q, with ``grad_h_at_r_star`` = grad_h(r*), is constant
+    there and names the side's face that holds it (``ssc_probe``).
+    ``certified`` means every start reached the gradient mapping tolerance
+    and all finals agree on X w and on q' w + penalty(w) to 1e-6.
     """
 
     f_star: float
     r_star: np.ndarray
-    s_star: float
     grad_h_at_r_star: np.ndarray
     reference_solutions: List[np.ndarray]
     tolerance_achieved: float
     certified: bool
-    reg_level: float = 0.0
 
 
 class ReferenceRun(NamedTuple):
@@ -128,14 +121,10 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     worst_gm = max(run.gradient_mapping for run in runs)
 
     values = [run.objective for run in runs]
-    best = int(np.argmin(values))
-    w_star = finals[best]
+    w_star = finals[int(np.argmin(values))]
     r_star = problem.matrix.matvec(w_star)
     grad_h = margin_coefficients(problem, r_star) / problem.n
-    s_star = float(problem.q @ w_star)
-    reg_level = problem.side.penalty(w_star)
-
-    level = s_star + reg_level
+    level = float(problem.q @ w_star) + problem.side.penalty(w_star)
     unique = all(
         np.linalg.norm(problem.matrix.matvec(w) - r_star) <= 1e-6
         and abs(float(problem.q @ w) + problem.side.penalty(w) - level) <= 1e-6
@@ -144,12 +133,10 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     return OptimalFacts(
         f_star=float(min(values)),
         r_star=r_star,
-        s_star=s_star,
         grad_h_at_r_star=grad_h,
         reference_solutions=finals,
         tolerance_achieved=worst_gm,
         certified=unique and worst_gm <= _REFERENCE_TOL,
-        reg_level=reg_level,
     )
 
 
@@ -366,54 +353,51 @@ class SSCProbe:
 
     beta_empirical: float
     ratios_used: int
-    skipped: int
+    on_set: int  # probes within 1e-8 of the optimal set, left out of the ratio
 
 
-def _dykstra(start, step, proj_affine):
-    """Dykstra's alternating projections: ``step`` at unit step, then ``proj_affine``.
+def _projector(A, t):
+    """Exact projection (w, G, h) -> z onto {z : A z = t, G z <= h}, A factored once.
 
-    Returns x once a sweep moves it less than ``_DYKSTRA_MOVE_TOL`` and it
-    lies within 1e-7 (1 + ||x||) of y, else None after the budget: x can
-    settle before y does, as when the two sets meet in a single point.
+    The affine projection p is the answer unless p breaks a row of G and A has
+    a null space N; then z = p + N y, y the least-distance solution of
+    G (p + N y) <= h by one nonnegative least squares (Lawson & Hanson 1974).
     """
-    x = start.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(_DYKSTRA_MAX_SWEEPS):
-        y = step(x + p, 1.0)
-        p = x + p - y
-        x_new = proj_affine(y + q)
-        q = y + q - x_new
-        if (np.linalg.norm(x_new - x) < _DYKSTRA_MOVE_TOL
-                and np.linalg.norm(x_new - y) <= 1e-7 * (1.0 + np.linalg.norm(x_new))):
-            return x_new
-        x = x_new
-    return None
+    u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])  # vt spans R^d
+    rank = int(np.sum(s > s[0] * max(A.shape) * np.finfo(np.float64).eps))
+    pinv, null = vt[:rank].T @ (u[:, :rank].T / s[:rank, None]), vt[rank:].T
+
+    def project(w, G, h):
+        p = w - pinv @ (A @ w - t)
+        if not null.shape[1] or not np.any(G @ p > h):
+            return p
+        from scipy.optimize import nnls  # about 0.25 s to import, so only here
+
+        ldp = np.vstack([-(G @ null).T, G @ p - h])  # min ||y|| s.t. -G N y >= G p - h
+        e = np.eye(len(ldp))[-1]
+        r = ldp @ nnls(ldp, e)[0] - e
+        if not r[-1] < 0.0:
+            raise CertificateError("the optimal set's face rows have no common point")
+        return p - null @ (r[:-1] / r[-1])
+
+    return project
 
 
 def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
               seed: int = 0) -> SSCProbe:
-    """Empirical worst-case ratio 2 (f(w) - f*) / dist(w, W*)^2 over probes.
+    """Empirical worst-case ratio 2 (f(w) - f*) / dist(w, W*)^2 over probes, exact distances.
 
-    The optimal set is the polyhedron {X w = r*, q' w = s*} intersected
-    with the feasible set (constrained), or {X w = r*, lam ||w||_1 = reg_level}
-    (regularized with q = 0; realized as the ball ||w||_1 <= reg_level/lam,
-    which the optimal-value argument forces to hold with equality, checked
-    on each limit).  That ball misses the optimal set's q row, so a
-    regularized problem with q != 0 raises CertificateError.  Distances come
-    from Dykstra alternating projections between the affine part and the
-    convex part.
+    The smooth gradient g* = X' grad_h(r*) + q is constant on the optimal set,
+    so W* is {X w = r*} on the face ``side.face(g*, tol)``, tol = 1e-9
+    max(1, ||g*||_inf): of the ball or box, or the penalty's sign pattern (q != 0
+    and lam = 0 included).  ``_projector`` projects onto W*, adding ``side.cut``
+    rows while the result leaves the set (the whole ball, g* = 0).  A reference
+    final farther than 1e-9 (1 + ||w||) from W* raises CertificateError.
 
     Probes mix random feasible points with perturbations of the reference
-    optimum at several scales.  A probe whose projection fails to converge
-    is skipped; more than 10% skips, a nonpositive worst ratio, or no
-    usable probe at all raises CertificateError.  Probes landing on the
-    optimal set (dist^2 < 1e-16) are excluded from the ratio, not counted
-    as skips.
+    optimum at several scales.  Each is within 1e-8 of W* (``on_set``) or
+    gives a ratio; a nonpositive worst ratio, or none, raises CertificateError.
     """
-    if not problem.is_constrained and np.any(problem.q):
-        raise CertificateError("ssc_probe models a regularized optimal set only for q = 0; "
-                               "this problem has a nonzero q")
     if not facts.certified:
         raise CertificateError("reference facts are not certified; solve tighter first")
     if problem.d > 50:
@@ -422,61 +406,40 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
         raise ValueError("need at least one probe")
 
     rng = np.random.Generator(np.random.Philox(seed))
+    side = problem.side
     Xd = problem.matrix.toarray()
-    w_star = facts.reference_solutions[0]
+    g_star = Xd.T @ facts.grad_h_at_r_star + problem.q
+    E, e, G, h = side.face(g_star, 1e-9 * max(1.0, float(np.max(np.abs(g_star)))))
+    project = _projector(np.vstack([Xd, E]), np.concatenate([facts.r_star, e]))
 
-    if problem.is_constrained:
-        A = np.vstack([Xd, problem.q[None, :]])
-        target = np.concatenate([facts.r_star, [facts.s_star]])
-    else:
-        A = Xd
-        target = facts.r_star
-    pinv = np.linalg.pinv(A)
+    def project_optimal(w):
+        rows, rhs = G, h
+        z = project(w, rows, rhs)
+        # a cut is a new sign vector, so this ends; a repeated one could only be rounding
+        while (cut := side.cut(z)) is not None and not (rows == cut[0]).all(1).any():
+            rows, rhs = np.vstack([rows, cut[0]]), np.append(rhs, cut[1])
+            z = project(w, rows, rhs)
+        return z
 
-    def proj_affine(v):
-        return v - pinv @ (A @ v - target)
+    for u in facts.reference_solutions:
+        if np.linalg.norm(u - project_optimal(u)) > 1e-9 * (1.0 + np.linalg.norm(u)):
+            raise CertificateError("a reference final lies off the optimal set; solve tighter")
 
-    ball_radius = None
-    if problem.is_constrained:
-        step = problem.side.step_map()
-    elif problem.regularizer.lam > 0:
-        ball_radius = facts.reg_level / problem.regularizer.lam  # = ||w*||_1
-        step = L1Ball(ball_radius).step_map() if ball_radius > 0 else lambda v, s: np.zeros_like(v)
-    else:
-        step = None  # lam = 0: the optimal set is purely affine
-
-    def probe_point(j):
-        scale_cycle = (1e-3, 1e-2, 1e-1, 1.0)
-        if problem.is_constrained and j % 2 == 0:
-            return problem.side.sample(rng, problem.d)
-        w = w_star + scale_cycle[j % 4] * rng.standard_normal(problem.d)
-        if problem.is_constrained:
-            w = step(w, 1.0)
-        return w
-
-    ratios, skipped = [], 0
+    step, w_star = side.step_map(), facts.reference_solutions[0]
+    ratios = []
     for j in range(probes):
-        w = probe_point(j)
-        gap = eval_objective(problem, w) - facts.f_star
-        if step is None:
-            z = proj_affine(w)
+        if problem.is_constrained and j % 2 == 0:
+            w = side.sample(rng, problem.d)
         else:
-            z = _dykstra(w, step, proj_affine)
-            if z is None:
-                skipped += 1
-                continue
-            if ball_radius is not None and abs(np.abs(z).sum() - ball_radius) > 1e-7 * (1.0 + ball_radius):
-                skipped += 1  # penalty level failed to activate at the limit
-                continue
-        dist_sq = float(np.dot(w - z, w - z))
-        if dist_sq < 1e-16:
-            continue
-        ratios.append(2.0 * gap / dist_sq)
+            w = w_star + (1e-3, 1e-2, 1e-1, 1.0)[j % 4] * rng.standard_normal(problem.d)
+            if problem.is_constrained:
+                w = step(w, 1.0)
+        gap = eval_objective(problem, w) - facts.f_star
+        off = w - project_optimal(w)
+        dist_sq = float(off @ off)
+        if dist_sq >= 1e-16:  # else the probe is on the optimal set
+            ratios.append(2.0 * gap / dist_sq)
 
-    if skipped > 0.1 * probes:
-        raise CertificateError(
-            f"{skipped}/{probes} probes failed to project onto the optimal set"
-        )
     if not ratios:
         raise CertificateError("every probe landed on the optimal set; nothing to certify")
     beta_emp = float(min(ratios))
@@ -484,7 +447,7 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
         raise CertificateError(
             f"nonpositive empirical ratio {beta_emp:g}; reference accuracy is insufficient"
         )
-    return SSCProbe(beta_empirical=beta_emp, ratios_used=len(ratios), skipped=skipped)
+    return SSCProbe(beta_emp, ratios_used=len(ratios), on_set=probes - len(ratios))
 
 
 @dataclass

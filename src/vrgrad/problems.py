@@ -167,6 +167,10 @@ class LossSpec:
 # unchecked geometry kernels because the side was checked when it was built;
 # penalty(w) is its term in the objective; sample(rng, d) draws a point of the
 # set; diameter and margin_bound(X), the largest |x_i' w| there, are inf for a penalty.
+# face(g, tol) gives rows (E, e, G, h), E w = e and G w <= h, of the face where -g
+# is in the normal cone, or in lam times the l1 subdifferential, a |g_j| within tol
+# of a threshold counting as at it; cut(z) is a row (a, b), a' w <= b on the set,
+# that a z meeting the face rows breaks, or None: only the whole l1 ball needs one.
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,18 @@ class L1Ball:
 
     def margin_bound(self, matrix) -> float:
         return self.tau * float(np.max(np.abs(matrix.data), initial=0.0))
+
+    def face(self, g, tol):
+        top = float(np.max(np.abs(g), initial=0.0))
+        if top <= tol:  # g = 0 exposes the whole ball
+            return (np.empty((0, g.size)), np.empty(0)) * 2
+        on = np.abs(g) >= top - tol  # w_j = 0 off these, sign(g_j) w_j <= 0 on them
+        s, eye = np.sign(g) * on, np.eye(g.size)
+        return (np.vstack([eye[~on], -s]), np.append(np.zeros(g.size - on.sum()), self.tau),
+                eye[on] * s[on, None], np.zeros(on.sum()))
+
+    def cut(self, z):
+        return None if np.abs(z).sum() <= self.tau * (1.0 + 1e-12) else (np.sign(z), self.tau)
 
 
 @dataclass
@@ -236,6 +252,14 @@ class Box:
         absX = np.abs(matrix.toarray())  # a sparse product may sum in another order
         return float(np.max(absX @ np.maximum(np.abs(self.lower), np.abs(self.upper)), initial=0.0))
 
+    def face(self, g, tol):
+        free, eye = np.abs(g) <= tol, np.eye(g.size)  # else at lower where g > 0, upper where g < 0
+        return (eye[~free], np.where(g > 0, self.lower, self.upper)[~free],
+                np.vstack([eye[free], -eye[free]]), np.append(self.upper[free], -self.lower[free]))
+
+    def cut(self, z):
+        return None
+
 
 @dataclass(frozen=True)
 class L1Regularizer:
@@ -263,6 +287,16 @@ class L1Regularizer:
 
     def margin_bound(self, matrix) -> float:
         return float("inf")
+
+    def face(self, g, tol):
+        if self.lam == 0.0:
+            return (np.empty((0, g.size)), np.empty(0)) * 2
+        zero, eye = np.abs(g) < self.lam - tol, np.eye(g.size)  # sign(g_j) w_j <= 0 elsewhere
+        return (eye[zero], np.zeros(zero.sum()),
+                eye[~zero] * np.sign(g[~zero])[:, None], np.zeros(g.size - zero.sum()))
+
+    def cut(self, z):
+        return None
 
 
 @dataclass

@@ -7,6 +7,7 @@ with the library's SVD enumeration is two routes to the same quantity.
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,12 +353,12 @@ def test_reference_solution_certifies_and_invariants_agree():
     facts = reference_solution(prob, seed=0)
     assert facts.certified
     assert facts.tolerance_achieved <= 1e-12
-    assert facts.reg_level == 0.0  # a constraint's penalty
     # (X w*, q' w*) invariant across all starts, here and under a different
     # draw of random starting points
     other = reference_solution(prob, seed=1)
     assert np.linalg.norm(other.r_star - facts.r_star) <= 1e-6
-    assert abs(other.s_star - facts.s_star) <= 1e-6
+    linear = [float(prob.q @ w) for w in facts.reference_solutions + other.reference_solutions]
+    assert max(linear) - min(linear) <= 1e-6
     assert other.f_star == pytest.approx(facts.f_star, abs=1e-12)
     for w in facts.reference_solutions:
         assert np.abs(w).sum() <= 4.0 + 1e-9
@@ -388,14 +389,17 @@ def test_reference_solution_compares_the_invariant_sum_across_starts():
     assert max(penalty) - min(penalty) > 1e-3
     sums = [s + p for s, p in zip(linear, penalty)]
     assert max(sums) - min(sums) <= 1e-12
-    assert sums[0] == pytest.approx(facts.s_star + facts.reg_level, abs=1e-12)
+    assert eval_objective(prob, facts.reference_solutions[0]) == pytest.approx(
+        facts.f_star, abs=1e-12)
 
 
-def test_ssc_probe_refuses_a_regularized_problem_with_q():
-    # its ball model ||w||_1 <= reg_level/lam has no q row, so it is wrong here
+def test_ssc_probe_handles_a_regularized_problem_with_q():
+    # the optimal set is a segment along which q' w and lam ||w||_1 trade off;
+    # the face of -g* (w1 <= 0 <= w2, w3 <= 0 here) holds all of it
     prob = duplicated_column_problem()
-    with pytest.raises(CertificateError, match="only for q = 0"):
-        ssc_probe(prob, reference_solution(prob), probes=10)
+    probe = ssc_probe(prob, reference_solution(prob), probes=100, seed=0)
+    assert probe.beta_empirical > 0.0
+    assert probe.ratios_used + probe.on_set == 100
 
 
 def test_bounded_gap_dominates_sampled_gaps():
@@ -420,7 +424,44 @@ def test_ssc_probe_positive_on_rank_deficient_instance():
     probe = ssc_probe(prob, facts, probes=100, seed=0)
     assert probe.beta_empirical > 0.0
     assert probe.ratios_used > 0
-    assert probe.skipped <= 10
+    assert probe.ratios_used + probe.on_set == 100  # no probe is skipped
+
+
+@pytest.mark.parametrize("task", ["least_squares", "logistic"])
+def test_ssc_probe_on_a_face_of_the_l1_ball(task):
+    # the optimal set meets the ball only on a face, where alternating
+    # projections crept: 20 probes took over 4 s; exact projections take ms
+    matrix, y = gen_synthetic(SyntheticSpec(n=30, d=8, rank=4, task=task, seed=7))
+    prob = ProblemSpec(matrix=matrix, loss=LossSpec(kind=task, labels=y),
+                       constraint=L1Ball(tau=2.0))
+    probe = ssc_probe(prob, reference_solution(prob), probes=200, seed=0)
+    assert probe.beta_empirical > 0.0
+    assert probe.ratios_used + probe.on_set == 200
+
+
+def test_probe_on_a_full_column_rank_box_imports_no_scipy_optimize_or_linalg():
+    # X has full column rank, so the optimal set is one point and no
+    # least-distance program is solved
+    import subprocess
+    import sys
+
+    code = """if True:
+        import sys
+        import numpy as np
+        from vrgrad.certificates import box_rows, build_certificate
+        from vrgrad.problems import Box, LossSpec, ProblemSpec, SparseDesignMatrix
+        X = np.array([[1.0, 0], [0, 1.0], [2.0, 0], [0, 2.0], [1.0, 0], [0, 1.0]])
+        box = Box(lower=np.full(2, -1.0), upper=np.full(2, 1.0))
+        prob = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X), constraint=box,
+                           loss=LossSpec("least_squares", X @ np.array([0.3, -0.2])))
+        report = build_certificate(prob, *box_rows(box.lower, box.upper), probe=True, probes=60)
+        assert report.beta_empirical > 0.0
+        print(sorted(m for m in sys.modules if m in ("scipy.optimize", "scipy.linalg")))
+    """
+    src = str(Path(certificates.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def strongly_convex_control(**side):
@@ -444,11 +485,11 @@ def test_ssc_probe_meets_strong_convexity_on_control():
 
 @pytest.mark.parametrize("lam", [0.0, 0.01, 0.05, 0.5])
 def test_regularized_ssc_probe_meets_strong_convexity_on_control(lam):
-    # the optimal set is the single point w*: for lam > 0, Dykstra's x reaches
-    # it after two sweeps, before y does, so a projection waits for y to agree
+    # the optimal set is the single point w*: lam = 0 gives no face rows and
+    # X alone pins it; every probe lies off it and is used
     prob, mu_tilde = strongly_convex_control(regularizer=L1Regularizer(lam=lam))
     probe = ssc_probe(prob, reference_solution(prob), probes=100, seed=0)
-    assert probe.skipped == 0
+    assert probe.ratios_used == 100 and probe.on_set == 0
     assert probe.beta_empirical >= mu_tilde - 1e-6
 
 
@@ -516,6 +557,7 @@ def test_certificate_rate_consistent_with_rate_formula():
     ("certificates.bounded_gap_M", "radius"),
     ("certificates.mu_estimate", "facts"), ("certificates.mu_estimate", "grid"),
     ("certificates.ssc_probe", "max_sweeps"), ("certificates.ssc_probe", "move_tol"),
+    ("certificates.ssc_probe", "tol"),
     ("certificates.variance_diagnostic", "draws"),
     ("cli.cmd_solve", "seed"),
 ])

@@ -186,6 +186,16 @@ def test_certify_non_contractive_exits_three(tmp_path):
     assert payload["contractive"] is False
 
 
+def test_certify_l1_ball_with_probe_writes_beta_empirical(tmp_path, capsys):
+    # the probe projects onto a face of the ball, exactly, through the CLI
+    cfg = write_config(tmp_path, {**NON_CONTRACTIVE_CERTIFY, "probe": True})
+    out = tmp_path / "cert"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 3
+    payload = json.loads((out / "certificate.json").read_text())
+    assert payload["beta_empirical"] > 0.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("problem, message", [
     ({"constraint": {"type": "l1_ball", "tau": 1.0}}, "capped at d = 4"),
     ({"constraint": {"type": "box", "lower": -1.0, "upper": 1.0}},

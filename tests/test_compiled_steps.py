@@ -66,6 +66,18 @@ def test_concurrent_builds_rename_whole_libraries_into_place(fresh_load):
     assert [p.name for p in fresh_load.iterdir()] == [paths[0].name]
 
 
+@pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
+def test_a_build_from_a_new_source_removes_the_old_library(fresh_load, monkeypatch, tmp_path):
+    source = tmp_path / "_epoch.c"
+    source.write_bytes(_epoch._SOURCE.read_bytes())
+    monkeypatch.setattr(_epoch, "_SOURCE", source)
+    old = _epoch._build(GCC)
+    source.write_bytes(_epoch._SOURCE.read_bytes() + b"/* edited */\n")
+    new = _epoch._build(GCC)
+    assert new != old
+    assert [p.name for p in fresh_load.iterdir()] == [new.name]
+
+
 def test_no_compiler_on_path_falls_back_quietly(fresh_load, monkeypatch, capfd):
     want = _vrpsg_trace()
     monkeypatch.setenv("PATH", "")

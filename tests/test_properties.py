@@ -5,7 +5,8 @@ the projections and the prox; the side interface (step maps, penalties)
 and the full-gradient baseline's two matrix branches; the stochastic
 solvers' gradient-evaluation accounting and feasibility; then the batched
 Hoffman bound, over extended bases, against its one-SVD-per-subset
-reference, and the closed-form mu against the 201-point grid it replaced.
+reference, the closed-form mu against the 201-point grid it replaced, and
+the semi-strong-convexity probe's projections onto the optimal set.
 """
 
 from unittest import mock
@@ -530,3 +531,140 @@ def test_mu_is_sigma_prime_at_the_largest_margin(X, radius, ball):
             else Box(lower=np.full(d, -radius), upper=np.full(d, radius)))
     problem = make_problem(X, np.ones(X.shape[0]), task="logistic", constraint=side)
     assert certificates.mu_estimate(problem) == mu_on_the_grid(problem)
+
+
+def optimal_set_cases():
+    """(problem, probes): small low-rank problems on every side, with q != 0 and lam = 0.
+
+    Each has a minimizer: under lam = 0 the loss is least squares and q lies
+    in the row space of X, and under lam > 0 every |q_j| is below lam.  The
+    nonzero singular values of X lie in [0.5, 2], so the reference solves
+    are short; ``ill_conditioned_case`` is the other kind.
+    """
+    def build(n, d, rank, seed, kind, logistic, with_q):
+        rng = np.random.Generator(np.random.Philox(seed))
+        left, right = (np.linalg.qr(rng.standard_normal((k, rank)))[0] for k in (n, d))
+        X = (left * rng.uniform(0.5, 2.0, rank)) @ right.T
+        y = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+        task = "logistic" if logistic and kind != "lam = 0" else "least_squares"
+        if task == "logistic":
+            y = np.where(y >= 0.0, 1.0, -1.0)
+        if kind == "ball":
+            side, q = {"constraint": L1Ball(rng.uniform(0.1, 3.0))}, rng.standard_normal(d)
+        elif kind == "box":
+            lower = -rng.uniform(0.0, 1.0, d)  # some lower == upper == 0
+            upper = np.where(rng.random(d) < 0.2, lower, rng.uniform(0.0, 1.0, d))
+            side, q = {"constraint": Box(lower, upper)}, rng.standard_normal(d)
+        elif kind == "lam > 0":
+            lam = rng.uniform(0.01, 1.0)
+            side, q = {"regularizer": L1Regularizer(lam)}, lam * rng.uniform(-0.9, 0.9, d)
+        else:
+            side, q = {"regularizer": L1Regularizer(0.0)}, 0.1 * X.T @ rng.standard_normal(n)
+        return make_problem(X, y, task=task, q=q if with_q else None, **side), 40
+
+    return st.tuples(st.integers(3, 8), st.integers(2, 5)).flatmap(lambda nd: st.builds(
+        build, st.just(nd[0]), st.just(nd[1]), st.integers(1, min(nd)), st.integers(0, 2 ** 32),
+        st.sampled_from(["ball", "box", "lam > 0", "lam = 0"]), st.booleans(), st.booleans()))
+
+
+def whole_ball_case():
+    """g* = 0: the optimal set is the part of the line t (1, 0.4, 0.4) in the l1 ball.
+
+    The affine projection of a ball point near e_1 leaves the ball, by up to
+    a factor 1.8 / 1.32 = 1.36 in the l1 norm.
+    """
+    X = np.array([[-0.4, 1.0, 0.0], [-0.4, 0.0, 1.0], [-0.8, 1.0, 1.0]])
+    return make_problem(X, np.zeros(3), constraint=L1Ball(1.0)), 40
+
+
+def ill_conditioned_case():
+    """Least squares with lam = 0 and a small eigenvalue of X'X/n (two near-equal columns).
+
+    The reference solve's 1e-12 gradient mapping leaves its finals more than
+    1e-9 off {X w = r*} here, so the probe refuses.
+    """
+    rng = np.random.Generator(np.random.Philox(6))
+    X = rng.standard_normal((4, 3))
+    X = np.column_stack([X, X[:, 2] + 1e-2 * rng.standard_normal(4)])
+    return make_problem(X, rng.standard_normal(4), regularizer=L1Regularizer(0.0)), 40
+
+
+def probe_projections(problem, probes):
+    """Run ssc_probe, recording [X; E], [r*; e] and each point's last (w, G, h, z).
+
+    A point's projection is redone after each cut row, so a repeated w
+    replaces its entry; returns the facts, the rows, the entries and the cuts.
+    """
+    facts = certificates.reference_solution(problem)
+    assert facts.certified
+    factored, calls, cuts = [], [], []
+    projector = certificates._projector
+
+    def recording(A, t):
+        factored.append((A, t))
+        project = projector(A, t)
+
+        def wrapped(w, G, h):
+            z = project(w, G, h)
+            if calls and calls[-1][0] is w:
+                cuts.append(calls.pop())
+            calls.append((w, G, h, z))
+            return z
+        return wrapped
+
+    with mock.patch.object(certificates, "_projector", recording):
+        try:
+            certificates.ssc_probe(problem, facts, probes=probes)
+        except certificates.CertificateError as err:  # a refusal must be true
+            if "every probe landed" in str(err):  # as on a box that is one point
+                probes_made = calls[len(facts.reference_solutions):]
+                assert all((w - z) @ (w - z) < 1e-16 for w, _, _, z in probes_made)
+            else:  # a final the reference solve left more than 1e-9 off W*
+                assert "off the optimal set" in str(err)
+                u, _, _, z = calls[-1]
+                assert np.linalg.norm(u - z) > 1e-9 * (1.0 + np.linalg.norm(u))
+                calls.clear()
+    return facts, factored[0], calls, len(cuts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(optimal_set_cases())
+@example(whole_ball_case())
+@example((make_problem(np.ones((3, 2)), np.ones(3), constraint=Box(-np.ones(2), -np.ones(2))),
+          40))  # a box of one point: every probe lands on W*, and the probe refuses
+@example(ill_conditioned_case())
+def test_probe_projections_are_exact(case):
+    # z is the projection of w onto W* exactly when z meets every row and
+    # (w - z)'(u - z) <= 0 for every u in W*: the reference finals (within
+    # 1e-9 of W*) and the other projections
+    problem, probes = case
+    facts, (A, t), calls, _ = probe_projections(problem, probes)
+    n, step = problem.n, problem.side.step_map()
+    E, e = A[n:], t[n:]
+    points = facts.reference_solutions + [z for *_, z in calls]
+    for w, G, h, z in calls:
+        assert np.linalg.norm(A[:n] @ z - facts.r_star) <= 1e-9
+        assert np.all(np.abs(E @ z - e) <= 1e-12) and np.all(G @ z <= h + 1e-12)
+        if problem.is_constrained:  # the side's own projection leaves z in place
+            assert np.linalg.norm(step(z, 1.0) - z) <= 1e-12
+        for u in points:
+            scale = (1.0 + np.linalg.norm(w - z)) * (1.0 + np.linalg.norm(u))
+            assert (w - z) @ (u - z) <= 1e-9 * scale
+
+
+def test_whole_ball_projections_add_sign_rows():
+    # g* = 0 leaves the face rows empty; an affine projection outside the
+    # ball must be cut back by sign(z)' w <= tau
+    *_, calls, cuts = probe_projections(*whole_ball_case())
+    assert cuts >= 1
+    assert all(np.abs(z).sum() <= 1.0 + 1e-12 for *_, z in calls)
+
+
+def test_a_repeated_cut_row_ends_the_projection():
+    # every cut row is new in exact arithmetic; one handed back again (here
+    # forced, in practice only by rounding) must end the loop, not repeat it
+    problem, probes = whole_ball_case()
+    facts = certificates.reference_solution(problem)
+    with mock.patch.object(L1Ball, "cut", lambda self, z: (np.sign(z), self.tau)):
+        probe = certificates.ssc_probe(problem, facts, probes=probes)
+    assert probe.beta_empirical > 0.0
