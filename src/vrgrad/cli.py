@@ -2,6 +2,7 @@
 
 Configs are JSON files with optional ``--set key=value`` overrides (dots
 descend into nested objects; values are parsed as JSON when possible).
+Each config block is one table of its keys; a key in no table is refused.
 Outputs are deterministic byte-for-byte given the same config and seed,
 except for wall-clock columns.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,47 +38,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _get(cfg: dict, key: str, default=_REQUIRED, kind=None):
-    """cfg[key], or ``default`` when absent, converted by ``kind`` if given.
-
-    A value that ``kind`` cannot convert, such as a list where a number
-    belongs, is a ConfigError.  A None value passes through unconverted
-    when the default is None, so an optional key may also be null.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"expected a JSON object holding {key!r}, got {cfg!r}")
-    if key in cfg:
-        value = cfg[key]
-    elif default is _REQUIRED:
-        raise ConfigError(f"config is missing required key {key!r}")
-    else:
-        value = default
-    if kind is None or (value is None and default is None):
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
-
-
+# Kinds: each converts one JSON value of a config key, or refuses it with a
+# TypeError (the wrong JSON type) or a ValueError (a value out of range).
 def _each(kind):
-    """A ``kind`` for _get that takes a JSON list and converts each entry."""
+    """A kind for a non-empty JSON list, each entry converted by ``kind`` (None: as it is)."""
     def convert(values):
         if not isinstance(values, (list, tuple)):
             raise TypeError("not a list")
-        return [kind(v) for v in values]
+        if not values:
+            raise ValueError("the list is empty")
+        return [v if kind is None else kind(v) for v in values]
     return convert
 
 
 def _number(value):
-    """A ``kind`` for _get that accepts only a JSON number, as a float."""
+    """A kind that accepts only a finite JSON number, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("not a number")
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
     return float(value)
 
 
 def _integer(value):
-    """A ``kind`` for _get that accepts only a JSON number with an integral value."""
+    """A kind that accepts only a JSON number with an integral value."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -85,18 +70,115 @@ def _integer(value):
 
 
 def _float_array(value):
-    """A ``kind`` for _get that accepts a JSON number or nested lists of them, as an array."""
+    """A kind that accepts a JSON number or nested lists of them, as an array."""
     array = np.asarray(value, dtype=object)  # a ragged list keeps lists as its entries
     for item in array.flat:
         _number(item)
     return array.astype(np.float64)
 
 
-def _flag(value):
-    """A ``kind`` for _get that accepts only JSON true or false."""
-    if not isinstance(value, bool):
-        raise TypeError("not true or false")
-    return value
+def _only(cls):
+    """A kind that accepts only the JSON values that json reads as ``cls``."""
+    def check(value):
+        if not isinstance(value, cls):
+            raise TypeError(f"not a {cls.__name__}")
+        return value
+    return check
+
+
+_flag, _text, _object = _only(bool), _only(str), _only(dict)
+
+
+def _read(block, table, path: str, name: str = "") -> dict:
+    """The block's value for each key of ``table``, checked and converted.
+
+    ``table`` maps key -> (kind, default), or is a variant (key, default, tables)
+    whose ``key`` picks the table of the other keys.  A key with the default
+    _REQUIRED must be set, null passes where the default is null, and a key
+    that the table does not declare is refused."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {path or name!r} must be a JSON object, got {block!r}")
+    prefix = f"{path}." if path else ""
+    if isinstance(table, tuple):
+        key, default, tables = table
+        choice = block.get(key, default)
+        if choice is not _REQUIRED and (not isinstance(choice, str) or choice not in tables):
+            raise ConfigError(f"unknown {prefix + key} {choice!r}; valid: {', '.join(tables)}")
+        table = {key: (None, default), **tables.get(choice, {})}
+    values = {}
+    for key, (kind, default) in table.items():
+        if key not in block and default is _REQUIRED:
+            raise ConfigError(f"config is missing required key {prefix + key!r}")
+        value = block.get(key, default)
+        unset = value is None and default is None
+        values[key] = value if unset else _convert(kind, value, prefix + key)
+    for key in block:
+        if key not in table:
+            raise ConfigError(f"config key {prefix + key!r} is not accepted; "
+                              f"{name or path} takes: {', '.join(table)}")
+    return values
+
+
+def _convert(kind, value, key: str):
+    """``value`` of the config ``key`` (a dotted path), converted by ``kind``:
+    a kind above, None (the value as it is), or the table of a nested block."""
+    if kind is None:
+        return value
+    if isinstance(kind, (dict, tuple)):
+        return _read(value, kind, key)
+    try:
+        return kind(value)
+    except TypeError:
+        raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(f"config key {key!r} has an invalid value {value!r}: {e}") from None
+
+
+# One table per config block: key -> (kind, default).  A key that means the
+# same in several blocks is declared once, in a fragment they share.
+_SEED = {"seed": (_integer, 0)}
+_SAMPLING = {"sampling": (None, sampling.PROPORTIONAL)}
+_TASK = {"task": (_text, problems.LEAST_SQUARES)}
+_REFERENCE = {"reference": ({"compute": (_flag, True)}, {})}
+_DATASET_KINDS = ("kind", "synthetic", {  # a variant: "kind" picks the other keys
+    "synthetic": {"n": (_integer, _REQUIRED), "d": (_integer, _REQUIRED),
+                  "rank": (_integer, _REQUIRED), **_TASK, "noise_std": (_number, 0.0),
+                  "row_scale_spread": (_number, 1.0), **_SEED},
+    "libsvm": {"path": (_text, _REQUIRED), "n_cols": (_integer, None), **_TASK,
+               "remap01": (_flag, False)},
+    "inline": {"X": (_float_array, _REQUIRED), "y": (_float_array, _REQUIRED), **_TASK},
+})
+_PROBLEM = {
+    "q": (_float_array, None),
+    "constraint": (("type", _REQUIRED, {
+        "l1_ball": {"tau": (_number, _REQUIRED)},
+        "box": {"lower": (_float_array, _REQUIRED), "upper": (_float_array, _REQUIRED)},
+    }), None),
+    "regularizer": ({"lam": (_number, _REQUIRED)}, None),
+}
+_INPUTS = {"dataset": (None, _REQUIRED), "problem": (_PROBLEM, _REQUIRED)}  # see build_dataset
+# the keys of one solver run: all that a bench sweep may vary
+_RUN = {
+    "algorithm": (_text, _REQUIRED), **_SAMPLING, "eta": (_number, 1.0),
+    "eta_units": (None, "inv_lp"), "m": (_integer, None), "m_factor": (_number, None),
+    "epochs": (_integer, 10), "eta0": (_number, 1.0), "average_epoch_output": (_flag, True),
+}
+_SOLVE = {**_INPUTS, **_REFERENCE, **_SEED, **_RUN}
+_CERTIFY = {  # no reference block: certify always runs the reference solve
+    **_INPUTS, **_SEED, **_SAMPLING, "probe": (_flag, False), "probes": (_integer, 200),
+    "eta_fractions": (_each(_number), (0.02, 0.05, 0.1, 0.2)),
+    "m_values": (_each(_integer), (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7)),
+}
+# a bench dataset entry, and an algorithm cell: a run that takes the keys it does not set,
+# all but the algorithm, from the top level of the bench config
+_ENTRY = {"name": (None, _REQUIRED), **_INPUTS}
+_CELL = {"name": (_text, None), **_RUN}
+_BENCH = {
+    "datasets": (_each(_object), _REQUIRED), "algorithms": (_each(_object), _REQUIRED),
+    "seeds": (_each(_integer), [0]),
+    "sweep": ({"param": (_text, _REQUIRED), "values": (_each(None), _REQUIRED)}, None),
+    **_REFERENCE, **{k: v for k, v in _RUN.items() if k != "algorithm"},
+}
 
 
 def load_config(path: str, overrides) -> dict:
@@ -128,111 +210,74 @@ def load_config(path: str, overrides) -> dict:
 
 
 def build_dataset(cfg: dict):
-    """Return (matrix, labels, task) from a dataset config block."""
-    kind = _get(cfg, "kind", "synthetic")
-    if kind == "synthetic":
-        spec = data.SyntheticSpec(
-            n=_get(cfg, "n", kind=_integer),
-            d=_get(cfg, "d", kind=_integer),
-            rank=_get(cfg, "rank", kind=_integer),
-            task=_get(cfg, "task", problems.LEAST_SQUARES, kind=str),
-            noise_std=_get(cfg, "noise_std", 0.0, kind=_number),
-            row_scale_spread=_get(cfg, "row_scale_spread", 1.0, kind=_number),
-            seed=_get(cfg, "seed", 0, kind=_integer),
-        )
-        matrix, y = data.gen_synthetic(spec)
-        return matrix, y, spec.task
-    if kind == "libsvm":
-        task = _get(cfg, "task", None, kind=str)
-        matrix, y = data.read_libsvm(
-            _get(cfg, "path", kind=str),
-            n_cols=_get(cfg, "n_cols", None, kind=_integer),
-            task=task,
-            remap01=_get(cfg, "remap01", False, kind=_flag),
-        )
-        return matrix, y, task or problems.LEAST_SQUARES
-    if kind == "inline":
-        X = _get(cfg, "X", kind=_float_array)
-        y = _get(cfg, "y", kind=_float_array)
-        return problems.SparseDesignMatrix.from_dense(X), y, _get(
-            cfg, "task", problems.LEAST_SQUARES, kind=str)
-    raise ConfigError(f"unknown dataset kind {kind!r}; valid: synthetic, libsvm, inline")
-
-
-def _expand_bound(arr, d):
-    return np.full(d, float(arr)) if arr.ndim == 0 else arr
+    """Return (matrix, labels, task) from a dataset config block, read here, where it
+    is built, and not with the blocks around it, so that an inline X is converted once."""
+    c = _read(cfg, _DATASET_KINDS, "dataset")
+    args = {k: v for k, v in c.items() if k != "kind"}
+    if c["kind"] == "synthetic":
+        matrix, y = data.gen_synthetic(data.SyntheticSpec(**args))
+    elif c["kind"] == "libsvm":
+        matrix, y = data.read_libsvm(**args)
+    else:
+        matrix, y = problems.SparseDesignMatrix.from_dense(c["X"]), c["y"]
+    return matrix, y, c["task"]
 
 
 def build_problem(cfg: dict):
-    """Assemble a ProblemSpec from the dataset and problem config blocks."""
-    matrix, y, task = build_dataset(_get(cfg, "dataset"))
-    pcfg = _get(cfg, "problem", {})
-    q = _get(pcfg, "q", None)
+    """Assemble a ProblemSpec from the dataset and problem config blocks.
+
+    Only those two keys of cfg are read, so a whole solve or certify
+    config, or a bench dataset entry, may be passed as it is.
+    """
+    inputs = _read({k: cfg[k] for k in _INPUTS if k in cfg}, _INPUTS, "")
+    matrix, y, task = build_dataset(inputs["dataset"])
+    p = inputs["problem"]
+    c, r = p["constraint"], p["regularizer"]
+    if (c is None) == (r is None):
+        raise ConfigError("problem needs a constraint or a regularizer, not both")
     constraint = regularizer = None
-    ccfg = _get(pcfg, "constraint", None)
-    rcfg = _get(pcfg, "regularizer", None)
-    if ccfg is not None and rcfg is not None:
-        raise ConfigError("problem cannot have both a constraint and a regularizer")
-    if ccfg is not None:
-        ctype = _get(ccfg, "type")
-        if ctype == "l1_ball":
-            constraint = problems.L1Ball(tau=_get(ccfg, "tau", kind=_number))
-        elif ctype == "box":
-            constraint = problems.Box(
-                lower=_expand_bound(_get(ccfg, "lower", kind=_float_array), matrix.n_cols),
-                upper=_expand_bound(_get(ccfg, "upper", kind=_float_array), matrix.n_cols),
-            )
-        else:
-            raise ConfigError(f"unknown constraint type {ctype!r}; valid: l1_ball, box")
-    elif rcfg is not None:
-        regularizer = problems.L1Regularizer(lam=_get(rcfg, "lam", kind=_number))
+    if c is not None and c["type"] == "l1_ball":
+        constraint = problems.L1Ball(tau=c["tau"])
+    elif c is not None:  # a box bound given as one number holds for every coordinate
+        lower, upper = (np.full(matrix.n_cols, float(a)) if a.ndim == 0 else a
+                        for a in (c["lower"], c["upper"]))
+        constraint = problems.Box(lower=lower, upper=upper)
     else:
-        raise ConfigError("problem needs a constraint or a regularizer")
+        regularizer = problems.L1Regularizer(lam=r["lam"])
     loss = problems.LossSpec(kind=task, labels=y)
-    return problems.ProblemSpec(matrix=matrix, loss=loss, q=q,
+    return problems.ProblemSpec(matrix=matrix, loss=loss, q=p["q"],
                                 constraint=constraint, regularizer=regularizer)
 
 
-_ALGORITHMS = ("vrpsg", "prox_svrg", "sgd", "afg", "vrpsg2")
-# the keys _resolve_run reads: all that a bench sweep may vary
-_RUN_KEYS = ("algorithm", "sampling", "eta", "eta_units", "m", "m_factor", "epochs", "eta0",
-             "average_epoch_output")
-
-
-def _resolve_run(problem, info, cfg: dict, seed: int):
-    """Turn a run config into (algorithm, SolverConfig, resolved-eta, m, l_p)."""
-    algorithm = _get(cfg, "algorithm")
-    if algorithm not in _ALGORITHMS:
+def _resolve_run(problem, info, run: dict, seed: int):
+    """Turn the values of a run block into (algorithm, SolverConfig, resolved-eta, m, l_p)."""
+    algorithm, mode = run["algorithm"], run["sampling"]
+    if algorithm not in _RUNNERS:
         raise ConfigError(
-            f"unknown algorithm {algorithm!r}; valid choices: {', '.join(_ALGORITHMS)}")
-    mode = _get(cfg, "sampling", sampling.PROPORTIONAL)
+            f"unknown algorithm {algorithm!r}; valid choices: {', '.join(_RUNNERS)}")
     dist = sampling.build_distribution(mode, info, seed=seed)
     l_p = problems.aggregate_lipschitz(info, dist)
 
-    eta = _get(cfg, "eta", 1.0, kind=_number)
-    units = _get(cfg, "eta_units", "inv_lp")
+    units = run["eta_units"]
     if units == "inv_lp":
         if l_p <= 0:
             raise ConfigError("eta_units=inv_lp needs a positive weighted Lipschitz constant")
-        eta_abs = eta / l_p
+        eta_abs = run["eta"] / l_p
     elif units == "absolute":
-        eta_abs = eta
+        eta_abs = run["eta"]
     else:
         raise ConfigError(f"unknown eta_units {units!r}; valid: inv_lp, absolute")
 
-    m = _get(cfg, "m", None, kind=_integer)
-    m_factor = _get(cfg, "m_factor", None, kind=_number)
-    if m is None and m_factor is not None:
+    m, m_factor = run["m"], run["m_factor"]
+    if m_factor is not None and (m is not None or not 0 < m_factor * problem.n < math.inf):
+        raise ConfigError("a run sets m or m_factor, not both" if m is not None else
+                          f"m_factor must be positive, with m_factor n finite; got {m_factor!r}")
+    if m_factor is not None:
         m = max(1, int(round(m_factor * problem.n)))
     solver_cfg = solvers.SolverConfig(
-        epochs=_get(cfg, "epochs", 10, kind=_integer),
-        step_size=eta_abs,
-        inner_iterations=m,
-        sgd_initial_step=_get(cfg, "eta0", 1.0, kind=_number),
-        seed=seed,
-        sampling_mode=mode,
-        average_epoch_output=_get(cfg, "average_epoch_output", True, kind=_flag),
-    )
+        epochs=run["epochs"], step_size=eta_abs, inner_iterations=m,
+        sgd_initial_step=run["eta0"], seed=seed, sampling_mode=mode,
+        average_epoch_output=run["average_epoch_output"])
     return algorithm, solver_cfg, eta_abs, m, l_p
 
 
@@ -281,33 +326,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _reference_compute(cfg: dict) -> bool:
-    """The ``reference`` block's ``compute`` switch, the block's only key.
-
-    The reference solve's tolerance and seed are fixed, so a config that
-    still sets ``reference_tol`` or another key of the block is refused,
-    naming the key, rather than ignored.
-    """
-    ref_cfg = _get(cfg, "reference", {})
-    compute = _get(ref_cfg, "compute", True, kind=_flag)
-    fixed = ["reference_tol"] if "reference_tol" in cfg else []
-    fixed += [f"reference.{k}" for k in ref_cfg if k != "compute"]
-    if fixed:
-        raise ConfigError(f"config key {fixed[0]!r} is not accepted: the reference block takes "
-                          "only 'compute', and the reference tolerance and seed are fixed")
-    return compute
-
-
 def cmd_solve(cfg: dict, out_dir: str) -> int:
+    run = _read(cfg, _SOLVE, "", "solve")  # the run keys and the rest of the top level
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    compute_reference = _reference_compute(cfg)
     problem = build_problem(cfg)
-    run_seed = _get(cfg, "seed", 0, kind=_integer)
-
     info = problems.compute_lipschitz_info(problem)
-    algorithm, solver_cfg, eta_abs, m, l_p = _resolve_run(problem, info, cfg, run_seed)
-    ref = certificates.reference_run(problem) if compute_reference else None
+    algorithm, solver_cfg, eta_abs, m, l_p = _resolve_run(problem, info, run, run["seed"])
+    ref = certificates.reference_run(problem) if run["reference"]["compute"] else None
     f_star = None if ref is None else ref.objective
 
     trace = _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
@@ -317,7 +343,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         "config": cfg,
         "versions": _versions(),
         "algorithm": algorithm,
-        "seed": run_seed,
+        "seed": run["seed"],
         "rows": int(trace.epoch.size),
         "eta_resolved": eta_abs,
         "m_resolved": m,
@@ -350,68 +376,50 @@ def _set_dataset(problem, info, f_star):
 
 def _bench_cell(job):
     """Run one (algorithm, sweep value, seed) cell of the current dataset; returns its RunTrace."""
-    run_cfg, seed = job
+    run, seed = job
     problem, info, f_star = _DATASET
-    algorithm, solver_cfg = _resolve_run(problem, info, run_cfg, seed)[:2]
+    algorithm, solver_cfg = _resolve_run(problem, info, run, seed)[:2]
     return _RUNNERS[algorithm](problem, solver_cfg, f_star, info)
 
 
-def _blocks(cfg: dict, key: str) -> list:
-    value = _get(cfg, key)
-    if not value or not isinstance(value, list) or not all(isinstance(b, dict) for b in value):
-        raise ConfigError(f"bench needs {key} as a non-empty list of JSON objects")
-    return value
-
-
 def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    datasets, algorithms = _blocks(cfg, "datasets"), _blocks(cfg, "algorithms")
-    names = [_get(a, "name", a.get("algorithm"), kind=str) for a in algorithms]
-    seeds = _get(cfg, "seeds", [0], kind=_each(_integer))
-    sweep = cfg.get("sweep")
-    sweep_param, sweep_values = None, [None]
-    if sweep is not None:
-        sweep_param = _get(sweep, "param", kind=str)
-        sweep_values = _get(sweep, "values")
-        if not sweep_values or not isinstance(sweep_values, list):
-            raise ConfigError("sweep.values must be a non-empty list")
-        if sweep_param not in _RUN_KEYS:
-            raise ConfigError(f"sweep.param {sweep_param!r} is not a run key; "
-                              f"valid: {', '.join(_RUN_KEYS)}")
-        for v in sweep_values:
+    if workers < 1:
+        raise ConfigError(f"bench needs at least one worker process, got --workers {workers}")
+    top = _read(cfg, _BENCH, "", "bench")
+    param, points = None, [(None, {})]  # (sweep value, the run keys it sets)
+    if top["sweep"] is not None:
+        param, values = top["sweep"]["param"], top["sweep"]["values"]
+        if param not in _RUN:
+            raise ConfigError(f"sweep.param {param!r} is not a run key; valid: {', '.join(_RUN)}")
+        for v in values:
             if isinstance(v, (list, dict)):
                 raise ConfigError(f"sweep value {v!r} is not a JSON scalar")
-    # each dataset's problem is built once, so a cell may not redefine it
-    for key in (k for a in algorithms for k in a):
-        if key in ("dataset", "problem"):
-            raise ConfigError(f"bench cells cannot set {key!r}; give it per dataset")
+        points = [(v, {param: _convert(_RUN[param][0], v, "sweep.values")}) for v in values]
+    base = {k: cfg[k] for k in _RUN if k in cfg}
+    cells = [_read({**base, **a}, _CELL, f"algorithms[{i}]")
+             for i, a in enumerate(top["algorithms"])]
+    names = [c["algorithm"] if c["name"] is None else c["name"] for c in cells]
     # a cell is named by these, in its trace file and its aggregate row
-    ds_names = [_get(ds_cfg, "name") for ds_cfg in datasets]
+    ds_names = [entry.get("name") for entry in top["datasets"]]
     for what, values in (("dataset name", ds_names), ("algorithm name", names),
-                         ("seed", seeds), ("sweep value", sweep_values)):
+                         ("seed", top["seeds"]), ("sweep value", [sv for sv, _ in points])):
         for i, v in enumerate(values):
             if any(v == u or str(v) == str(u) for u in values[:i]):
                 raise ConfigError(f"bench repeats the {what} {v!r}; cells would collide")
+    for i, entry in enumerate(top["datasets"]):
+        _read(_read(entry, _ENTRY, f"datasets[{i}]")["dataset"], _DATASET_KINDS,
+              f"datasets[{i}].dataset")
 
-    base = {k: v for k, v in cfg.items()
-            if k not in ("datasets", "algorithms", "seeds", "sweep")}
-    compute_reference = _reference_compute(cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest_cells = []
-    for ds_name, ds_cfg in zip(ds_names, datasets):
-        problem = build_problem({"dataset": _get(ds_cfg, "dataset"),
-                                 "problem": _get(ds_cfg, "problem")})
+    for ds_name, entry in zip(ds_names, top["datasets"]):
+        problem = build_problem(entry)
         info = problems.compute_lipschitz_info(problem)
-        ref = certificates.reference_run(problem) if compute_reference else None
+        ref = certificates.reference_run(problem) if top["reference"]["compute"] else None
         f_star = None if ref is None else ref.objective
-        jobs = []
-        for name, algo_cfg in zip(names, algorithms):
-            for sv in sweep_values:
-                run_cfg = dict(base, **{k: v for k, v in algo_cfg.items() if k != "name"})
-                if sweep_param is not None:
-                    run_cfg[sweep_param] = sv
-                for seed in seeds:
-                    jobs.append((name, sv, seed, (run_cfg, seed)))
+        jobs = [(name, sv, seed, ({**cell, **swept}, seed)) for name, cell in zip(names, cells)
+                for sv, swept in points for seed in top["seeds"]]
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, initializer=_set_dataset,
@@ -425,7 +433,7 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
         # per-cell traces, then per-(algorithm, sweep value) mean gap over seeds
         grouped = {}
         for (name, sv, seed, _), trace in zip(jobs, results):
-            tag = f"{name}" if sv is None else f"{name}_{sweep_param}={sv}"
+            tag = f"{name}" if sv is None else f"{name}_{param}={sv}"
             write_trace_csv(out / f"trace_{ds_name}_{tag}_s{seed}.csv", trace)
             grouped.setdefault((name, sv), []).append(trace)
             manifest_cells.append({"dataset": ds_name, "algorithm": name,
@@ -464,10 +472,9 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
 
 
 def cmd_certify(cfg: dict, out_dir: str) -> int:
+    top = _read(cfg, _CERTIFY, "", "certify")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not _reference_compute(cfg):
-        raise ConfigError("certify needs the reference solve; reference.compute cannot be false")
     problem = build_problem(cfg)
     c = problem.constraint
     if isinstance(c, problems.L1Ball):
@@ -478,15 +485,8 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
         raise ConfigError("certify needs a constrained problem (l1_ball or box)")
 
     report = certificates.build_certificate(
-        problem, C, b,
-        sampling_mode=_get(cfg, "sampling", sampling.PROPORTIONAL),
-        eta_fractions=_get(cfg, "eta_fractions", (0.02, 0.05, 0.1, 0.2), kind=_each(_number)),
-        m_values=_get(cfg, "m_values", (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7),
-                      kind=_each(_integer)),
-        probe=_get(cfg, "probe", False, kind=_flag),
-        probes=_get(cfg, "probes", 200, kind=_integer),
-        seed=_get(cfg, "seed", 0, kind=_integer),
-    )
+        problem, C, b, sampling_mode=top["sampling"], eta_fractions=top["eta_fractions"],
+        m_values=top["m_values"], probe=top["probe"], probes=top["probes"], seed=top["seed"])
     payload = report.to_dict()
     payload["versions"] = _versions()
     _write_json(out / "certificate.json", payload)

@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import pickle
+import re
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,20 +414,46 @@ def test_bench_checks_its_sweep_before_building_a_problem(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith(f"error: {named}")
 
 
-def test_a_sweep_may_vary_exactly_the_keys_a_run_reads(monkeypatch):
-    from vrgrad import cli, problems
+class Built(Exception):
+    """Raised after the first problem build: every config check up to it passed."""
 
-    problem = cli.build_problem(BASE_SOLVE)
-    info = problems.compute_lipschitz_info(problem)
-    read, original = [], cli._get
 
-    def recorded(cfg, key, *args, **kwargs):
-        read.append(key)
-        return original(cfg, key, *args, **kwargs)
+def stop_after_the_first_build(monkeypatch):
+    """Make cli.build_problem build, record the problem and stop the command."""
+    from vrgrad import cli
 
-    monkeypatch.setattr(cli, "_get", recorded)
-    cli._resolve_run(problem, info, BASE_SOLVE, 0)
-    assert sorted(read) == sorted(cli._RUN_KEYS)
+    original, built = cli.build_problem, []
+
+    def build_then_stop(cfg):
+        built.append(original(cfg))
+        raise Built
+
+    monkeypatch.setattr(cli, "build_problem", build_then_stop)
+    return built
+
+
+# a value of each run key that a run accepts
+RUN_VALUES = {"algorithm": "sgd", "sampling": "uniform", "eta": 0.05, "eta_units": "absolute",
+              "m": 5, "m_factor": 0.5, "epochs": 2, "eta0": 0.5, "average_epoch_output": False}
+
+
+def test_a_sweep_may_vary_exactly_the_run_keys(tmp_path, monkeypatch, capsys):
+    # every key of the run table passes the sweep checks; a key outside it does not
+    from vrgrad import cli
+
+    assert list(RUN_VALUES) == list(cli._RUN)
+    stop_after_the_first_build(monkeypatch)
+    for param in list(RUN_VALUES) + ["seed", "name", "reference", "dataset"]:
+        cfg = bench_config([{"name": "vr", "algorithm": "vrpsg"}],
+                           sweep={"param": param, "values": [RUN_VALUES.get(param, 1)]})
+        args = ["bench", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "b")]
+        if param in RUN_VALUES:
+            with pytest.raises(Built):
+                main(args)
+        else:
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: sweep.param {param!r} is not a run key")
 
 
 @pytest.mark.parametrize("where", ["sweep", "algorithm"])
@@ -441,7 +469,9 @@ def test_bench_cells_cannot_redefine_the_problem(tmp_path, capsys, where, key):
     assert main(["bench", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "bench")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+    named = (f"sweep.param {key!r}" if where == "sweep"
+             else f"'algorithms[0].{key}' is not accepted")
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
 def test_bench_workers_match_a_single_process(tmp_path):
@@ -595,85 +625,163 @@ TINY_GRID = bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 
 
 
 DIVERGING = [NO_REFERENCE, f"problem={json.dumps(HUGE_BOX)}"]
-EXIT_CODES = {  # case: (command, config, --set overrides or "--flag value" args, exit code)
-    "solve": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2"], 0),
-    "solve-sgd": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2", "algorithm=sgd"], 0),
-    "certify-contractive": ("certify", CONTRACTIVE_CERTIFY, [], 0),
+WRONG_TYPE = "has a value of the wrong type"
+NOT_FINITE = "has an invalid value {}: not a finite number"
+# case: (command, config, --set overrides or "--flag value" args, exit code,
+#        a fragment of the first line of standard error, for exit codes 1 and 2)
+EXIT_CODES = {
+    "solve": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2"], 0, None),
+    "solve-sgd": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2", "algorithm=sgd"], 0, None),
+    "certify-contractive": ("certify", CONTRACTIVE_CERTIFY, [], 0, None),
     # config blocks that are not objects
-    "dataset-not-object": ("solve", README_SOLVE, ["dataset=5"], 1),
-    "constraint-not-object": ("solve", README_SOLVE, ["problem.constraint=3"], 1),
-    "problem-a-list": ("solve", README_SOLVE, ["problem=[1]"], 1),
-    "reference-not-object": ("solve", README_SOLVE, ["reference=true"], 1),
-    "algorithm-not-object": ("bench", TINY_GRID, ["algorithms=[5]"], 1),
-    "datasets-not-a-list": ("bench", TINY_GRID, ["datasets=5"], 1),
-    "sweep-not-object": ("bench", TINY_GRID, ["sweep=3"], 1),
+    "dataset-not-object": ("solve", README_SOLVE, ["dataset=5"], 1,
+                           "config block 'dataset' must be a JSON object"),
+    "constraint-not-object": ("solve", README_SOLVE, ["problem.constraint=3"], 1,
+                              "config block 'problem.constraint' must be a JSON object"),
+    "problem-a-list": ("solve", README_SOLVE, ["problem=[1]"], 1,
+                       "config block 'problem' must be a JSON object"),
+    "reference-not-object": ("solve", README_SOLVE, ["reference=true"], 1,
+                             "config block 'reference' must be a JSON object"),
+    "algorithm-not-object": ("bench", TINY_GRID, ["algorithms=[5]"], 1,
+                             f"config key 'algorithms' {WRONG_TYPE}"),
+    "datasets-not-a-list": ("bench", TINY_GRID, ["datasets=5"], 1,
+                            f"config key 'datasets' {WRONG_TYPE}"),
+    "sweep-not-object": ("bench", TINY_GRID, ["sweep=3"], 1,
+                         "config block 'sweep' must be a JSON object"),
     # values of the wrong JSON type
-    "epochs-a-list": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=[1]"], 1),
-    "m-a-list": ("solve", README_SOLVE, [NO_REFERENCE, "m=[1]"], 1),
-    "eta-an-object": ("solve", README_SOLVE, [NO_REFERENCE, 'eta={"a": 1}'], 1),
-    "seeds-a-number": ("bench", TINY_GRID, ["seeds=5"], 1),
-    "sweep-values-a-number": ("bench", TINY_GRID, ['sweep={"param": "eta", "values": 5}'], 1),
-    "eta-fractions-a-number": ("certify", CONTRACTIVE_CERTIFY, ["eta_fractions=0.1"], 1),
-    "m-values-of-strings": ("certify", CONTRACTIVE_CERTIFY, ['m_values=["x"]'], 1),
-    # numbers are JSON numbers, and an integer has an integral value
-    "epochs-a-fraction": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2.5"], 1),
-    "epochs-a-bool": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=true"], 1),
-    "epochs-a-string": ("solve", README_SOLVE, [NO_REFERENCE, 'epochs="4"'], 1),
-    "epochs-an-integral-float": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2.0"], 0),
-    "eta-a-bool": ("solve", README_SOLVE, [NO_REFERENCE, "eta=true"], 1),
-    "eta-beyond-a-float": ("solve", README_SOLVE, [NO_REFERENCE, "eta=" + "9" * 400], 1),
-    "m-a-fraction": ("solve", README_SOLVE, [NO_REFERENCE, "m=7.9"], 1),
-    "m-values-a-fraction": ("certify", CONTRACTIVE_CERTIFY, ["m_values=[10.5]"], 1),
+    "epochs-a-list": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=[1]"], 1,
+                      f"config key 'epochs' {WRONG_TYPE}"),
+    "m-a-list": ("solve", README_SOLVE, [NO_REFERENCE, "m=[1]"], 1,
+                 f"config key 'm' {WRONG_TYPE}"),
+    "eta-an-object": ("solve", README_SOLVE, [NO_REFERENCE, 'eta={"a": 1}'], 1,
+                      f"config key 'eta' {WRONG_TYPE}"),
+    "seeds-a-number": ("bench", TINY_GRID, ["seeds=5"], 1, f"config key 'seeds' {WRONG_TYPE}"),
+    "sweep-values-a-number": ("bench", TINY_GRID, ['sweep={"param": "eta", "values": 5}'], 1,
+                              f"config key 'sweep.values' {WRONG_TYPE}"),
+    "eta-fractions-a-number": ("certify", CONTRACTIVE_CERTIFY, ["eta_fractions=0.1"], 1,
+                               f"config key 'eta_fractions' {WRONG_TYPE}"),
+    "m-values-of-strings": ("certify", CONTRACTIVE_CERTIFY, ['m_values=["x"]'], 1,
+                            f"config key 'm_values' {WRONG_TYPE}"),
+    "q-of-booleans": ("solve", README_SOLVE, ["problem.q=[true, false]"], 1,
+                      f"config key 'problem.q' {WRONG_TYPE}"),
+    # numbers are finite JSON numbers, and an integer has an integral value
+    "epochs-a-fraction": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2.5"], 1,
+                          f"config key 'epochs' {WRONG_TYPE}"),
+    "epochs-a-bool": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=true"], 1,
+                      f"config key 'epochs' {WRONG_TYPE}"),
+    "epochs-a-string": ("solve", README_SOLVE, [NO_REFERENCE, 'epochs="4"'], 1,
+                        f"config key 'epochs' {WRONG_TYPE}"),
+    "epochs-an-integral-float": ("solve", README_SOLVE, [NO_REFERENCE, "epochs=2.0"], 0, None),
+    "eta-a-bool": ("solve", README_SOLVE, [NO_REFERENCE, "eta=true"], 1,
+                   f"config key 'eta' {WRONG_TYPE}"),
+    "eta-beyond-a-float": ("solve", README_SOLVE, [NO_REFERENCE, "eta=" + "9" * 400], 1,
+                           "int too large to convert to float"),
+    "eta-nan": ("solve", README_SOLVE, [NO_REFERENCE, "eta=NaN"], 1,
+                "config key 'eta' " + NOT_FINITE.format("nan")),
+    "m-factor-overflows": ("solve", README_SOLVE, [NO_REFERENCE, "m_factor=1e400"], 1,
+                           "config key 'm_factor' " + NOT_FINITE.format("inf")),
+    "eta0-overflows": ("solve", README_SOLVE, [NO_REFERENCE, "eta0=1e400", "algorithm=sgd"], 1,
+                       "config key 'eta0' " + NOT_FINITE.format("inf")),
+    "box-bound-infinite": ("certify", CONTRACTIVE_CERTIFY, ["problem.constraint.lower=-Infinity"],
+                           1, "config key 'problem.constraint.lower' "
+                           + NOT_FINITE.format("-inf")),
+    "m-a-fraction": ("solve", README_SOLVE, [NO_REFERENCE, "m=7.9"], 1,
+                     f"config key 'm' {WRONG_TYPE}"),
+    "m-values-a-fraction": ("certify", CONTRACTIVE_CERTIFY, ["m_values=[10.5]"], 1,
+                            f"config key 'm_values' {WRONG_TYPE}"),
     # an array entry is a JSON number too
-    "box-bound-a-string": ("certify", CONTRACTIVE_CERTIFY, ['problem.constraint.lower="-1"'], 1),
-    "box-bound-a-bool": ("certify", CONTRACTIVE_CERTIFY, ["problem.constraint.upper=true"], 1),
+    "box-bound-a-string": ("certify", CONTRACTIVE_CERTIFY, ['problem.constraint.lower="-1"'], 1,
+                           f"config key 'problem.constraint.lower' {WRONG_TYPE}"),
+    "box-bound-a-bool": ("certify", CONTRACTIVE_CERTIFY, ["problem.constraint.upper=true"], 1,
+                         f"config key 'problem.constraint.upper' {WRONG_TYPE}"),
     "inline-X-of-strings": ("certify", CONTRACTIVE_CERTIFY,
-                            ['dataset.X=[["1", "0"], ["0", "1"], [2, 0], [0, 2], [1, 0], [0, 1]]'], 1),
+                            ['dataset.X=[["1", "0"], ["0", "1"], [2, 0], [0, 2], [1, 0], [0, 1]]'], 1,
+                            f"config key 'dataset.X' {WRONG_TYPE}"),
+    # m and m_factor: one of them, and a factor above zero
+    "m-and-m-factor": ("solve", README_SOLVE, [NO_REFERENCE, "m_factor=0.5"], 1,
+                       "a run sets m or m_factor, not both"),
+    "m-factor-negative": ("solve", README_SOLVE, [NO_REFERENCE, "m=null", "m_factor=-3"], 1,
+                          "m_factor must be positive, with m_factor n finite; got -3.0"),
+    "m-factor-zero": ("solve", README_SOLVE, [NO_REFERENCE, "m=null", "m_factor=0"], 1,
+                      "m_factor must be positive, with m_factor n finite; got 0.0"),
+    "m-factor-times-n-overflows": ("solve", README_SOLVE,
+                                   [NO_REFERENCE, "m=null", "m_factor=1e306"], 1,
+                                   "with m_factor n finite; got 1e+306"),
     # a sweep varies a key a run reads, over JSON scalars
-    "sweep-param-not-a-run-key": ("bench", TINY_GRID, ['sweep={"param": "foo", "values": [1, 2]}'], 1),
+    "sweep-param-not-a-run-key": ("bench", TINY_GRID, ['sweep={"param": "foo", "values": [1, 2]}'],
+                                  1, "sweep.param 'foo' is not a run key"),
     "sweep-values-not-scalars": ("bench", TINY_GRID, ['sweep={"param": "m", "values": [[1], [2]]}'],
-                                 1),
+                                 1, "sweep value [1] is not a JSON scalar"),
+    # a bench runs at least one seed, in at least one process
+    "bench-without-seeds": ("bench", TINY_GRID, ["seeds=[]"], 1,
+                            "config key 'seeds' has an invalid value []: the list is empty"),
+    "workers-zero": ("bench", TINY_GRID, ["--workers 0"], 1,
+                     "bench needs at least one worker process, got --workers 0"),
+    "workers-negative": ("bench", TINY_GRID, ["--workers -2"], 1,
+                         "bench needs at least one worker process, got --workers -2"),
     # the reference solve's tolerance and seed are fixed; setting one is refused
-    "fixed-reference.tol": ("solve", README_SOLVE, ["reference.tol=1e-10"], 1),
-    "fixed-reference.seed": ("solve", README_SOLVE, ["reference.seed=0"], 1),
-    "fixed-bench-reference.tol": ("bench", TINY_GRID, ["reference.tol=1e-30"], 1),
-    "fixed-bench-reference_tol": ("bench", TINY_GRID, ["reference_tol=1e-12"], 1),
-    "fixed-certify-reference_tol": ("certify", CONTRACTIVE_CERTIFY, ["reference_tol=1e-12"], 1),
-    "certify-without-reference": ("certify", CONTRACTIVE_CERTIFY, ["reference.compute=false"], 1),
+    "fixed-reference.tol": ("solve", README_SOLVE, ["reference.tol=1e-10"], 1,
+                            "reference takes: compute"),
+    "fixed-reference.seed": ("solve", README_SOLVE, ["reference.seed=0"], 1,
+                             "reference takes: compute"),
+    "fixed-bench-reference.tol": ("bench", TINY_GRID, ["reference.tol=1e-30"], 1,
+                                  "reference takes: compute"),
+    "fixed-bench-reference_tol": ("bench", TINY_GRID, ["reference_tol=1e-12"], 1, "bench takes: "),
+    "fixed-certify-reference_tol": ("certify", CONTRACTIVE_CERTIFY, ["reference_tol=1e-12"], 1,
+                                    "certify takes: "),
+    "certify-without-reference": ("certify", CONTRACTIVE_CERTIFY, ["reference.compute=false"], 1,
+                                  "config key 'reference' is not accepted; certify takes: "),
     # booleans take JSON true or false only
     "bool-average-output-a-string": ("solve", README_SOLVE,
-                                     [NO_REFERENCE, 'average_epoch_output="false"'], 1),
-    "bool-reference-compute-a-string": ("solve", README_SOLVE, ['reference.compute="no"'], 1),
-    "bool-bench-reference-compute-a-list": ("bench", TINY_GRID, ["reference.compute=[0]"], 1),
-    "bool-probe-a-number": ("certify", CONTRACTIVE_CERTIFY, ["probe=1"], 1),
+                                     [NO_REFERENCE, 'average_epoch_output="false"'], 1,
+                                     "config key 'average_epoch_output'"),
+    "bool-reference-compute-a-string": ("solve", README_SOLVE, ['reference.compute="no"'], 1,
+                                        "config key 'reference.compute'"),
+    "bool-bench-reference-compute-a-list": ("bench", TINY_GRID, ["reference.compute=[0]"], 1,
+                                            "config key 'reference.compute'"),
+    "bool-probe-a-number": ("certify", CONTRACTIVE_CERTIFY, ["probe=1"], 1, "config key 'probe'"),
     "bool-remap01-a-number": ("solve", README_SOLVE,
-                              ['dataset={"kind": "libsvm", "path": "a.svm", "remap01": 0}'], 1),
+                              ['dataset={"kind": "libsvm", "path": "a.svm", "remap01": 0}'], 1,
+                              "config key 'dataset.remap01'"),
     # usage errors
-    "unknown-flag": ("solve", README_SOLVE, ["--bogus 1"], 1),
-    "stale-seed-flag": ("solve", README_SOLVE, ["--seed 7"], 1),
-    "workers-not-a-number": ("bench", TINY_GRID, ["--workers x"], 1),
+    "unknown-flag": ("solve", README_SOLVE, ["--bogus 1"], 1, "unrecognized arguments: --bogus"),
+    "stale-seed-flag": ("solve", README_SOLVE, ["--seed 7"], 1, "unrecognized arguments: --seed"),
+    "workers-not-a-number": ("bench", TINY_GRID, ["--workers x"], 1,
+                             "argument --workers: invalid int value: 'x'"),
     # unknown names and invalid values
-    "unknown-algorithm": ("solve", README_SOLVE, ["algorithm=adam"], 1),
-    "unknown-dataset-kind": ("solve", README_SOLVE, ["dataset.kind=csv"], 1),
-    "zero-epochs": ("solve", README_SOLVE, ["epochs=0"], 1),
-    "unknown-eta-units": ("solve", README_SOLVE, [NO_REFERENCE, "eta_units=lp"], 1),
-    "unknown-constraint-type": ("solve", README_SOLVE, ["problem.constraint.type=simplex"], 1),
-    "both-sides": ("solve", README_SOLVE, ['problem.regularizer={"lam": 0.1}'], 1),
-    "neither-side": ("solve", README_SOLVE, ["problem={}"], 1),
-    "certify-regularized": ("certify", README_SOLVE, ['problem={"regularizer": {"lam": 0.1}}'], 1),
+    "unknown-algorithm": ("solve", README_SOLVE, ["algorithm=adam"], 1,
+                          "unknown algorithm 'adam'"),
+    "unknown-dataset-kind": ("solve", README_SOLVE, ["dataset.kind=csv"], 1,
+                             "unknown dataset.kind 'csv'; valid: synthetic, libsvm, inline"),
+    "zero-epochs": ("solve", README_SOLVE, ["epochs=0"], 1, "epochs must be >= 1"),
+    "unknown-eta-units": ("solve", README_SOLVE, [NO_REFERENCE, "eta_units=lp"], 1,
+                          "unknown eta_units 'lp'"),
+    "unknown-constraint-type": ("solve", README_SOLVE, ["problem.constraint.type=simplex"], 1,
+                                "unknown problem.constraint.type 'simplex'; valid: l1_ball, box"),
+    "both-sides": ("solve", README_SOLVE, ['problem.regularizer={"lam": 0.1}'], 1,
+                   "problem needs a constraint or a regularizer, not both"),
+    "neither-side": ("solve", README_SOLVE, ["problem={}"], 1,
+                     "problem needs a constraint or a regularizer, not both"),
+    "certify-regularized": ("certify", CONTRACTIVE_CERTIFY,
+                            ['problem={"regularizer": {"lam": 0.1}}'], 1,
+                            "certify needs a constrained problem"),
     # divergence, through each kind of epoch of the one engine
-    "sgd-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=sgd", "eta0=1e3"], 2),
-    "warm-start-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=vrpsg2", "eta0=1e3"], 2),
-    "vrpsg-diverges": ("solve", README_SOLVE, DIVERGING + ["eta=1e7", "eta_units=absolute"], 2),
+    "sgd-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=sgd", "eta0=1e3"], 2,
+                     "diverged at epoch"),
+    "warm-start-diverges": ("solve", README_SOLVE, DIVERGING + ["algorithm=vrpsg2", "eta0=1e3"], 2,
+                            "diverged at epoch"),
+    "vrpsg-diverges": ("solve", README_SOLVE, DIVERGING + ["eta=1e7", "eta_units=absolute"], 2,
+                       "diverged at epoch"),
     "line-search-stalls": ("solve", README_SOLVE,
-                           [NO_REFERENCE, "algorithm=afg", "eta=1e300", "eta_units=absolute"], 2),
-    "certify-not-contractive": ("certify", NON_CONTRACTIVE_CERTIFY, [], 3),
+                           [NO_REFERENCE, "algorithm=afg", "eta=1e300", "eta_units=absolute"], 2,
+                           "line search stalled"),
+    "certify-not-contractive": ("certify", NON_CONTRACTIVE_CERTIFY, [], 3, None),
 }
 
 
 @pytest.mark.parametrize("case", EXIT_CODES)
 def test_each_failure_class_has_its_exit_code(tmp_path, capsys, case):
-    command, config, overrides, code = EXIT_CODES[case]
+    command, config, overrides, code, fragment = EXIT_CODES[case]
     args = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
     for item in overrides:
         args += item.split() if item.startswith("--") else ["--set", item]
@@ -682,18 +790,105 @@ def test_each_failure_class_has_its_exit_code(tmp_path, capsys, case):
     assert "Traceback" not in err
     if code in (1, 2):
         message, *usage = err.splitlines()
-        assert message.startswith("error: ")
-        # a usage error is followed by the usage of the command that refused it
-        usage_error = any(item.startswith("--") for item in overrides)
+        assert message.startswith("error: ") and fragment in message
+        # a usage error, found by the argument parser, is followed by the
+        # usage of the command that refused it
+        usage_error = fragment.startswith(("argument ", "unrecognized arguments"))
         assert bool(usage) == usage_error
         assert not usage or usage[0].startswith("usage: vrgrad")
-        if code == 2:
-            stalled = case == "line-search-stalls"
-            assert ("line search stalled" if stalled else "diverged at epoch") in err
         if case.startswith("bool-"):
             assert "has a value of the wrong type" in message
         if case.startswith("fixed-"):
             assert f"config key {overrides[-1].split('=')[0]!r} is not accepted" in message
+
+
+def with_entry(**extra):
+    """TINY_GRID with extra keys in its first dataset entry and its first algorithm cell."""
+    cfg = json.loads(json.dumps(TINY_GRID))
+    cfg["datasets"][0].update(extra.get("entry", {}))
+    cfg["algorithms"][0].update(extra.get("cell", {}))
+    return cfg
+
+
+LIBSVM = {"kind": "libsvm", "path": "a.svm"}
+MISSPELLED = {  # block: (command, config, --set overrides, the dotted path of the stray key)
+    "run": ("solve", README_SOLVE, ["samplng=uniform"], "samplng"),
+    "solve": ("solve", README_SOLVE, ["sed=1"], "sed"),
+    "reference": ("solve", README_SOLVE, ["reference.comput=false"], "reference.comput"),
+    "problem": ("solve", README_SOLVE, ["problem.qq=[1]"], "problem.qq"),
+    "l1_ball": ("solve", README_SOLVE, ["problem.constraint.tua=1"], "problem.constraint.tua"),
+    "box": ("certify", CONTRACTIVE_CERTIFY, ["problem.constraint.lowr=0"],
+            "problem.constraint.lowr"),
+    "regularizer": ("solve", README_SOLVE, ['problem={"regularizer": {"lam": 0.1, "lamb": 1}}'],
+                    "problem.regularizer.lamb"),
+    "synthetic": ("solve", README_SOLVE, ["dataset.sed=4"], "dataset.sed"),
+    "libsvm": ("solve", README_SOLVE, [f"dataset={json.dumps(dict(LIBSVM, ncols=3))}"],
+               "dataset.ncols"),
+    "inline": ("certify", CONTRACTIVE_CERTIFY, ["dataset.Y=[1]"], "dataset.Y"),
+    "certify": ("certify", CONTRACTIVE_CERTIFY, ["probs=3"], "probs"),
+    "bench": ("bench", TINY_GRID, ["seed=1"], "seed"),
+    "sweep": ("bench", TINY_GRID, ['sweep={"param": "eta", "values": [0.1], "value": 1}'],
+              "sweep.value"),
+    "bench-dataset-entry": ("bench", with_entry(entry={"nme": "x"}), [], "datasets[0].nme"),
+    "bench-entry-dataset": ("bench",
+                            with_entry(entry={"dataset": dict(BASE_SOLVE["dataset"], sed=1)}),
+                            [], "datasets[0].dataset.sed"),
+    "bench-cell": ("bench", with_entry(cell={"epoch": 3}), [], "algorithms[0].epoch"),
+}
+
+
+@pytest.mark.parametrize("block", MISSPELLED)
+def test_a_misspelled_key_in_each_block_exits_one(tmp_path, monkeypatch, capsys, block):
+    # refused by its dotted path before any work: a bench checks every block
+    # before its first problem build, solve and certify as they build it
+    built = stop_after_the_first_build(monkeypatch)
+    command, config, overrides, path = MISSPELLED[block]
+    args = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 1
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: config key {path!r} is not accepted; ")
+    assert "takes: " in message and not built
+
+
+def test_bench_refuses_no_seeds_before_building_a_problem(tmp_path, monkeypatch, capsys):
+    built = stop_after_the_first_build(monkeypatch)
+    assert main(["bench", "--config", write_config(tmp_path, dict(TINY_GRID, seeds=[])),
+                 "--out", str(tmp_path / "b")]) == 1
+    assert "config key 'seeds' has an invalid value []" in capsys.readouterr().err
+    assert not built
+
+
+def test_a_small_m_factor_runs_one_inner_step(tmp_path):
+    cfg = dict(BASE_SOLVE, m_factor=1e-6, epochs=1, reference={"compute": False})
+    del cfg["m"]
+    assert main(["solve", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["m_resolved"] == 1
+
+
+def readme_configs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+@pytest.mark.parametrize("index", range(len(readme_configs())))
+def test_each_config_in_the_readme_passes_the_tables(tmp_path, monkeypatch, index):
+    # the documented configs are read through the same tables as any other:
+    # each reaches its first problem build, and its problems build
+    cfg = readme_configs()[index]
+    command = "bench" if "datasets" in cfg else "solve" if "algorithm" in cfg else "certify"
+    built = stop_after_the_first_build(monkeypatch)
+    with pytest.raises(Built):
+        main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert isinstance(built[0], ProblemSpec)
+
+
+def test_the_readme_shows_a_config_of_each_command():
+    kinds = {"bench" if "datasets" in c else "solve" if "algorithm" in c else "certify"
+             for c in readme_configs()}
+    assert kinds == {"solve", "bench", "certify"}
 
 
 def test_a_missing_required_argument_returns_one(capsys):
