@@ -13,6 +13,11 @@
  * every case it cannot vouch for to the full sort.  The l1 penalty steps only
  * its active set: a coordinate at +0 that the row does not touch, with
  * |eta g_j| <= eta lam, is +0 again after the step.
+ *
+ * The file also holds the three operations SparseDesignMatrix and the
+ * logistic loss would otherwise take from scipy, with scipy's bits: the CSR
+ * products X w and X' u in scipy's summation order, and the sigmoid
+ * 1/(1+exp(-x)) of scipy.special.expit, which the steps' coefficient shares.
  */
 
 #include <float.h>
@@ -241,12 +246,14 @@ static void l1_ball(const double *v, double *out, int64_t d, double tau, double 
     }
 }
 
+/* scipy's expit */
+static inline double sigmoid(double x) { return 1.0 / (1.0 + exp(-x)); }
+
 static inline double coefficient(int64_t loss, double u, double y)
 {
     if (loss == SQUARES)
         return u - y;
-    double z = -y * u;
-    return -y * (1.0 / (1.0 + exp(-z))); /* scipy's expit */
+    return -y * sigmoid(-y * u);
 }
 
 /* Run m inner steps from w, in place; add each iterate into acc unless it is NULL.
@@ -383,4 +390,35 @@ int vrgrad_steps(ddot_fn ddot, int64_t d, const int64_t *indptr, const int64_t *
     free(ubuf);
     free(ibuf);
     return 0;
+}
+
+/* out = X w for the CSR matrix X of n rows: each row's products summed in order
+   from +0, as scipy's csr_matvec does. */
+void vrgrad_matvec(int64_t n, const int64_t *indptr, const int64_t *indices,
+                   const double *values, const double *w, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double s = 0.0;
+        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
+            s += values[k] * w[indices[k]];
+        out[i] = s;
+    }
+}
+
+/* out = X' u for the CSR matrix X of n rows and d columns: row i's products
+   added into out in row order, as scipy's csc_matvec does on X'. */
+void vrgrad_rmatvec(int64_t n, int64_t d, const int64_t *indptr, const int64_t *indices,
+                    const double *values, const double *u, double *out)
+{
+    memset(out, 0, (size_t)d * sizeof *out);
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
+            out[indices[k]] += values[k] * u[i];
+}
+
+/* out = 1 / (1 + exp(-x)) elementwise */
+void vrgrad_sigmoid(int64_t n, const double *x, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = sigmoid(x[i]);
 }

@@ -1,4 +1,4 @@
-"""Build and load the compiled inner steps in ``_epoch.c``.
+"""Build and load ``_epoch.c``: the compiled inner steps, CSR products and sigmoid.
 
 The source is compiled on first use with the system ``gcc`` into this
 package's ``__pycache__``, under a name keyed by a hash of the source and
@@ -6,9 +6,11 @@ the flags, and loaded through ctypes; later processes load the cached
 library.  The compiler writes to a temporary name that is then renamed
 into place, so processes that build at once do not see each other's half
 written files, and a new build removes the libraries of older sources.
-``load()`` returns None, quietly, when there is no compiler, the cache
-cannot be written, the build fails, or numpy's BLAS ``ddot`` cannot be
-found: the caller then runs the numpy loop.
+``library()`` returns None, quietly, when there is no compiler, the cache
+cannot be written or the build fails: ``problems`` then takes its products
+and sigmoid from scipy.  ``load()``, the inner steps, is None in those cases
+and when numpy's BLAS ``ddot`` cannot be found: the caller then runs the
+numpy loop.
 """
 
 from __future__ import annotations
@@ -62,19 +64,35 @@ def _ddot():
 
 
 @functools.lru_cache(maxsize=None)
-def load():
-    """(vrgrad_steps as a ctypes function, address of numpy's ddot), or None."""
+def library():
+    """The built library through ctypes, every function typed, or None."""
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
     try:
-        ddot = _ddot()
-        if ddot is None:
-            return None
-        fn = ctypes.CDLL(str(_build(compiler))).vrgrad_steps
-    except (OSError, ImportError, subprocess.SubprocessError):
+        lib = ctypes.CDLL(str(_build(compiler)))
+    except (OSError, subprocess.SubprocessError):
         return None
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = [p, i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p, i64, p, p, p]
-    fn.restype = ctypes.c_int
-    return fn, ddot
+    lib.vrgrad_steps.argtypes = [p, i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p,
+                                 i64, p, p, p]
+    lib.vrgrad_steps.restype = ctypes.c_int
+    lib.vrgrad_matvec.argtypes = [i64, p, p, p, p, p]
+    lib.vrgrad_rmatvec.argtypes = [i64, i64, p, p, p, p, p]
+    lib.vrgrad_sigmoid.argtypes = [i64, p, p]
+    for fn in (lib.vrgrad_matvec, lib.vrgrad_rmatvec, lib.vrgrad_sigmoid):
+        fn.restype = None
+    return lib
+
+
+@functools.lru_cache(maxsize=None)
+def load():
+    """(vrgrad_steps as a ctypes function, address of numpy's ddot), or None."""
+    lib = library()
+    if lib is None:
+        return None
+    try:
+        ddot = _ddot()
+    except (OSError, ImportError):
+        return None
+    return None if ddot is None else (lib.vrgrad_steps, ddot)

@@ -26,6 +26,7 @@ from .problems import (
     eval_objective,
     gradient_mapping_norm,
     margin_coefficients,
+    sigmoid,
     smooth_value,
 )
 from .solvers import SolverConfig, run_afg
@@ -341,9 +342,7 @@ def mu_estimate(problem: ProblemSpec) -> float:
     n = problem.n
     if problem.loss.kind == "least_squares":
         return 1.0 / n  # before margin_bound, which would densify a box's X
-    from scipy.special import expit  # only the logistic loss needs scipy.special
-
-    sig = expit(problem.side.margin_bound(problem.matrix))
+    sig = sigmoid(problem.side.margin_bound(problem.matrix))
     return float(sig * (1.0 - sig)) / n
 
 

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, certificates, data, problems, sampling, solvers
 
@@ -312,6 +311,8 @@ def write_trace_csv(path, trace: solvers.RunTrace) -> None:
 
 
 def _versions() -> dict:
+    import scipy  # only for its version: nothing on the command paths needs scipy
+
     return {
         "package": __version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),

@@ -21,7 +21,7 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
     ``task="logistic"`` they must come out as +/-1, optionally after the
     {0,1} -> {-1,+1} remap.  Returns (SparseDesignMatrix, labels).
     """
-    labels, indptr, indices, values = [], [0], [], []
+    labels, indptr, indices, values, line_of_row = [], [0], [], [], []
     max_idx = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -53,9 +53,17 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
             max_idx = max(max_idx, prev)
             labels.append(label)
             indptr.append(len(indices))
+            line_of_row.append(lineno)
     if not labels:
         raise ValueError(f"{path}: no data lines")
-    y = np.asarray(labels, dtype=np.float64)
+    y, data = np.asarray(labels, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    del values  # a list of Python floats takes four times the array's memory
+    bad_row = ~np.isfinite(y)
+    bad_row[np.searchsorted(indptr, np.flatnonzero(~np.isfinite(data)), side="right") - 1] = True
+    if bad_row.any():
+        i = int(bad_row.argmax())
+        what = "feature value" if np.isfinite(y[i]) else "label"
+        raise ParseError(f"{path}:{line_of_row[i]}: non-finite {what}")
     if remap01:
         bad = ~np.isin(y, (0.0, 1.0))
         if np.any(bad):
@@ -67,7 +75,8 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
         n_cols = max_idx
     elif n_cols < max_idx:
         raise ValueError(f"n_cols={n_cols} but file has feature index {max_idx}")
-    return SparseDesignMatrix(y.size, n_cols, indptr, indices, values), y
+    indptr, indices = np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+    return SparseDesignMatrix._handed_over(y.size, n_cols, indptr, indices, data), y
 
 
 def write_libsvm(path, matrix: SparseDesignMatrix, labels) -> None:

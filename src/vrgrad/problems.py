@@ -9,11 +9,13 @@ averaged least squares and binary logistic regression.
 
 from __future__ import annotations
 
+import functools
+import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import box_kernel, l1_ball_kernel, soft_threshold_kernel
 
@@ -43,27 +45,32 @@ def _squares_mean(u, y):
     return float(r @ r) / (2.0 * u.size)
 
 
-def _expit(x):
-    """scipy's logistic sigmoid, imported on first use; the import rebinds this name.
+def sigmoid(x):
+    """The logistic sigmoid 1/(1 + exp(-x)), elementwise, with the bits of scipy's ``expit``."""
+    return _kernels().sigmoid(x)
 
-    scipy.special costs about 0.1 s to import, and least-squares runs never
-    need it.  After the first call the losses look up scipy's ufunc itself,
-    so an inner step pays no extra call.
+
+def _scalar_sigmoid(z: float) -> float:
+    """``sigmoid`` of one Python float, with no call into a library: 0.0 where exp overflows.
+
+    The numpy loop takes it once per step.  ``_kernels_probe`` checks that
+    ``sigmoid`` agrees with it bit for bit.
     """
-    global _expit
-    from scipy.special import expit as _expit
-    return _expit(x)
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
 
 
 LOSSES = {
     LEAST_SQUARES: Loss(mean=_squares_mean, coef=lambda u, y: u - y,
                         scalar=lambda u, y: u - y, lipschitz_scale=1.0, signed_labels=False),
     # log(1 + exp(-z)) as logaddexp(0, -z): exact for large |z|, no overflow;
-    # the coefficient -y sigmoid(-y u) goes through expit, so extreme margins
-    # saturate instead of overflowing
+    # the coefficient -y sigmoid(-y u) saturates at extreme margins instead of
+    # overflowing
     LOGISTIC: Loss(mean=lambda u, y: float(np.logaddexp(0.0, -y * u).sum()) / u.size,
-                   coef=lambda u, y: -y * _expit(-y * u),
-                   scalar=lambda u, y: -y * float(_expit(-y * u)),
+                   coef=lambda u, y: -y * sigmoid(-y * u),
+                   scalar=lambda u, y: -y * _scalar_sigmoid(-y * u),
                    lipschitz_scale=0.25, signed_labels=True),
 }
 
@@ -83,16 +90,29 @@ class SparseDesignMatrix:
     Notes
     -----
     ``row_sq_norms`` is filled at construction so that per-component
-    Lipschitz constants are O(1) lookups afterwards.
+    Lipschitz constants are O(1) lookups afterwards.  Every product and
+    norm has the bits scipy.sparse gives for the same CSR arrays: scipy is
+    their specification, and it computes them where the compiled library
+    does not load (see ``_kernels``).
     """
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
+        self._take(n_rows, n_cols, np.array(indptr, dtype=np.int64).ravel(),
+                   np.array(indices, dtype=np.int64).ravel(),
+                   np.array(data, dtype=np.float64).ravel())
+
+    @classmethod
+    def _handed_over(cls, n_rows, n_cols, indptr, indices, data) -> "SparseDesignMatrix":
+        """Build from 1-D int64 and float64 CSR arrays that no caller keeps, without a copy."""
+        matrix = cls.__new__(cls)
+        matrix._take(n_rows, n_cols, indptr, indices, data)
+        return matrix
+
+    def _take(self, n_rows, n_cols, indptr, indices, data):
+        """Check the CSR arrays and keep them as they are."""
         n_rows, n_cols = int(n_rows), int(n_cols)
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix shape must be nonnegative")
-        indptr = np.array(indptr, dtype=np.int64).ravel()
-        indices = np.array(indices, dtype=np.int64).ravel()
-        data = np.array(data, dtype=np.float64).ravel()
         counts = np.diff(indptr)
         if (indptr.size != n_rows + 1 or indptr[0] != 0 or np.any(counts < 0)
                 or indptr[-1] != indices.size or data.size != indices.size):
@@ -111,11 +131,18 @@ class SparseDesignMatrix:
             raise ValueError(f"row {i}: non-finite value")
         self.n_rows, self.n_cols = n_rows, n_cols
         self.indptr, self.indices, self.data = indptr, indices, data
-        self._csr = sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(n_rows, n_cols), copy=False
-        )
-        sq = self._csr.multiply(self._csr).sum(axis=1)
-        self.row_sq_norms = np.asarray(sq).ravel()
+        # scipy's multiply(X, X).sum(axis=1): squares that are 0 are dropped, and
+        # each row left with entries is summed by add.reduceat
+        sq = data * data
+        if not sq.all():
+            kept = sq != 0.0
+            sq = sq[kept]
+            counts = np.bincount(rows[kept], minlength=n_rows)
+        self.row_sq_norms = np.zeros(n_rows)
+        filled = counts > 0
+        if filled.any():
+            starts = np.cumsum(counts) - counts
+            self.row_sq_norms[filled] = np.add.reduceat(sq, starts[filled])
 
     @classmethod
     def from_dense(cls, arr) -> "SparseDesignMatrix":
@@ -123,8 +150,15 @@ class SparseDesignMatrix:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        csr = sp.csr_matrix(arr)
-        return cls(arr.shape[0], arr.shape[1], csr.indptr, csr.indices, csr.data)
+        n_rows, n_cols = arr.shape
+        stored = arr != 0  # NaN is stored, so the check below can name it
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+        flat = np.flatnonzero(stored)
+        del stored
+        data = arr.take(flat)
+        indices = np.remainder(flat, max(n_cols, 1), out=flat).astype(np.int64, copy=False)
+        return cls._handed_over(n_rows, n_cols, indptr, indices, data)
 
     @property
     def shape(self):
@@ -136,13 +170,114 @@ class SparseDesignMatrix:
         return self.indices[lo:hi], self.data[lo:hi]
 
     def matvec(self, w) -> np.ndarray:
-        return self._csr @ w
+        """X w: row i is its products summed in order."""
+        return _kernels().matvec(self, _vector(w, self.n_cols))
 
     def rmatvec(self, u) -> np.ndarray:
-        return self._csr.T @ u
+        """X' u: row i's products are added into the result in row order."""
+        return _kernels().rmatvec(self, _vector(u, self.n_rows))
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        out = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        out[rows, self.indices] = self.data + 0.0  # scipy adds into zeros: -0.0 comes out +0.0
+        return out
+
+
+def _vector(x, size):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (size,):
+        raise ValueError(f"dimension mismatch: vector of shape {x.shape} for {size} entries")
+    return x
+
+
+class _Kernels(NamedTuple):
+    matvec: Callable  # (matrix, w) -> X w, w contiguous float64 of the right size
+    rmatvec: Callable  # (matrix, u) -> X' u
+    sigmoid: Callable  # x -> 1/(1 + exp(-x)) elementwise; a scalar for a scalar
+
+
+@functools.lru_cache(maxsize=None)  # once per process
+def _kernels() -> _Kernels:
+    """The products and the sigmoid: the compiled library's, or else scipy's.
+
+    The library of ``_epoch.c`` is built or loaded at the first call, and
+    used if it passes ``_kernels_probe``.  Otherwise, quietly, scipy.sparse
+    and scipy.special are imported here and do the work; that is the only
+    place a product or a sigmoid imports scipy.
+    """
+    from . import _epoch
+
+    lib = _epoch.library()
+    if lib is not None:
+        compiled = _compiled_kernels(lib)
+        if _kernels_probe(compiled):
+            return compiled
+    return _scipy_kernels()
+
+
+def _compiled_kernels(lib) -> _Kernels:
+    mv, rmv, sig = lib.vrgrad_matvec, lib.vrgrad_rmatvec, lib.vrgrad_sigmoid
+
+    def matvec(m, w):
+        out = np.empty(m.n_rows)
+        mv(m.n_rows, m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data,
+           w.ctypes.data, out.ctypes.data)
+        return out
+
+    def rmatvec(m, u):
+        out = np.empty(m.n_cols)
+        rmv(m.n_rows, m.n_cols, m.indptr.ctypes.data, m.indices.ctypes.data,
+            m.data.ctypes.data, u.ctypes.data, out.ctypes.data)
+        return out
+
+    def sigmoid(x):
+        x = np.asarray(x, dtype=np.float64, order="C")
+        out = np.empty(x.shape)
+        sig(x.size, x.ctypes.data, out.ctypes.data)
+        return out[()]
+    return _Kernels(matvec, rmatvec, sigmoid)
+
+
+def _scipy_kernels() -> _Kernels:
+    import scipy.sparse as sp
+    from scipy.special import expit
+
+    csr = weakref.WeakKeyDictionary()  # scipy's copy of each matrix, made at its first product
+
+    def as_csr(m):
+        a = csr.get(m)
+        if a is None:
+            a = csr[m] = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+        return a
+    return _Kernels(lambda m, w: as_csr(m) @ w, lambda m, u: as_csr(m).T @ u, expit)
+
+
+def _kernels_probe(kernels: _Kernels) -> bool:
+    """Whether the products and sigmoid give the bits of plain Python loops on fixed inputs.
+
+    The 5 x 4 matrix has a full row, an empty row and partial rows, an
+    explicit 0.0 and a -0.0.  The sigmoid's reference is ``_scalar_sigmoid``,
+    at values that saturate, overflow or are not finite.
+    """
+    indptr, indices = [0, 4, 4, 6, 7, 9], [0, 1, 2, 3, 1, 3, 2, 0, 3]
+    data = [1.5, -2.25, 0.1, 3.0, 0.0, -0.0, 7.0, 1e-3, -4.5]
+    w, u = [0.3, -1.7, 2.5, -0.0], [0.7, 11.0, -0.0, 1e-9, -3.25]
+    m = SparseDesignMatrix(5, 4, indptr, indices, data)
+    want_mv, want_rmv = [], [0.0] * 4
+    for i in range(5):
+        s = 0.0
+        for k in range(indptr[i], indptr[i + 1]):
+            s += data[k] * w[indices[k]]
+            want_rmv[indices[k]] += data[k] * u[i]
+        want_mv.append(s)
+    x = [0.0, -0.0, 0.5, -1.25, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308,
+         math.inf, -math.inf, math.nan]
+    want_sig = [_scalar_sigmoid(v) for v in x]
+    got = (kernels.matvec(m, np.array(w)), kernels.rmatvec(m, np.array(u)),
+           kernels.sigmoid(np.array(x)))
+    return all(np.array(want).tobytes() == g.tobytes()
+               for want, g in zip((want_mv, want_rmv, want_sig), got))
 
 
 @dataclass

@@ -462,9 +462,10 @@ def run_hybrid_vrpsg2(problem: ProblemSpec, config: SolverConfig, w0=None,
 
 
 # Below this many matrix entries the full-gradient baseline multiplies by a
-# cached dense array: scipy's sparse matvec carries per-call overhead that
-# dominates at small shapes, and the baseline calls it several times per
-# iteration.  Larger problems keep the sparse matrix.
+# cached dense array: BLAS on a dense array beats the sparse products, which
+# pay a few microseconds per call and read an index per entry, and the
+# baseline calls them several times per iteration.  Larger problems keep the
+# sparse matrix.
 _DENSE_MAX_ENTRIES = 500_000
 
 

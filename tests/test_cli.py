@@ -910,3 +910,39 @@ def test_a_programming_error_is_not_a_tidy_exit(tmp_path, monkeypatch):
     with pytest.raises(KeyError, match="bug"):
         main(["solve", "--config", write_config(tmp_path, BASE_SOLVE),
               "--out", str(tmp_path / "o")])
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+LOGISTIC_SOLVE = dict(BASE_SOLVE, dataset=dict(BASE_SOLVE["dataset"], task="logistic"))
+LOGISTIC_CERTIFY = dict(CONTRACTIVE_CERTIFY, dataset=dict(
+    CONTRACTIVE_CERTIFY["dataset"], y=[1, -1, 1, -1, 1, -1], task="logistic"))
+
+
+@pytest.mark.parametrize("command,config", [
+    ("solve", BASE_SOLVE), ("solve", LOGISTIC_SOLVE),
+    ("certify", CONTRACTIVE_CERTIFY), ("certify", LOGISTIC_CERTIFY)],
+    ids=["solve-least-squares", "solve-logistic", "certify", "certify-logistic"])
+def test_a_command_loads_no_scipy_module_but_the_package_it_reports(tmp_path, command, config):
+    # where the compiled library loads, scipy does none of a command's work:
+    # the one import left is `import scipy` for the manifest's version string
+    import subprocess
+    import sys
+
+    from vrgrad import problems
+
+    args = [command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+    code = (f"import sys; from vrgrad import cli, problems; rc = cli.main({args!r}); "
+            f"print(rc, problems._kernels().sigmoid.__module__ == problems.__name__, "
+            f"{SCIPY_MODULES})")
+    env = {"PYTHONPATH": str(Path(problems.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    rc, compiled, modules = run.stdout.strip().splitlines()[-1].split(" ", 2)
+    assert rc in ("0", "3")
+    if compiled != "True":
+        pytest.skip("the compiled library does not load here")
+    alone = subprocess.run([sys.executable, "-c", f"import sys, scipy; print({SCIPY_MODULES})"],
+                           capture_output=True, text=True, check=True, env=env)
+    assert modules == alone.stdout.strip()
+    assert json.loads((tmp_path / "o" / ("certificate.json" if command == "certify"
+                                         else "manifest.json")).read_text())["versions"]["scipy"]

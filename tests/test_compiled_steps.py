@@ -13,8 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from vrgrad import _epoch, solvers
-from vrgrad.problems import L1Ball, L1Regularizer
+from vrgrad import _epoch, problems, solvers
+from vrgrad.problems import L1Ball, L1Regularizer, SparseDesignMatrix
 from vrgrad.solvers import SolverConfig, run_prox_svrg, run_vrpsg
 
 from conftest import random_least_squares, random_logistic
@@ -22,13 +22,19 @@ from conftest import random_least_squares, random_logistic
 GCC = shutil.which("gcc")
 
 
+def forget():
+    """Forget the per-process answers: the library, the kernel and the products."""
+    for cached in (_epoch.library, _epoch.load, problems._kernels):
+        cached.cache_clear()
+
+
 @pytest.fixture
 def fresh_load(monkeypatch, tmp_path):
     """load() with its per-process answer forgotten and an empty cache directory."""
     monkeypatch.setattr(_epoch, "_CACHE", tmp_path / "cache")
-    _epoch.load.cache_clear()
+    forget()
     yield tmp_path / "cache"
-    _epoch.load.cache_clear()
+    forget()
 
 
 def _vrpsg_trace():
@@ -46,6 +52,7 @@ def test_kernel_loads_and_passes_every_probe_where_gcc_is_on_path():
             assert solvers._probe(code, loss), (code, loss)
     problem = random_logistic(10, 4, seed=1, regularizer=L1Regularizer(lam=0.1))
     assert solvers._inner_steps(problem).__qualname__.startswith("_compiled_steps")
+    assert problems._kernels().matvec.__qualname__.startswith("_compiled_kernels")
 
 
 @pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
@@ -53,7 +60,7 @@ def test_build_is_cached_under_a_hash_and_leaves_no_temporary(fresh_load):
     assert _epoch.load() is not None
     built = sorted(p.name for p in fresh_load.iterdir())
     assert len(built) == 1 and built[0].startswith("_epoch-") and built[0].endswith(".so")
-    _epoch.load.cache_clear()
+    forget()
     assert _epoch.load() is not None
     assert sorted(p.name for p in fresh_load.iterdir()) == built  # loaded, not rebuilt
 
@@ -81,7 +88,7 @@ def test_a_build_from_a_new_source_removes_the_old_library(fresh_load, monkeypat
 def test_no_compiler_on_path_falls_back_quietly(fresh_load, monkeypatch, capfd):
     want = _vrpsg_trace()
     monkeypatch.setenv("PATH", "")
-    _epoch.load.cache_clear()
+    forget()
     assert _epoch.load() is None
     problem = random_least_squares(5, 3, seed=0, regularizer=L1Regularizer(lam=0.1))
     assert solvers._inner_steps(problem).__qualname__.startswith("_numpy_steps")
@@ -113,10 +120,33 @@ def test_failing_compiler_falls_back_quietly(fresh_load, monkeypatch, tmp_path, 
     assert capfd.readouterr() == ("", "")
 
 
+def test_failing_compiler_sends_products_and_sigmoid_to_scipy_with_the_same_bytes(
+        fresh_load, monkeypatch, tmp_path, capfd):
+    import scipy.sparse as sp
+    from scipy.special import expit
+
+    rng = np.random.Generator(np.random.Philox(0xFA11))
+    X = rng.standard_normal((40, 9)) * (rng.random((40, 9)) < 0.5)
+    X[3] = 0.0
+    w, u, x = rng.standard_normal(9), rng.standard_normal(40), 40.0 * rng.standard_normal(500)
+    A = sp.csr_matrix(X)
+    want = [(A @ w).tobytes(), (A.T @ u).tobytes(), expit(x).tobytes()]
+    fake = tmp_path / "bin"
+    fake.mkdir()
+    (fake / "gcc").write_text("#!/bin/sh\nexit 1\n")
+    (fake / "gcc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(fake))
+    m = SparseDesignMatrix.from_dense(X)
+    assert problems._kernels().sigmoid is expit
+    assert [m.matvec(w).tobytes(), m.rmatvec(u).tobytes(), problems.sigmoid(x).tobytes()] == want
+    assert capfd.readouterr() == ("", "")
+
+
 def test_import_does_not_touch_the_kernel():
     import subprocess
 
-    code = "import sys, vrgrad, vrgrad.cli; print('vrgrad._epoch' in sys.modules)"
+    code = ("import sys, vrgrad, vrgrad.cli; print('vrgrad._epoch' in sys.modules, "
+            "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(_epoch._SOURCE.parents[1])})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False []"

@@ -1,8 +1,12 @@
 """Dataset I/O round-trips, parse diagnostics, and the synthetic generator."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
+from vrgrad.cli import main
 from vrgrad.data import (
     ParseError,
     SyntheticSpec,
@@ -55,6 +59,26 @@ def test_libsvm_parse_errors_carry_line_numbers(tmp_path, line, fragment):
     with pytest.raises(ParseError, match=fragment) as err:
         read_libsvm(path)
     assert ":2:" in str(err.value)  # offending line is line 2
+
+
+@pytest.mark.parametrize("line,what", [
+    ("1 1:2.0 3:nan", "feature value"),
+    ("1 2:1e400", "feature value"),
+    ("-inf 1:1.0", "label"),
+    ("nan 2:nan", "label"),
+])
+def test_libsvm_non_finite_entry_names_its_file_line(tmp_path, capsys, line, what):
+    # a blank line and a comment before it: the bad row is data row 1 on line 4
+    path = tmp_path / "bad.libsvm"
+    path.write_text("1 1:1.0\n\n# comment\n" + line + "\n-1 2:3.0\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:4: non-finite {what}$"):
+        read_libsvm(path)
+    config = tmp_path / "solve.json"
+    config.write_text(json.dumps({"dataset": {"kind": "libsvm", "path": str(path)},
+                                  "problem": {"regularizer": {"lam": 0.1}},
+                                  "algorithm": "prox_svrg", "eta": 0.1}))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:4: non-finite {what}")
 
 
 def test_libsvm_empty_and_column_bounds(tmp_path):
