@@ -39,6 +39,7 @@ from .problems import (
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
+    global_lipschitz,
 )
 from .sampling import SamplingDistribution, build_distribution, draw, draw_many
 from .solvers import (
@@ -82,6 +83,7 @@ __all__ = [
     "eval_full_grad",
     "eval_objective",
     "gen_synthetic",
+    "global_lipschitz",
     "hoffman_theta_bound",
     "mu_estimate",
     "project_box",

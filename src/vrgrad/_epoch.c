@@ -18,6 +18,8 @@
  * logistic loss would otherwise take from scipy, with scipy's bits: the CSR
  * products X w and X' u in scipy's summation order, and the sigmoid
  * 1/(1+exp(-x)) of scipy.special.expit, which the steps' coefficient shares.
+ * Last comes the libsvm reader of vrgrad.data, which has nothing to do with
+ * the rest but shares the build.
  */
 
 #include <float.h>
@@ -421,4 +423,113 @@ void vrgrad_sigmoid(int64_t n, const double *x, double *out)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = sigmoid(x[i]);
+}
+
+/* vrgrad.data._read_libsvm_py, compiled.  vrgrad_libsvm_size checks the bytes of a
+ * libsvm file and counts what sizes the outputs; vrgrad_read_libsvm then fills
+ * them in one pass, memchr finding the lines and strtod reading the numbers.
+ *
+ * The Python parser is the specification.  This one takes only the files on
+ * which it can promise the same bits, and refuses every other file with -1,
+ * so the caller reruns it in Python for the same arrays or the same error:
+ * a NUL or a byte >= 0x80 anywhere (Python decodes UTF-8); a \r not followed
+ * by \n (universal newlines would end the line there); outside a comment, a
+ * byte other than [0-9+-.eE: \t\r\n]; an index that is not 1 to 18 plain
+ * digits, or is not above the one before it; a label or value that strtod
+ * does not read to the end of its token (so no empty value, no second colon,
+ * no decimal comma), or reads as inf or NaN; and a file without a data row.
+ * glibc's strtod rounds correctly, as Python's float does, and the allowed
+ * bytes leave it no spelling (hex, inf, nan) that float would not read.
+ *
+ * text[len] must be readable (a Python bytes object ends in a NUL), so that
+ * strtod stops at the end of the last token.  labels and indptr hold one
+ * more than the count of \n, indices and values the count of ':': a row ends
+ * at a \n or at the end, and an entry has a ':' of its own.  On success
+ * shape holds the rows, the entries and the largest index.
+ */
+
+static inline int blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+static const char *skip_blanks(const char *p, const char *stop)
+{
+    while (p < stop && blank(*p))
+        p++;
+    return p;
+}
+
+/* Read the token at p, which ends at a blank or at stop, as a finite number into
+   out; return the token's end, or NULL. */
+static const char *number(const char *p, const char *stop, double *out)
+{
+    const char *end = p;
+    for (; end < stop && !blank(*end); end++)
+        if (!((*end >= '0' && *end <= '9') || *end == '+' || *end == '-' || *end == '.'
+              || *end == 'e' || *end == 'E'))
+            return NULL;
+    if (end == p)
+        return NULL;
+    char *read;
+    *out = strtod(p, &read);
+    return read == end && isfinite(*out) ? end : NULL;
+}
+
+/* Check the bytes of text as the reader needs them, and count its \n and ':' into
+   counts; -1 on a NUL, a byte >= 0x80 or a \r not followed by \n. */
+int vrgrad_libsvm_size(const char *text, int64_t len, int64_t *counts)
+{
+    int64_t newlines = 0, colons = 0;
+    int bad = 0;
+    for (int64_t k = 0; k < len; k++) {
+        unsigned char c = (unsigned char)text[k];
+        bad |= (unsigned char)(c - 1) >= 0x7f; /* NUL, or 0x80 and above */
+        bad |= c == '\r' && (k + 1 == len || text[k + 1] != '\n');
+        newlines += c == '\n';
+        colons += c == ':';
+    }
+    counts[0] = newlines;
+    counts[1] = colons;
+    return bad ? -1 : 0;
+}
+
+/* Parse text, which vrgrad_libsvm_size accepted; 0, or -1 where it refuses. */
+int vrgrad_read_libsvm(const char *text, int64_t len, double *labels, int64_t *indptr,
+                       int64_t *indices, double *values, int64_t *shape)
+{
+    const char *end = text + len;
+    int64_t rows = 0, nnz = 0, max_idx = 0;
+    indptr[0] = 0;
+    for (const char *p = text; p < end;) {
+        const char *eol = memchr(p, '\n', (size_t)(end - p));
+        eol = eol ? eol : end;
+        const char *stop = memchr(p, '#', (size_t)(eol - p));
+        stop = stop ? stop : eol;
+        p = skip_blanks(p, stop);
+        if (p < stop) {
+            if (!(p = number(p, stop, &labels[rows])))
+                return -1;
+            int64_t prev = 0;
+            for (p = skip_blanks(p, stop); p < stop; p = skip_blanks(p, stop)) {
+                const char *digits = p;
+                int64_t idx = 0;
+                for (; p < stop && *p >= '0' && *p <= '9'; p++) {
+                    if (p - digits == 18)
+                        return -1;
+                    idx = 10 * idx + (*p - '0');
+                }
+                if (p == digits || p == stop || *p != ':' || idx <= prev)
+                    return -1;
+                if (!(p = number(p + 1, stop, &values[nnz])))
+                    return -1;
+                indices[nnz++] = idx - 1;
+                prev = idx;
+            }
+            max_idx = prev > max_idx ? prev : max_idx;
+            indptr[++rows] = nnz;
+        }
+        p = eol < end ? eol + 1 : end;
+    }
+    shape[0] = rows;
+    shape[1] = nnz;
+    shape[2] = max_idx;
+    return rows ? 0 : -1;
 }

@@ -1,4 +1,4 @@
-"""Build and load ``_epoch.c``: the compiled inner steps, CSR products and sigmoid.
+"""Build and load ``_epoch.c``: compiled inner steps, CSR products, sigmoid and libsvm reader.
 
 The source is compiled on first use with the system ``gcc`` into this
 package's ``__pycache__``, under a name keyed by a hash of the source and
@@ -8,9 +8,9 @@ into place, so processes that build at once do not see each other's half
 written files, and a new build removes the libraries of older sources.
 ``library()`` returns None, quietly, when there is no compiler, the cache
 cannot be written or the build fails: ``problems`` then takes its products
-and sigmoid from scipy.  ``load()``, the inner steps, is None in those cases
-and when numpy's BLAS ``ddot`` cannot be found: the caller then runs the
-numpy loop.
+and sigmoid from scipy, and ``data`` reads libsvm files in Python.
+``load()``, the inner steps, is None in those cases and when numpy's BLAS
+``ddot`` cannot be found: the caller then runs the numpy loop.
 """
 
 from __future__ import annotations
@@ -80,6 +80,10 @@ def library():
     lib.vrgrad_matvec.argtypes = [i64, p, p, p, p, p]
     lib.vrgrad_rmatvec.argtypes = [i64, i64, p, p, p, p, p]
     lib.vrgrad_sigmoid.argtypes = [i64, p, p]
+    lib.vrgrad_libsvm_size.argtypes = [ctypes.c_char_p, i64, p]
+    lib.vrgrad_read_libsvm.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p]
+    for fn in (lib.vrgrad_libsvm_size, lib.vrgrad_read_libsvm):
+        fn.restype = ctypes.c_int
     for fn in (lib.vrgrad_matvec, lib.vrgrad_rmatvec, lib.vrgrad_sigmoid):
         fn.restype = None
     return lib

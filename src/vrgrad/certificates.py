@@ -24,6 +24,7 @@ from .problems import (
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
+    global_lipschitz,
     gradient_mapping_norm,
     margin_coefficients,
     sigmoid,
@@ -568,7 +569,8 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     mu = mu_estimate(problem)
     grad_norm = float(np.linalg.norm(
         problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
-    gap_bound = bounded_gap_M(problem, grad_norm, info.global_bound)
+    l_global = global_lipschitz(problem)
+    gap_bound = bounded_gap_M(problem, grad_norm, l_global)
     beta = beta_from_constants(theta, mu, gap_bound, grad_norm)
     eta, m, rate = rate_grid_search(l_p, beta, eta_fractions, m_values)
 
@@ -577,7 +579,7 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
         beta_emp = ssc_probe(problem, facts, probes=probes, seed=seed).beta_empirical
 
     return CertificateReport(
-        l_global=info.global_bound,
+        l_global=l_global,
         l_avg=info.avg,
         l_max=info.max_component,
         l_p=l_p,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,36 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
     increasing feature indices.  Labels are parsed as reals; with
     ``task="logistic"`` they must come out as +/-1, optionally after the
     {0,1} -> {-1,+1} remap.  Returns (SparseDesignMatrix, labels).
+
+    The compiled reader of ``_epoch.c`` parses the file where the library
+    builds and the file keeps to the plain spellings it accepts; otherwise
+    ``_read_libsvm_py``, its specification, does, with the same bits and
+    the same errors.
     """
+    lib = _compiled_reader()
+    parsed = None
+    if lib is not None:
+        with open(path, "rb") as fh:
+            parsed = _read_libsvm_compiled(lib, fh.read())
+    if parsed is None:
+        parsed = _read_libsvm_py(path)
+    y, indptr, indices, data, max_idx = parsed
+    if remap01:
+        bad = ~np.isin(y, (0.0, 1.0))
+        if np.any(bad):
+            raise ValueError(f"{path}: remap01 requires labels in {{0, 1}}")
+        y = 2.0 * y - 1.0
+    if task == LOGISTIC and not np.all(np.abs(y) == 1.0):
+        raise ValueError(f"{path}: logistic task requires +/-1 labels")
+    if n_cols is None:
+        n_cols = max_idx
+    elif n_cols < max_idx:
+        raise ValueError(f"n_cols={n_cols} but file has feature index {max_idx}")
+    return SparseDesignMatrix._handed_over(y.size, n_cols, indptr, indices, data), y
+
+
+def _read_libsvm_py(path):
+    """(labels, indptr, indices, values, largest index) of a libsvm file, in Python."""
     labels, indptr, indices, values, line_of_row = [], [0], [], [], []
     max_idx = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -64,19 +94,49 @@ def read_libsvm(path, n_cols: int = None, task: str = None, remap01: bool = Fals
         i = int(bad_row.argmax())
         what = "feature value" if np.isfinite(y[i]) else "label"
         raise ParseError(f"{path}:{line_of_row[i]}: non-finite {what}")
-    if remap01:
-        bad = ~np.isin(y, (0.0, 1.0))
-        if np.any(bad):
-            raise ValueError(f"{path}: remap01 requires labels in {{0, 1}}")
-        y = 2.0 * y - 1.0
-    if task == LOGISTIC and not np.all(np.abs(y) == 1.0):
-        raise ValueError(f"{path}: logistic task requires +/-1 labels")
-    if n_cols is None:
-        n_cols = max_idx
-    elif n_cols < max_idx:
-        raise ValueError(f"n_cols={n_cols} but file has feature index {max_idx}")
     indptr, indices = np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
-    return SparseDesignMatrix._handed_over(y.size, n_cols, indptr, indices, data), y
+    return y, indptr, indices, data, max_idx
+
+
+def _read_libsvm_compiled(lib, text: bytes):
+    """``_read_libsvm_py``'s arrays from the compiled reader, or None where it refuses the text."""
+    shape = np.zeros(3, dtype=np.int64)
+    if lib.vrgrad_libsvm_size(text, len(text), shape.ctypes.data):
+        return None
+    rows, entries = int(shape[0]) + 1, int(shape[1])  # bounds; see vrgrad_read_libsvm
+    y, indptr = np.empty(rows), np.empty(rows + 1, dtype=np.int64)
+    indices, data = np.empty(entries, dtype=np.int64), np.empty(entries)
+    if lib.vrgrad_read_libsvm(text, len(text), y.ctypes.data, indptr.ctypes.data,
+                              indices.ctypes.data, data.ctypes.data, shape.ctypes.data):
+        return None
+    rows, entries, max_idx = shape.tolist()
+    return y[:rows], indptr[:rows + 1], indices[:entries], data[:entries], max_idx
+
+
+# Spellings on which a reader that does not round correctly would differ from float()
+_PROBE_NUMBERS = (
+    "0.1", "-0", "1e-400", "4.9e-324", "2.2250738585072011e-308", "9007199254740993",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "0.000123456789012345678901234567890e5", "1.7976931348623157e308",
+)
+
+
+def _compiled_reader():
+    """The compiled library where it builds and reads the probe's numbers as float() does."""
+    from . import _epoch
+
+    lib = _epoch.library()
+    return lib if lib is not None and _reader_probe(lib) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _reader_probe(lib) -> bool:
+    text = "".join(f"{s} {k}:{s}\n" for k, s in enumerate(_PROBE_NUMBERS, start=1)).encode()
+    parsed = _read_libsvm_compiled(lib, text)
+    want = np.array([float(s) for s in _PROBE_NUMBERS]).view(np.int64)
+    return (parsed is not None and np.array_equal(parsed[0].view(np.int64), want)
+            and np.array_equal(parsed[3].view(np.int64), want))
 
 
 def write_libsvm(path, matrix: SparseDesignMatrix, labels) -> None:

@@ -132,17 +132,19 @@ class SparseDesignMatrix:
         self.n_rows, self.n_cols = n_rows, n_cols
         self.indptr, self.indices, self.data = indptr, indices, data
         # scipy's multiply(X, X).sum(axis=1): squares that are 0 are dropped, and
-        # each row left with entries is summed by add.reduceat
-        sq = data * data
-        if not sq.all():
-            kept = sq != 0.0
-            sq = sq[kept]
-            counts = np.bincount(rows[kept], minlength=n_rows)
-        self.row_sq_norms = np.zeros(n_rows)
-        filled = counts > 0
-        if filled.any():
-            starts = np.cumsum(counts) - counts
-            self.row_sq_norms[filled] = np.add.reduceat(sq, starts[filled])
+        # each row left with entries is summed by add.reduceat; a sum past the
+        # largest double is inf, without a warning
+        with np.errstate(over="ignore"):
+            sq = data * data
+            if not sq.all():
+                kept = sq != 0.0
+                sq = sq[kept]
+                counts = np.bincount(rows[kept], minlength=n_rows)
+            self.row_sq_norms = np.zeros(n_rows)
+            filled = counts > 0
+            if filled.any():
+                starts = np.cumsum(counts) - counts
+                self.row_sq_norms[filled] = np.add.reduceat(sq, starts[filled])
 
     @classmethod
     def from_dense(cls, arr) -> "SparseDesignMatrix":
@@ -527,51 +529,50 @@ def gradient_mapping_norm(problem: ProblemSpec, w, g) -> float:
 
 @dataclass
 class LipschitzInfo:
-    """Per-component and aggregate smoothness constants for one problem.
-
-    ``global_bound`` is a power-iteration estimate of the full-gradient
-    constant sigma_max(X)^2 / n (over 4n for logistic); it never exceeds
-    the component average, which never exceeds the component max.
-    """
+    """Per-component smoothness constants for one problem, their average and max."""
 
     per_component: np.ndarray
     avg: float
     max_component: float
-    global_bound: float
     degenerate: np.ndarray = field(repr=False)
 
 
-_POWER_ITERATIONS = 50  # global_bound's power iteration takes at most this many steps,
-_POWER_TOL = 1e-8  # stopping once successive estimates agree to this relative tolerance
-
-
 def compute_lipschitz_info(problem: ProblemSpec) -> LipschitzInfo:
-    """Compute per-component constants and the power-iteration global bound.
+    """Compute the per-component constants.
 
     Component i's constant is ||x_i||^2, over 4 for logistic.  A zero row
     gives 0; such components are degenerate and get excluded from
     Lipschitz-proportional sampling.
     """
-    scale = LOSSES[problem.loss.kind].lipschitz_scale
-    per = problem.matrix.row_sq_norms * scale
+    per = problem.matrix.row_sq_norms * LOSSES[problem.loss.kind].lipschitz_scale
     if per.size == 0:
         raise ValueError("problem has no components")
-    degenerate = per == 0.0
-    n = problem.n
-    sigma_sq = _top_singular_sq(problem.matrix)
     return LipschitzInfo(
         per_component=per,
         avg=float(per.mean()),
         max_component=float(per.max()),
-        global_bound=sigma_sq * scale / n,
-        degenerate=degenerate,
+        degenerate=per == 0.0,
     )
+
+
+_POWER_ITERATIONS = 50  # global_lipschitz's power iteration takes at most this many steps,
+_POWER_TOL = 1e-8  # stopping once successive estimates agree to this relative tolerance
+
+
+def global_lipschitz(problem: ProblemSpec) -> float:
+    """Power-iteration estimate of the full-gradient constant sigma_max(X)^2 / n.
+
+    Over 4n for logistic.  It never exceeds the component average, which
+    never exceeds the component max.  Only the certificate reads it.
+    """
+    scale = LOSSES[problem.loss.kind].lipschitz_scale
+    return _top_singular_sq(problem.matrix) * scale / problem.n
 
 
 def _top_singular_sq(matrix):
     # largest eigenvalue of X'X by power iteration; fixed-seed start so the
     # result is deterministic and (up to the convergence tolerance) a lower
-    # estimate, keeping global_bound <= avg exact
+    # estimate, keeping global_lipschitz <= avg exact
     d = matrix.n_cols
     if d == 0 or matrix.data.size == 0:
         return 0.0

@@ -403,7 +403,8 @@ def run_vrpsg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
     f_star : float, optional
         Reference optimal value; fills the trace's gap column.
     info : LipschitzInfo, optional
-        Precomputed constants, to skip the power iteration on repeat runs.
+        The constants ``compute_lipschitz_info`` gives, when the caller has
+        them already; computed here otherwise.
 
     Returns
     -------
@@ -424,7 +425,7 @@ def run_prox_svrg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=No
     Identical inner loop to run_vrpsg with the projection replaced by the
     soft-threshold prox at level eta*lam; the traced objective includes the
     penalty.  With lam = 0 this is plain (unconstrained) variance-reduced
-    stochastic gradient descent.
+    stochastic gradient descent.  ``info`` is as for run_vrpsg.
     """
     if problem.regularizer is None:
         raise ValueError("run_prox_svrg requires a regularized problem")

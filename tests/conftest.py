@@ -1,9 +1,11 @@
-"""Shared builders for small test problems."""
+"""Shared builders for small test problems, and the two libsvm readers side by side."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from vrgrad import _epoch, solvers
+from vrgrad import _epoch, data, solvers
 from vrgrad.problems import (
     Box,
     L1Ball,
@@ -59,6 +61,42 @@ def inner_steps(loop):
     if kernel is None:
         pytest.skip("the compiled inner-step kernel does not build here")
     return lambda problem: solvers._compiled_steps(problem, kernel)
+
+
+def libsvm_readers():
+    """Patches under which ``read_libsvm`` takes each of its two readers.
+
+    The first leaves the compiled reader in place (so where the library does
+    not build, it is the Python reader again); the second patches
+    ``_epoch.library`` to None, and the Python reader alone runs.
+    """
+    return [mock.patch.object(_epoch, "library", _epoch.library),
+            mock.patch.object(_epoch, "library", lambda: None)]
+
+
+def read_libsvm_both(path, **kwargs):
+    """``read_libsvm`` under each reader: the same bits, or the same error.
+
+    Returns the Python reader's (matrix, labels), or raises its error.
+    """
+    outcomes = []
+    for reader in libsvm_readers():
+        with reader:
+            try:
+                outcomes.append(data.read_libsvm(path, **kwargs))
+            except Exception as exc:  # compared below, then raised
+                outcomes.append(exc)
+    compiled, python = outcomes
+    if isinstance(python, Exception):
+        assert type(compiled) is type(python) and str(compiled) == str(python)
+        raise python
+    assert not isinstance(compiled, Exception), compiled
+    (m1, y1), (m2, y2) = compiled, python
+    assert (m1.n_rows, m1.n_cols) == (m2.n_rows, m2.n_cols)
+    for a, b in ((y1, y2), (m1.indptr, m2.indptr), (m1.indices, m2.indices),
+                 (m1.data, m2.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return python
 
 
 @pytest.fixture

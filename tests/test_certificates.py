@@ -40,6 +40,7 @@ from vrgrad.problems import (
     SparseDesignMatrix,
     compute_lipschitz_info,
     eval_objective,
+    global_lipschitz,
 )
 from vrgrad.sampling import PROPORTIONAL, build_distribution
 
@@ -406,7 +407,7 @@ def test_bounded_gap_dominates_sampled_gaps():
     prob = rank_deficient_ball_problem()
     facts = reference_solution(prob)
     g = float(np.linalg.norm(prob.matrix.rmatvec(facts.grad_h_at_r_star) + prob.q))
-    M = bounded_gap_M(prob, g, compute_lipschitz_info(prob).global_bound)
+    M = bounded_gap_M(prob, g, global_lipschitz(prob))
     rng = np.random.Generator(np.random.Philox(26))
     for _ in range(300):
         w = rng.standard_normal(prob.d) * 3.0
@@ -557,6 +558,7 @@ def test_certificate_rate_consistent_with_rate_formula():
     ("certificates.build_certificate", "reference_tol"),
     ("problems.compute_lipschitz_info", "power_iterations"),
     ("problems.compute_lipschitz_info", "tol"),
+    ("problems.global_lipschitz", "power_iterations"), ("problems.global_lipschitz", "tol"),
     ("certificates.hoffman_theta_bound", "rank_tol"),
     ("certificates.hoffman_theta_bound", "max_columns"),
     ("certificates.hoffman_theta_bound", "max_subsets"),

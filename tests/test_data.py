@@ -1,11 +1,18 @@
-"""Dataset I/O round-trips, parse diagnostics, and the synthetic generator."""
+"""Dataset I/O round-trips, parse diagnostics, and the synthetic generator.
 
+Every ``read_libsvm`` test runs through both readers, the compiled one and
+the Python one, and asks for the same bits or the same error from each.
+"""
+
+import ctypes
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vrgrad import data
 from vrgrad.cli import main
 from vrgrad.data import (
     ParseError,
@@ -15,6 +22,8 @@ from vrgrad.data import (
     write_libsvm,
 )
 from vrgrad.problems import SparseDesignMatrix
+
+from conftest import libsvm_readers, read_libsvm_both
 
 
 def test_libsvm_round_trip_is_exact(tmp_path):
@@ -26,7 +35,7 @@ def test_libsvm_round_trip_is_exact(tmp_path):
     y = rng.standard_normal(12)
     path = tmp_path / "round.libsvm"
     write_libsvm(path, SparseDesignMatrix.from_dense(X), y)
-    mat, y2 = read_libsvm(path, n_cols=7)
+    mat, y2 = read_libsvm_both(path, n_cols=7)
     assert np.array_equal(mat.toarray(), X)
     assert np.array_equal(y2, y)
 
@@ -39,7 +48,7 @@ def test_libsvm_basic_parse(tmp_path):
         "# a comment line\n"
         "-1 2:1.5   # trailing comment\n"
     )
-    mat, y = read_libsvm(path)
+    mat, y = read_libsvm_both(path)
     assert mat.n_rows == 2 and mat.n_cols == 3
     assert np.array_equal(y, [1.0, -1.0])
     assert np.array_equal(mat.toarray(),
@@ -57,7 +66,7 @@ def test_libsvm_parse_errors_carry_line_numbers(tmp_path, line, fragment):
     path = tmp_path / "bad.libsvm"
     path.write_text("1 1:1.0\n" + line + "\n")
     with pytest.raises(ParseError, match=fragment) as err:
-        read_libsvm(path)
+        read_libsvm_both(path)
     assert ":2:" in str(err.value)  # offending line is line 2
 
 
@@ -72,39 +81,126 @@ def test_libsvm_non_finite_entry_names_its_file_line(tmp_path, capsys, line, wha
     path = tmp_path / "bad.libsvm"
     path.write_text("1 1:1.0\n\n# comment\n" + line + "\n-1 2:3.0\n")
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:4: non-finite {what}$"):
-        read_libsvm(path)
+        read_libsvm_both(path)
     config = tmp_path / "solve.json"
     config.write_text(json.dumps({"dataset": {"kind": "libsvm", "path": str(path)},
                                   "problem": {"regularizer": {"lam": 0.1}},
                                   "algorithm": "prox_svrg", "eta": 0.1}))
-    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}:4: non-finite {what}")
+    for reader in libsvm_readers():
+        with reader:
+            assert main(["solve", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:4: non-finite {what}")
 
 
 def test_libsvm_empty_and_column_bounds(tmp_path):
     empty = tmp_path / "empty.libsvm"
     empty.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="no data lines"):
-        read_libsvm(empty)
+        read_libsvm_both(empty)
     small = tmp_path / "small.libsvm"
     small.write_text("1 4:1.0\n")
     with pytest.raises(ValueError, match="n_cols"):
-        read_libsvm(small, n_cols=3)
-    mat, _ = read_libsvm(small, n_cols=6)
+        read_libsvm_both(small, n_cols=3)
+    mat, _ = read_libsvm_both(small, n_cols=6)
     assert mat.n_cols == 6
 
 
 def test_libsvm_label_handling(tmp_path):
     path = tmp_path / "labels.libsvm"
     path.write_text("0 1:1.0\n1 1:2.0\n")
-    _, y = read_libsvm(path, remap01=True)
+    _, y = read_libsvm_both(path, remap01=True)
     assert np.array_equal(y, [-1.0, 1.0])
     with pytest.raises(ValueError, match="logistic"):
-        read_libsvm(path, task="logistic")
+        read_libsvm_both(path, task="logistic")
     bad = tmp_path / "bad01.libsvm"
     bad.write_text("2 1:1.0\n")
     with pytest.raises(ValueError, match="remap01"):
-        read_libsvm(bad, remap01=True)
+        read_libsvm_both(bad, remap01=True)
+
+
+def compiled_reader():
+    lib = data._compiled_reader()
+    if lib is None:
+        pytest.skip("the compiled library does not build here")
+    return lib
+
+
+def test_libsvm_compiled_reader_parses_a_well_formed_file_alone(tmp_path, monkeypatch):
+    compiled_reader()
+    path = tmp_path / "plain.libsvm"
+    path.write_text("1 1:0.5 3:2e-3\r\n# comment\n\n-1\t2:-1.5E+2 # trailing\n+0 4:.5\n")
+
+    def python_reader(path):
+        raise AssertionError("the Python reader ran")
+
+    monkeypatch.setattr(data, "_read_libsvm_py", python_reader)
+    mat, y = read_libsvm(path)
+    assert np.array_equal(y, [1.0, -1.0, 0.0])
+    assert np.array_equal(mat.toarray(), [[0.5, 0, 2e-3, 0], [0, -150.0, 0, 0], [0, 0, 0, 0.5]])
+
+
+def test_libsvm_compiled_reader_one_ulp_off_fails_its_probe():
+    lib = compiled_reader()
+
+    class OneUlpOff:
+        vrgrad_libsvm_size = lib.vrgrad_libsvm_size
+
+        def vrgrad_read_libsvm(self, text, n, y, indptr, indices, values, shape):
+            status = lib.vrgrad_read_libsvm(text, n, y, indptr, indices, values, shape)
+            first = ctypes.cast(values, ctypes.POINTER(ctypes.c_double))
+            first[0] = np.nextafter(first[0], np.inf)
+            return status
+
+    assert data._reader_probe(lib) and not data._reader_probe(OneUlpOff())
+
+
+@pytest.mark.parametrize("text", [
+    b"1 1:1\r2 1:1\n",  # a lone \r ends a line in Python
+    b"1 1:1\r",
+    b"1 1:1 # caf\xc3\xa9\n",  # a byte >= 0x80, in a comment too
+    b"1 1:1\x00\n",
+    b"1\x0c1:1\n",  # \f, a blank to str.split
+    b"1 +3:1\n", b"1 1_0:1\n", b"1 1:1_0\n", b"1 1:0x1p3\n", b"1 1:inf\n", b"nan 1:1\n",
+    b"1 1:1e400\n", b"1 0:1\n", b"1 2:1 2:1\n", b"1 1:\n", b"1 :1\n", b"1 1:1:1\n", b"1 1\n",
+    b"1e 1:1\n", b"1 1:1.2.3\n", b"1 0000000000000000001:1\n",  # 19 digits
+    b"# no data\n\n", b"",
+])
+def test_libsvm_compiled_reader_refuses_what_it_cannot_promise(text):
+    assert data._read_libsvm_compiled(compiled_reader(), text) is None
+
+
+@pytest.mark.parametrize("text", [
+    b"1 1:1\r\n-1 2:2\r\n", b"1 1:1", b"\t1\t1:1\t\n", b"1 000000000000000001:1\n",
+    b"-0 1:-0 2:4.9e-324 3:1e-400 4:1.7976931348623157e308 5:000.10 6:1. 7:-.5e-3\n",
+    b"0.123456789012345678901234567890 1:123456789012345678901234567890e-30\n",
+    b"1 1:1#x\x0c\x1fy\n", b"1 1:1 #\r\n",
+])
+def test_libsvm_compiled_reader_takes_plain_spellings_with_float_bits(tmp_path, text):
+    path = tmp_path / "plain.libsvm"
+    path.write_bytes(text)
+    y, indptr, indices, values, max_idx = data._read_libsvm_compiled(compiled_reader(), text)
+    want = data._read_libsvm_py(path)
+    for got, expected in zip((y, indptr, indices, values), want):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert max_idx == want[4]
+
+
+def test_libsvm_compiled_reader_peaks_below_the_python_reader(tmp_path):
+    compiled_reader()
+    rng = np.random.Generator(np.random.Philox(31))
+    X = rng.standard_normal((1000, 400))
+    X[rng.random(X.shape) >= 0.05] = 0.0  # about 20 000 entries
+    path = tmp_path / "big.libsvm"
+    write_libsvm(path, SparseDesignMatrix.from_dense(X), np.sign(rng.standard_normal(1000)))
+    peaks = []
+    for reader in (read_libsvm, data._read_libsvm_py):
+        tracemalloc.start()
+        try:
+            reader(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 def test_synthetic_reproducible_and_rank():

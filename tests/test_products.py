@@ -101,6 +101,18 @@ def test_row_norms_and_toarray_on_odd_csr_arrays():
         assert same_bits(m.toarray(), A.toarray())
 
 
+def test_row_norms_overflow_to_inf_without_a_warning():
+    # one square past the largest double, and two finite squares whose sum is
+    data = np.array([1.3407807929942597e154, 1e154, 1e154, 1e200, 1.0])
+    indptr, indices = np.array([0, 1, 3, 5]), np.array([0, 0, 1, 0, 1])
+    m = SparseDesignMatrix(3, 2, indptr, indices, data)  # warnings are errors here
+    A = sp.csr_matrix((data, indices, indptr), shape=(3, 2))
+    with np.errstate(over="ignore"):  # scipy's sum warns
+        want = np.asarray(A.multiply(A).sum(axis=1)).ravel()
+    assert same_bits(m.row_sq_norms, want)
+    assert np.isinf(m.row_sq_norms).all()
+
+
 def test_products_on_odd_csr_arrays(kernels):
     rng = np.random.Generator(np.random.Philox(0x5B))
     for shape, indptr, indices, data in odd_csr_arrays():

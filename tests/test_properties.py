@@ -6,7 +6,8 @@ and the full-gradient baseline's two matrix branches; the stochastic
 solvers' gradient-evaluation accounting and feasibility; then the batched
 Hoffman bound, over extended bases, against its one-SVD-per-subset
 reference, the closed-form mu against the 201-point grid it replaced, and
-the semi-strong-convexity probe's projections onto the optimal set.
+the semi-strong-convexity probe's projections onto the optimal set.  Last,
+the compiled libsvm reader against the Python one on messy files.
 """
 
 from unittest import mock
@@ -49,7 +50,7 @@ from vrgrad.solvers import (
     run_vrpsg,
 )
 
-from conftest import inner_steps, make_problem
+from conftest import inner_steps, make_problem, read_libsvm_both
 from test_certificates import hoffman_loop
 
 EPS = np.finfo(np.float64).eps
@@ -668,3 +669,64 @@ def test_a_repeated_cut_row_ends_the_projection():
     with mock.patch.object(L1Ball, "cut", lambda self, z: (np.sign(z), self.tau)):
         probe = certificates.ssc_probe(problem, facts, probes=probes)
     assert probe.beta_empirical > 0.0
+
+
+# libsvm files: half keep to the spellings the compiled reader takes; the other
+# half mix in what it refuses and the Python reader may still take or reject
+_plain_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.2E}"),
+    st.from_regex(r"\A[+-]?0*[0-9]{1,30}(\.[0-9]{0,30})?([eE][+-]?[0-9]{1,3})?\Z"),
+    st.sampled_from(["4.9e-324", "2.4703282292062327e-324", "1e-400", "+.5", "1.", "-.0",
+                     "2.2250738585072011e-308", "1e400"]),
+)
+_odd_numbers = st.one_of(
+    st.sampled_from(["1_0", "0x1p3", "0X1.8P1", "inf", "-Infinity", "nan", "", "1e", "--1",
+                     ".", "1,5", "\u0663", "\u0661.\u0665"]),
+    st.text("0123456789+-.eE:", max_size=6),
+)
+
+
+@st.composite
+def _libsvm_files(draw):
+    clean = draw(st.booleans())
+    numbers = _plain_numbers if clean else st.one_of(_plain_numbers, _odd_numbers)
+    blanks = st.sampled_from([" ", " ", "  ", "\t", " \t "] + ([] if clean else ["\x0c", "\x0b"]))
+    comments = st.text(st.sampled_from("ab #:.1\t\x0c" + ("" if clean else "\u00e9\x00")),
+                       max_size=8).map(lambda c: "#" + c)
+    ends = st.sampled_from(["\n", "\n", "\r\n"] + ([] if clean else ["\r"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row and comment", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(comments))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        prev, parts = 0, [draw(numbers)]
+        for _ in range(draw(st.integers(0, 5))):
+            prev += draw(st.integers(1 if clean else 0, 4))  # a step of 0 repeats an index
+            spellings = [str(prev), f"00{prev}"] + ([] if clean else [
+                f"+{prev}", "1_0", "\u0663", "", "-1", "0", "1" * 19])
+            parts.append(f"{draw(st.sampled_from(spellings))}:{draw(numbers)}")
+        line = draw(st.sampled_from(["", " ", "\t"])) + draw(blanks).join(parts)
+        if kind == "row and comment":
+            line += draw(blanks) + draw(comments)
+        lines.append(line)
+    text = "".join(line + draw(ends) for line in lines)
+    if lines and draw(st.booleans()):  # no end to the last line
+        text = text.rstrip("\r\n")
+    return text.encode() + (b"" if clean else draw(st.sampled_from([b"", b"\xff", b"\xc3"])))
+
+
+@PROPS
+@given(_libsvm_files())
+def test_compiled_libsvm_reader_gives_the_python_readers_bits_or_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property.libsvm"
+    path.write_bytes(text)
+    try:
+        read_libsvm_both(path)
+    except ValueError:  # the same error from both readers, ParseError and UnicodeDecodeError too
+        pass
