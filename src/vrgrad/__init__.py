@@ -6,6 +6,10 @@ projections (:mod:`vrgrad.geometry`), seeded sampling
 (:mod:`vrgrad.sampling`), the solvers themselves (:mod:`vrgrad.solvers`),
 certificate machinery (:mod:`vrgrad.certificates`), and dataset utilities
 (:mod:`vrgrad.data`).  The ``vrgrad`` command line wraps the common runs.
+The compiled library of ``_epoch.c`` (inner steps, CSR products, sigmoid,
+libsvm reader) has one entry point, ``_epoch.library()``, reached at first
+use and never at import; where it does not build, each caller falls back
+to numpy or scipy with the same bits.
 """
 
 __version__ = "0.1.0"
@@ -39,7 +43,6 @@ from .problems import (
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
-    global_lipschitz,
 )
 from .sampling import SamplingDistribution, build_distribution, draw, draw_many
 from .solvers import (
@@ -83,7 +86,6 @@ __all__ = [
     "eval_full_grad",
     "eval_objective",
     "gen_synthetic",
-    "global_lipschitz",
     "hoffman_theta_bound",
     "mu_estimate",
     "project_box",

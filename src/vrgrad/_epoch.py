@@ -1,17 +1,18 @@
 """Build and load ``_epoch.c``: compiled inner steps, CSR products, sigmoid and libsvm reader.
 
-The source is compiled on first use with the system ``gcc`` into this
-package's ``__pycache__``, under a name keyed by a hash of the source and
-the flags, and loaded through ctypes; later processes load the cached
-library.  The compiler writes to a temporary name that is then renamed
-into place, so processes that build at once do not see each other's half
-written files, and a new build removes the libraries of older sources.
-``library()`` returns None, quietly, when there is no compiler, the cache
-cannot be written or the build fails: ``problems`` then takes its products
-and sigmoid from scipy, and ``data`` reads libsvm files in Python.
-``load()``, the inner steps, is None in those cases and when numpy's BLAS
-``ddot`` cannot be found: the caller then runs the numpy loop.
-"""
+``library()`` is the one entry point.  The source is compiled on first use
+with the system ``gcc`` into this package's ``__pycache__``, under a name
+keyed by a hash of the source and the flags, and loaded through ctypes;
+later processes load the cached library.  The compiler writes to a
+temporary name that is then renamed into place, so processes that build at
+once do not see each other's half written files, and a new build removes
+the libraries of older sources.  ``library()`` returns None, quietly, when
+there is no compiler, the cache cannot be written or the build fails:
+``problems`` then takes its products and sigmoid from scipy, ``data`` reads
+libsvm files in Python, and ``solvers`` runs the numpy loop.  The library
+also carries ``ddot``, the address of numpy's BLAS ``ddot`` that the inner
+steps call, resolved once; it is None when that symbol cannot be found, and
+then only the inner steps fall back to the numpy loop."""
 
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ def _ddot():
 
 @functools.lru_cache(maxsize=None)
 def library():
-    """The built library through ctypes, every function typed, or None."""
+    """The built library through ctypes, every function typed, with ``ddot``; or None."""
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
@@ -86,17 +87,8 @@ def library():
         fn.restype = ctypes.c_int
     for fn in (lib.vrgrad_matvec, lib.vrgrad_rmatvec, lib.vrgrad_sigmoid):
         fn.restype = None
-    return lib
-
-
-@functools.lru_cache(maxsize=None)
-def load():
-    """(vrgrad_steps as a ctypes function, address of numpy's ddot), or None."""
-    lib = library()
-    if lib is None:
-        return None
     try:
-        ddot = _ddot()
+        lib.ddot = _ddot()
     except (OSError, ImportError):
-        return None
-    return None if ddot is None else (lib.vrgrad_steps, ddot)
+        lib.ddot = None
+    return lib

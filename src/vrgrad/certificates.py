@@ -19,12 +19,12 @@ import numpy as np
 
 from . import sampling
 from .problems import (
+    LOSSES,
     ProblemSpec,
     aggregate_lipschitz,
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
-    global_lipschitz,
     gradient_mapping_norm,
     margin_coefficients,
     sigmoid,
@@ -555,9 +555,11 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
 
     Computes the reference solution, Lipschitz constants for the requested
     sampling mode, the Hoffman bound from the explicit constraint rows
-    (C, b), mu, M, beta, and then grid-searches (eta, m) for a contractive
-    epoch factor.  The report carries the grid minimum even when it is not
-    contractive; callers inspect ``contractive``.
+    (C, b), mu, the full-gradient constant L = sigma_max(X)^2 / n (over 4
+    for logistic) from one SVD of the dense X, M, beta, and then
+    grid-searches (eta, m) for a contractive epoch factor.  The report
+    carries the grid minimum even when it is not contractive; callers
+    inspect ``contractive``.
     """
     facts = reference_solution(problem, seed=seed)
     if not facts.certified:
@@ -569,7 +571,9 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     mu = mu_estimate(problem)
     grad_norm = float(np.linalg.norm(
         problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
-    l_global = global_lipschitz(problem)
+    # sigma_max(X)^2 from one SVD: the Hoffman bound has refused an X past 24 rows
+    sigma_max = np.linalg.svd(problem.matrix.toarray(), compute_uv=False)[0]
+    l_global = LOSSES[problem.loss.kind].lipschitz_scale * float(sigma_max) ** 2 / problem.n
     gap_bound = bounded_gap_M(problem, grad_norm, l_global)
     beta = beta_from_constants(theta, mu, gap_bound, grad_norm)
     eta, m, rate = rate_grid_search(l_p, beta, eta_fractions, m_values)

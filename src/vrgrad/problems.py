@@ -542,54 +542,22 @@ def compute_lipschitz_info(problem: ProblemSpec) -> LipschitzInfo:
 
     Component i's constant is ||x_i||^2, over 4 for logistic.  A zero row
     gives 0; such components are degenerate and get excluded from
-    Lipschitz-proportional sampling.
+    Lipschitz-proportional sampling.  A row whose squared norm overflows
+    (an entry above about 1.34e154) raises ValueError naming the first.
     """
     per = problem.matrix.row_sq_norms * LOSSES[problem.loss.kind].lipschitz_scale
     if per.size == 0:
         raise ValueError("problem has no components")
+    overflow = np.isinf(per)
+    if overflow.any():
+        raise ValueError(f"row {int(overflow.argmax())}: squared norm overflows a double "
+                         "(an entry above about 1.34e154), so its Lipschitz constant is infinite")
     return LipschitzInfo(
         per_component=per,
         avg=float(per.mean()),
         max_component=float(per.max()),
         degenerate=per == 0.0,
     )
-
-
-_POWER_ITERATIONS = 50  # global_lipschitz's power iteration takes at most this many steps,
-_POWER_TOL = 1e-8  # stopping once successive estimates agree to this relative tolerance
-
-
-def global_lipschitz(problem: ProblemSpec) -> float:
-    """Power-iteration estimate of the full-gradient constant sigma_max(X)^2 / n.
-
-    Over 4n for logistic.  It never exceeds the component average, which
-    never exceeds the component max.  Only the certificate reads it.
-    """
-    scale = LOSSES[problem.loss.kind].lipschitz_scale
-    return _top_singular_sq(problem.matrix) * scale / problem.n
-
-
-def _top_singular_sq(matrix):
-    # largest eigenvalue of X'X by power iteration; fixed-seed start so the
-    # result is deterministic and (up to the convergence tolerance) a lower
-    # estimate, keeping global_lipschitz <= avg exact
-    d = matrix.n_cols
-    if d == 0 or matrix.data.size == 0:
-        return 0.0
-    rng = np.random.Generator(np.random.Philox(0x5EED))
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        z = matrix.rmatvec(matrix.matvec(v))
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return 0.0
-        v = z / nz
-        if abs(nz - lam) <= _POWER_TOL * max(nz, 1.0):
-            return nz
-        lam = nz
-    return lam
 
 
 def aggregate_lipschitz(info: LipschitzInfo, p) -> float:

@@ -266,13 +266,13 @@ def _side_args(side):
     return (_PENALTY if side.lam > 0 else _IDENTITY), side.lam, None, None
 
 
-def _compiled_steps(problem, kernel):
-    """``_numpy_steps(problem)``'s steps through the kernel that ``_epoch.load()`` returned."""
-    fn, ddot = kernel
+def _compiled_steps(problem, lib):
+    """``_numpy_steps(problem)``'s steps through ``vrgrad_steps`` of ``_epoch.library()``."""
+    fn = lib.vrgrad_steps
     mat = problem.matrix
     code, radius, lower, upper = _side_args(problem.side)
     q = problem.q if np.any(problem.q) else None
-    fixed = (ddot, problem.d, mat.indptr, mat.indices, mat.data, problem.loss.labels,
+    fixed = (lib.ddot, problem.d, mat.indptr, mat.indices, mat.data, problem.loss.labels,
              _LOSS_CODES[problem.loss.kind], code, radius, lower, upper)
     fixed = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in fixed]
     q_ptr = None if q is None else q.ctypes.data
@@ -293,15 +293,17 @@ def _compiled_steps(problem, kernel):
 
 
 def _inner_steps(problem):
-    """The compiled steps if the kernel loads and passes its probe for this side and loss.
+    """The compiled steps, or else the numpy loop.
 
-    Otherwise the numpy loop.
+    The compiled steps run where the library loads with a ``ddot`` and
+    passes its probe for this side and loss.
     """
     from . import _epoch
 
-    kernel = _epoch.load()
-    if kernel is not None and _probe(_side_args(problem.side)[0], problem.loss.kind):
-        return _compiled_steps(problem, kernel)
+    lib = _epoch.library()
+    if (lib is not None and lib.ddot is not None
+            and _probe(_side_args(problem.side)[0], problem.loss.kind)):
+        return _compiled_steps(problem, lib)
     return _numpy_steps(problem)
 
 
@@ -327,7 +329,7 @@ def _probe(code, loss):
     from . import _epoch
 
     runs = []
-    for steps in (_numpy_steps(problem), _compiled_steps(problem, _epoch.load())):
+    for steps in (_numpy_steps(problem), _compiled_steps(problem, _epoch.library())):
         out = []
 
         def record(k, cost, w, step_size):

@@ -57,10 +57,10 @@ def inner_steps(loop):
     """
     if loop == "numpy":
         return solvers._numpy_steps
-    kernel = _epoch.load()
-    if kernel is None:
+    lib = _epoch.library()
+    if lib is None or lib.ddot is None:
         pytest.skip("the compiled inner-step kernel does not build here")
-    return lambda problem: solvers._compiled_steps(problem, kernel)
+    return lambda problem: solvers._compiled_steps(problem, lib)
 
 
 def libsvm_readers():

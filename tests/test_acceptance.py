@@ -33,7 +33,6 @@ from vrgrad.problems import (
     ProblemSpec,
     aggregate_lipschitz,
     compute_lipschitz_info,
-    global_lipschitz,
 )
 from vrgrad.sampling import PROPORTIONAL, UNIFORM, build_distribution
 from vrgrad.solvers import (
@@ -254,7 +253,7 @@ def test_criterion_08_certificate_composition():
     g = float(np.linalg.norm(
         prob.matrix.rmatvec(facts.grad_h_at_r_star) + prob.q))
     info = compute_lipschitz_info(prob)
-    M = bounded_gap_M(prob, g, global_lipschitz(prob))
+    M = bounded_gap_M(prob, g, np.linalg.norm(X, 2) ** 2 / X.shape[0])
     beta = beta_from_constants(theta, mu, M, g)
     l_p = aggregate_lipschitz(info, build_distribution(PROPORTIONAL, info, seed=0))
     eta, m, rate = rate_grid_search(l_p, beta)

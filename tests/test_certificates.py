@@ -32,6 +32,7 @@ from vrgrad.certificates import (
 from vrgrad.data import SyntheticSpec, gen_synthetic
 from vrgrad.geometry import project_l1_ball
 from vrgrad.problems import (
+    LOSSES,
     Box,
     L1Ball,
     L1Regularizer,
@@ -40,11 +41,10 @@ from vrgrad.problems import (
     SparseDesignMatrix,
     compute_lipschitz_info,
     eval_objective,
-    global_lipschitz,
 )
 from vrgrad.sampling import PROPORTIONAL, build_distribution
 
-from conftest import make_problem
+from conftest import make_problem, random_least_squares, random_logistic
 
 
 def hoffman_oracle(C, X):
@@ -407,7 +407,7 @@ def test_bounded_gap_dominates_sampled_gaps():
     prob = rank_deficient_ball_problem()
     facts = reference_solution(prob)
     g = float(np.linalg.norm(prob.matrix.rmatvec(facts.grad_h_at_r_star) + prob.q))
-    M = bounded_gap_M(prob, g, global_lipschitz(prob))
+    M = bounded_gap_M(prob, g, np.linalg.norm(prob.matrix.toarray(), 2) ** 2 / prob.n)
     rng = np.random.Generator(np.random.Philox(26))
     for _ in range(300):
         w = rng.standard_normal(prob.d) * 3.0
@@ -550,6 +550,53 @@ def test_certificate_rate_consistent_with_rate_formula():
     assert res.rho == pytest.approx(report.rho, rel=1e-12)
 
 
+def test_certificate_global_constant_is_the_dense_top_singular_value():
+    # L = sigma_max(X)^2 / n (over 4 for logistic) from one SVD, never above the row average
+    for k, (n, d) in enumerate([(4, 2), (7, 3), (10, 3), (12, 2)]):
+        box = Box(lower=np.full(d, -1.0), upper=np.full(d, 0.5))
+        for make in (random_least_squares, random_logistic):
+            prob = make(n, d, seed=40 + k, constraint=box)
+            C, b = box_rows(box.lower, box.upper)
+            report = build_certificate(prob, C, b, seed=k)
+            X = prob.matrix.toarray()
+            scale = LOSSES[prob.loss.kind].lipschitz_scale
+            assert report.l_global == scale * np.linalg.svd(X, compute_uv=False)[0] ** 2 / n
+            assert report.l_global <= report.l_avg * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_is_exact_on_the_stacked_identity_design(seed):
+    # X = [I6; 2 I6] over the box [-1, 1]^6 with f* = 0: X'X = 5 I, so L = 5/12;
+    # theta = 1, mu = 1/12, g = 0, M = (L/2) R^2 = 5 and beta = 1/(1/mu + M)
+    d = 6
+    X = np.vstack([np.eye(d), 2.0 * np.eye(d)])
+    n = X.shape[0]
+    w = np.random.Generator(np.random.Philox(seed)).uniform(-0.5, 0.5, d)
+    lower, upper = -np.ones(d), np.ones(d)
+    prob = make_problem(X, X @ w, constraint=Box(lower=lower, upper=upper))
+    report = build_certificate(prob, *box_rows(lower, upper), seed=seed)
+
+    L = np.linalg.norm(X, 2) ** 2 / n
+    R = float(np.linalg.norm(upper - lower))
+    M = 0.5 * L * R * R
+    mu = 1.0 / n
+    beta = 1.0 / (1.0 / mu + M)
+    l_p = float(np.mean(np.sum(X * X, axis=1)))
+    best = None
+    for frac, m in itertools.product((0.02, 0.05, 0.1, 0.2), (10, 100, 1000, 10 ** 4, 10 ** 5,
+                                                              10 ** 6, 10 ** 7)):
+        eta = frac / l_p
+        x = 4.0 * l_p * eta
+        rho = x * (m + 1.0) / ((1.0 - x) * m) + 1.0 / (beta * eta * (1.0 - x) * m)
+        if best is None or rho < best[1]:
+            best = (m, rho)
+    assert report.l_global.hex() == L.hex()
+    assert report.gap_bound == pytest.approx(M, rel=1e-14)
+    assert report.beta == pytest.approx(beta, rel=1e-14)
+    assert report.rho == pytest.approx(best[1], rel=1e-14)
+    assert report.m == best[0]
+
+
 @pytest.mark.parametrize("fn, keyword", [
     ("solvers.SolverConfig", "strict_feasibility"), ("solvers.SolverConfig", "divergence_factor"),
     ("solvers.run_afg", "max_halvings"),
@@ -558,7 +605,6 @@ def test_certificate_rate_consistent_with_rate_formula():
     ("certificates.build_certificate", "reference_tol"),
     ("problems.compute_lipschitz_info", "power_iterations"),
     ("problems.compute_lipschitz_info", "tol"),
-    ("problems.global_lipschitz", "power_iterations"), ("problems.global_lipschitz", "tol"),
     ("certificates.hoffman_theta_bound", "rank_tol"),
     ("certificates.hoffman_theta_bound", "max_columns"),
     ("certificates.hoffman_theta_bound", "max_subsets"),

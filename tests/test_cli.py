@@ -163,6 +163,18 @@ def test_solve_overflowing_step_on_l1_ball_exits_two(tmp_path, capsys):
     assert "diverged at epoch 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["proportional", "uniform"])
+def test_solve_overflowing_row_norm_exits_one_naming_the_row(tmp_path, capsys, mode):
+    (tmp_path / "a.svm").write_text("1 1:1.34e154\n-1 2:1e200\n1 1:0.5\n")
+    cfg = dict(README_SOLVE, dataset={"kind": "libsvm", "path": str(tmp_path / "a.svm")},
+               sampling=mode, reference={"compute": False})
+    assert main(["solve", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: row 1: squared norm overflows a double (an entry above about "
+                   "1.34e154), so its Lipschitz constant is infinite\n")
+
+
 def test_certify_contractive_exits_zero(tmp_path):
     cfg = write_config(tmp_path, CONTRACTIVE_CERTIFY)
     out = tmp_path / "cert"

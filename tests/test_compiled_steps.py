@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from vrgrad import _epoch, problems, solvers
+from vrgrad import _epoch, data, problems, solvers
 from vrgrad.problems import L1Ball, L1Regularizer, SparseDesignMatrix
 from vrgrad.solvers import SolverConfig, run_prox_svrg, run_vrpsg
 
@@ -23,14 +23,14 @@ GCC = shutil.which("gcc")
 
 
 def forget():
-    """Forget the per-process answers: the library, the kernel and the products."""
-    for cached in (_epoch.library, _epoch.load, problems._kernels):
+    """Forget the per-process answers: the library and the products."""
+    for cached in (_epoch.library, problems._kernels):
         cached.cache_clear()
 
 
 @pytest.fixture
-def fresh_load(monkeypatch, tmp_path):
-    """load() with its per-process answer forgotten and an empty cache directory."""
+def fresh_library(monkeypatch, tmp_path):
+    """library() with its per-process answer forgotten and an empty cache directory."""
     monkeypatch.setattr(_epoch, "_CACHE", tmp_path / "cache")
     forget()
     yield tmp_path / "cache"
@@ -45,8 +45,8 @@ def _vrpsg_trace():
 @pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
 def test_kernel_loads_and_passes_every_probe_where_gcc_is_on_path():
     # a silent fallback to the numpy loop would keep every other test green
-    kernel = _epoch.load()
-    assert kernel is not None
+    lib = _epoch.library()
+    assert lib is not None and lib.ddot is not None
     for code in range(4):
         for loss in ("least_squares", "logistic"):
             assert solvers._probe(code, loss), (code, loss)
@@ -56,25 +56,25 @@ def test_kernel_loads_and_passes_every_probe_where_gcc_is_on_path():
 
 
 @pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
-def test_build_is_cached_under_a_hash_and_leaves_no_temporary(fresh_load):
-    assert _epoch.load() is not None
-    built = sorted(p.name for p in fresh_load.iterdir())
+def test_build_is_cached_under_a_hash_and_leaves_no_temporary(fresh_library):
+    assert _epoch.library() is not None
+    built = sorted(p.name for p in fresh_library.iterdir())
     assert len(built) == 1 and built[0].startswith("_epoch-") and built[0].endswith(".so")
     forget()
-    assert _epoch.load() is not None
-    assert sorted(p.name for p in fresh_load.iterdir()) == built  # loaded, not rebuilt
+    assert _epoch.library() is not None
+    assert sorted(p.name for p in fresh_library.iterdir()) == built  # loaded, not rebuilt
 
 
 @pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
-def test_concurrent_builds_rename_whole_libraries_into_place(fresh_load):
+def test_concurrent_builds_rename_whole_libraries_into_place(fresh_library):
     with ThreadPoolExecutor(2) as pool:
         paths = list(pool.map(lambda _: _epoch._build(GCC), range(2)))
     assert paths[0] == paths[1]
-    assert [p.name for p in fresh_load.iterdir()] == [paths[0].name]
+    assert [p.name for p in fresh_library.iterdir()] == [paths[0].name]
 
 
 @pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
-def test_a_build_from_a_new_source_removes_the_old_library(fresh_load, monkeypatch, tmp_path):
+def test_a_build_from_a_new_source_removes_the_old_library(fresh_library, monkeypatch, tmp_path):
     source = tmp_path / "_epoch.c"
     source.write_bytes(_epoch._SOURCE.read_bytes())
     monkeypatch.setattr(_epoch, "_SOURCE", source)
@@ -82,14 +82,32 @@ def test_a_build_from_a_new_source_removes_the_old_library(fresh_load, monkeypat
     source.write_bytes(_epoch._SOURCE.read_bytes() + b"/* edited */\n")
     new = _epoch._build(GCC)
     assert new != old
-    assert [p.name for p in fresh_load.iterdir()] == [new.name]
+    assert [p.name for p in fresh_library.iterdir()] == [new.name]
 
 
-def test_no_compiler_on_path_falls_back_quietly(fresh_load, monkeypatch, capfd):
+@pytest.mark.skipif(GCC is None, reason="no gcc on PATH")
+def test_missing_ddot_sends_only_the_inner_steps_to_the_numpy_loop(
+        fresh_library, monkeypatch, capfd):
+    want = _vrpsg_trace()
+    monkeypatch.setattr(_epoch, "_ddot", lambda: None)
+    forget()
+    lib = _epoch.library()
+    assert lib is not None and lib.ddot is None
+    problem = random_least_squares(5, 3, seed=0, regularizer=L1Regularizer(lam=0.1))
+    assert solvers._inner_steps(problem).__qualname__.startswith("_numpy_steps")
+    assert problems._kernels().matvec.__qualname__.startswith("_compiled_kernels")
+    assert data._compiled_reader() is lib
+    got = _vrpsg_trace()
+    assert got.objective.tobytes() == want.objective.tobytes()
+    assert (got.final_iterate + 0.0).tobytes() == (want.final_iterate + 0.0).tobytes()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_no_compiler_on_path_falls_back_quietly(fresh_library, monkeypatch, capfd):
     want = _vrpsg_trace()
     monkeypatch.setenv("PATH", "")
     forget()
-    assert _epoch.load() is None
+    assert _epoch.library() is None
     problem = random_least_squares(5, 3, seed=0, regularizer=L1Regularizer(lam=0.1))
     assert solvers._inner_steps(problem).__qualname__.startswith("_numpy_steps")
     got = _vrpsg_trace()
@@ -98,30 +116,30 @@ def test_no_compiler_on_path_falls_back_quietly(fresh_load, monkeypatch, capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def test_unwritable_cache_falls_back_quietly(fresh_load, monkeypatch, tmp_path, capfd):
+def test_unwritable_cache_falls_back_quietly(fresh_library, monkeypatch, tmp_path, capfd):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where the cache directory's parent should be")
     monkeypatch.setattr(_epoch, "_CACHE", blocker / "cache")
-    assert _epoch.load() is None
+    assert _epoch.library() is None
     problem = random_logistic(12, 4, seed=3, regularizer=L1Regularizer(lam=0.05))
     trace = run_prox_svrg(problem, SolverConfig(epochs=2, step_size=0.1, seed=1))
     assert np.all(np.isfinite(trace.objective))
     assert capfd.readouterr() == ("", "")
 
 
-def test_failing_compiler_falls_back_quietly(fresh_load, monkeypatch, tmp_path, capfd):
+def test_failing_compiler_falls_back_quietly(fresh_library, monkeypatch, tmp_path, capfd):
     fake = tmp_path / "bin"
     fake.mkdir()
     (fake / "gcc").write_text("#!/bin/sh\necho broken >&2\nexit 1\n")
     (fake / "gcc").chmod(0o755)
     monkeypatch.setenv("PATH", str(fake))
-    assert _epoch.load() is None
-    assert not any(fresh_load.iterdir())  # the failed build's temporary is gone
+    assert _epoch.library() is None
+    assert not any(fresh_library.iterdir())  # the failed build's temporary is gone
     assert capfd.readouterr() == ("", "")
 
 
 def test_failing_compiler_sends_products_and_sigmoid_to_scipy_with_the_same_bytes(
-        fresh_load, monkeypatch, tmp_path, capfd):
+        fresh_library, monkeypatch, tmp_path, capfd):
     import scipy.sparse as sp
     from scipy.special import expit
 

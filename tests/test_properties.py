@@ -348,8 +348,9 @@ def test_solvers_count_gradients_exactly_and_stay_feasible(case):
 
 # ---- the compiled inner steps against the numpy loop, bit for bit
 
-KERNEL = _epoch.load()
-needs_kernel = pytest.mark.skipif(KERNEL is None, reason="the compiled kernel does not build here")
+KERNEL = _epoch.library()
+needs_kernel = pytest.mark.skipif(KERNEL is None or KERNEL.ddot is None,
+                                  reason="the compiled kernel does not build here")
 
 
 def csr_designs(max_n=6, max_d=8):
