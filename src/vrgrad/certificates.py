@@ -96,13 +96,19 @@ def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
     """Run the accelerated baseline from w0 (zero by default) to the reference tolerance.
 
     AFG stops once the unit-step gradient mapping norm drops below 1e-12
-    (``_REFERENCE_TOL``), or after 10^6 iterations.  ``solve`` and ``bench``
-    read f* from one such run from zero; ``reference_solution`` makes one
-    per start.
+    (``_REFERENCE_TOL``), or after 10^6 iterations; its polish on the optimal
+    face (``run_afg``) usually ends it much sooner.  It runs on one BLAS
+    thread, so its bits do not depend on the thread count and the polish's
+    matrix products and factorizations wake no idle thread.  ``solve`` and
+    ``bench`` read f* from one such run from zero; ``reference_solution``
+    makes one per start.
     """
+    from . import _epoch
+
     cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
-    w = run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
-                record_every=10 ** 9).final_iterate
+    with _epoch.one_blas_thread():
+        w = run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
+                    record_every=10 ** 9).final_iterate
     return ReferenceRun(w, eval_objective(problem, w),
                         gradient_mapping_norm(problem, w, eval_full_grad(problem, w)))
 
@@ -321,13 +327,16 @@ def bounded_gap_M(problem: ProblemSpec, grad_norm: float, l_global: float) -> fl
 
     g = ``grad_norm`` is the gradient norm at an optimum, R the feasible
     diameter (2 tau for the l1 ball, ||upper - lower|| for a box), L =
-    ``l_global`` the full-gradient smoothness bound.  A regularized problem
-    (infinite diameter) or a zero diameter raises ValueError.
+    ``l_global`` the full-gradient smoothness bound.  R^2 is the side's
+    ``diameter_sq``, summed directly rather than squared from R.  A
+    regularized problem (infinite diameter) or a zero diameter raises
+    ValueError.
     """
-    radius = problem.side.diameter
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"gap bound needs a positive finite feasible diameter, not {radius:g}")
-    return grad_norm * radius + 0.5 * l_global * radius ** 2
+    radius_sq = problem.side.diameter_sq
+    if not 0.0 < radius_sq < math.inf:
+        raise ValueError("gap bound needs a positive finite feasible diameter, "
+                         f"not {math.sqrt(radius_sq):g}")
+    return grad_norm * math.sqrt(radius_sq) + 0.5 * l_global * radius_sq
 
 
 def mu_estimate(problem: ProblemSpec) -> float:
@@ -409,7 +418,7 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
     side = problem.side
     Xd = problem.matrix.toarray()
     g_star = Xd.T @ facts.grad_h_at_r_star + problem.q
-    E, e, G, h = side.face(g_star, 1e-9 * max(1.0, float(np.max(np.abs(g_star)))))
+    E, e, G, h = side.face(g_star, 1e-9 * max(1.0, float(np.max(np.abs(g_star))))).rows()
     project = _projector(np.vstack([Xd, E]), np.concatenate([facts.r_star, e]))
 
     def project_optimal(w):
@@ -546,6 +555,16 @@ class CertificateReport:
         return dict(self.__dict__)
 
 
+def _up(x: float) -> float:
+    """The next double above x: an upper bound's safe rounding."""
+    return float(np.nextafter(x, math.inf))
+
+
+def _down(x: float) -> float:
+    """The next double below x: a lower bound's safe rounding."""
+    return float(np.nextafter(x, -math.inf))
+
+
 def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.PROPORTIONAL,
                       eta_fractions=(0.02, 0.05, 0.1, 0.2),
                       m_values=(10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7),
@@ -557,9 +576,12 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     sampling mode, the Hoffman bound from the explicit constraint rows
     (C, b), mu, the full-gradient constant L = sigma_max(X)^2 / n (over 4
     for logistic) from one SVD of the dense X, M, beta, and then
-    grid-searches (eta, m) for a contractive epoch factor.  The report
-    carries the grid minimum even when it is not contractive; callers
-    inspect ``contractive``.
+    grid-searches (eta, m) for a contractive epoch factor.  Each constant
+    the rate rests on is moved one ulp to its safe side as it is computed:
+    the upper bounds L, M and rho up, the lower bounds mu and beta down, and
+    beta and rho are computed from the moved values.  The report carries
+    the grid minimum even when it is not contractive; callers inspect
+    ``contractive``.
     """
     facts = reference_solution(problem, seed=seed)
     if not facts.certified:
@@ -568,15 +590,16 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     dist = sampling.build_distribution(sampling_mode, info, seed=seed)
     l_p = aggregate_lipschitz(info, dist)
     theta = hoffman_theta_bound(C, b, problem.matrix)
-    mu = mu_estimate(problem)
+    mu = _down(mu_estimate(problem))
     grad_norm = float(np.linalg.norm(
         problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
     # sigma_max(X)^2 from one SVD: the Hoffman bound has refused an X past 24 rows
     sigma_max = np.linalg.svd(problem.matrix.toarray(), compute_uv=False)[0]
-    l_global = LOSSES[problem.loss.kind].lipschitz_scale * float(sigma_max) ** 2 / problem.n
-    gap_bound = bounded_gap_M(problem, grad_norm, l_global)
-    beta = beta_from_constants(theta, mu, gap_bound, grad_norm)
+    l_global = _up(LOSSES[problem.loss.kind].lipschitz_scale * float(sigma_max) ** 2 / problem.n)
+    gap_bound = _up(bounded_gap_M(problem, grad_norm, l_global))
+    beta = _down(beta_from_constants(theta, mu, gap_bound, grad_norm))
     eta, m, rate = rate_grid_search(l_p, beta, eta_fractions, m_values)
+    rho = _up(rate.rho)
 
     beta_emp = None
     if probe:
@@ -594,8 +617,8 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
         beta=beta,
         eta=eta,
         m=m,
-        rho=rate.rho,
-        contractive=rate.contractive,
+        rho=rho,
+        contractive=rho < 1.0,
         f_star=facts.f_star,
         reference_certified=facts.certified,
         sampling_mode=sampling_mode,

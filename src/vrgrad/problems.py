@@ -179,11 +179,15 @@ class SparseDesignMatrix:
         """X' u: row i's products are added into the result in row order."""
         return _kernels().rmatvec(self, _vector(u, self.n_rows))
 
+    def columns(self, cols, start=0, stop=None) -> np.ndarray:
+        """The distinct columns ``cols`` of X, in that order, rows start to stop, dense."""
+        col = np.full(self.n_cols, -1, dtype=np.int64)
+        col[cols] = np.arange(len(cols))
+        stop = self.n_rows if stop is None else stop
+        return _kernels().columns(self, col, len(cols), start, stop)
+
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        out[rows, self.indices] = self.data + 0.0  # scipy adds into zeros: -0.0 comes out +0.0
-        return out
+        return self.columns(np.arange(self.n_cols))
 
 
 def _vector(x, size):
@@ -196,6 +200,7 @@ def _vector(x, size):
 class _Kernels(NamedTuple):
     matvec: Callable  # (matrix, w) -> X w, w contiguous float64 of the right size
     rmatvec: Callable  # (matrix, u) -> X' u
+    columns: Callable  # (matrix, col, k, start, stop) -> rows start:stop, column c at col[c] >= 0
     sigmoid: Callable  # x -> 1/(1 + exp(-x)) elementwise; a scalar for a scalar
 
 
@@ -233,12 +238,28 @@ def _compiled_kernels(lib) -> _Kernels:
             m.data.ctypes.data, u.ctypes.data, out.ctypes.data)
         return out
 
+    def columns(m, col, k, start, stop):
+        out = np.zeros((stop - start, k))
+        lib.vrgrad_columns(stop - start, m.indptr[start:].ctypes.data, m.indices.ctypes.data,
+                           m.data.ctypes.data, col.ctypes.data, k, out.ctypes.data)
+        return out
+
     def sigmoid(x):
         x = np.asarray(x, dtype=np.float64, order="C")
         out = np.empty(x.shape)
         sig(x.size, x.ctypes.data, out.ctypes.data)
         return out[()]
-    return _Kernels(matvec, rmatvec, sigmoid)
+    return _Kernels(matvec, rmatvec, columns, sigmoid)
+
+
+def _numpy_columns(m, col, k, start, stop):
+    """``_Kernels.columns`` in numpy: each row gets one spare slot for the columns left out."""
+    lo, hi, rows = m.indptr[start], m.indptr[stop], stop - start
+    flat = (np.repeat(np.arange(rows) * (k + 1) + 1, np.diff(m.indptr[start:stop + 1]))
+            + col[m.indices[lo:hi]])
+    out = np.zeros(rows * (k + 1))
+    out[flat] = m.data[lo:hi] + 0.0  # scipy adds into zeros: -0.0 comes out +0.0
+    return out.reshape(rows, k + 1)[:, 1:].copy()
 
 
 def _scipy_kernels() -> _Kernels:
@@ -252,34 +273,38 @@ def _scipy_kernels() -> _Kernels:
         if a is None:
             a = csr[m] = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
         return a
-    return _Kernels(lambda m, w: as_csr(m) @ w, lambda m, u: as_csr(m).T @ u, expit)
+    return _Kernels(lambda m, w: as_csr(m) @ w, lambda m, u: as_csr(m).T @ u, _numpy_columns,
+                    expit)
 
 
 def _kernels_probe(kernels: _Kernels) -> bool:
-    """Whether the products and sigmoid give the bits of plain Python loops on fixed inputs.
+    """Whether products, columns and sigmoid give the bits of plain Python loops on fixed inputs.
 
     The 5 x 4 matrix has a full row, an empty row and partial rows, an
-    explicit 0.0 and a -0.0.  The sigmoid's reference is ``_scalar_sigmoid``,
-    at values that saturate, overflow or are not finite.
+    explicit 0.0 and a -0.0; its columns 3 and 1 are taken, in that order.
+    The sigmoid's reference is ``_scalar_sigmoid``, at values that saturate,
+    overflow or are not finite.
     """
     indptr, indices = [0, 4, 4, 6, 7, 9], [0, 1, 2, 3, 1, 3, 2, 0, 3]
     data = [1.5, -2.25, 0.1, 3.0, 0.0, -0.0, 7.0, 1e-3, -4.5]
-    w, u = [0.3, -1.7, 2.5, -0.0], [0.7, 11.0, -0.0, 1e-9, -3.25]
+    w, u, col = [0.3, -1.7, 2.5, -0.0], [0.7, 11.0, -0.0, 1e-9, -3.25], [-1, 1, -1, 0]
     m = SparseDesignMatrix(5, 4, indptr, indices, data)
-    want_mv, want_rmv = [], [0.0] * 4
+    want_mv, want_rmv, want_cols = [], [0.0] * 4, [[0.0, 0.0] for _ in range(5)]
     for i in range(5):
         s = 0.0
         for k in range(indptr[i], indptr[i + 1]):
             s += data[k] * w[indices[k]]
             want_rmv[indices[k]] += data[k] * u[i]
+            if col[indices[k]] >= 0:
+                want_cols[i][col[indices[k]]] += data[k]
         want_mv.append(s)
     x = [0.0, -0.0, 0.5, -1.25, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308,
          math.inf, -math.inf, math.nan]
     want_sig = [_scalar_sigmoid(v) for v in x]
     got = (kernels.matvec(m, np.array(w)), kernels.rmatvec(m, np.array(u)),
-           kernels.sigmoid(np.array(x)))
+           kernels.columns(m, np.array(col, dtype=np.int64), 2, 0, 5), kernels.sigmoid(np.array(x)))
     return all(np.array(want).tobytes() == g.tobytes()
-               for want, g in zip((want_mv, want_rmv, want_sig), got))
+               for want, g in zip((want_mv, want_rmv, want_cols, want_sig), got))
 
 
 @dataclass
@@ -303,11 +328,47 @@ class LossSpec:
 # point for a step of size s (the projection, or the l1 prox), built on the
 # unchecked geometry kernels because the side was checked when it was built;
 # penalty(w) is its term in the objective; sample(rng, d) draws a point of the
-# set; diameter and margin_bound(X), the largest |x_i' w| there, are inf for a penalty.
-# face(g, tol) gives rows (E, e, G, h), E w = e and G w <= h, of the face where -g
-# is in the normal cone, or in lam times the l1 subdifferential, a |g_j| within tol
-# of a threshold counting as at it; cut(z) is a row (a, b), a' w <= b on the set,
-# that a z meeting the face rows breaks, or None: only the whole l1 ball needs one.
+# set; diameter_sq, the squared diameter, and margin_bound(X), the largest |x_i' w|
+# there, are inf for a penalty.
+# face(g, tol) is the Face where -g is in the normal cone, or in lam times the l1
+# subdifferential, a |g_j| within tol of a threshold counting as at it; cut(z) is a
+# row (a, b), a' w <= b on the set, that a z meeting the face rows breaks, or None:
+# only the whole l1 ball needs one.
+
+
+class Face(NamedTuple):
+    """A face of a side, coordinate by coordinate, and the penalty's slope on it.
+
+    The face fixes w_j = ``at[j]`` where ``fixed[j]``; every other coordinate
+    keeps ``lower[j] <= w_j <= upper[j]`` (bounds of 0 or +-inf say its sign),
+    and ``row``, when set, is (a, b) with a' w = b, the l1 ball's sign row.
+    On the face the penalty is the linear function ``slope`` ' w.
+    """
+
+    fixed: np.ndarray
+    at: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    row: Optional[tuple]
+    slope: np.ndarray
+
+    def rows(self):
+        """The face as explicit rows (E, e, G, h): E w = e and G w <= h."""
+        d = self.fixed.size
+        eye, free = np.eye(d), ~self.fixed
+        E, e = eye[self.fixed], self.at[self.fixed]
+        if self.row is not None:
+            E, e = np.vstack([E, self.row[0]]), np.append(e, self.row[1])
+        up, down = free & (self.upper < np.inf), free & (self.lower > -np.inf)
+        return (E, e, np.vstack([eye[up], -eye[down]]),
+                np.concatenate([self.upper[up], -self.lower[down]]))
+
+
+def _signed_face(fixed, s):
+    """The face that fixes w_j = 0 where ``fixed`` and keeps sign(s_j) w_j <= 0 elsewhere."""
+    s = np.where(fixed, 0.0, s)
+    return Face(fixed, np.zeros(s.size), np.where(s < 0, 0.0, -np.inf),
+                np.where(s > 0, 0.0, np.inf), None, np.zeros(s.size))
 
 
 @dataclass(frozen=True)
@@ -328,8 +389,8 @@ class L1Ball:
         return 0.0
 
     @property
-    def diameter(self) -> float:
-        return 2.0 * self.tau
+    def diameter_sq(self) -> float:
+        return (2.0 * self.tau) ** 2
 
     def sample(self, rng, d) -> np.ndarray:
         g = rng.standard_normal(d)
@@ -344,11 +405,10 @@ class L1Ball:
     def face(self, g, tol):
         top = float(np.max(np.abs(g), initial=0.0))
         if top <= tol:  # g = 0 exposes the whole ball
-            return (np.empty((0, g.size)), np.empty(0)) * 2
+            return _signed_face(np.zeros(g.size, dtype=bool), np.zeros(g.size))
         on = np.abs(g) >= top - tol  # w_j = 0 off these, sign(g_j) w_j <= 0 on them
-        s, eye = np.sign(g) * on, np.eye(g.size)
-        return (np.vstack([eye[~on], -s]), np.append(np.zeros(g.size - on.sum()), self.tau),
-                eye[on] * s[on, None], np.zeros(on.sum()))
+        face = _signed_face(~on, np.sign(g))
+        return face._replace(row=(-np.sign(g) * on, self.tau))
 
     def cut(self, z):
         return None if np.abs(z).sum() <= self.tau * (1.0 + 1e-12) else (np.sign(z), self.tau)
@@ -379,8 +439,8 @@ class Box:
         return 0.0
 
     @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
+    def diameter_sq(self) -> float:
+        return float(np.square(self.upper - self.lower).sum())
 
     def sample(self, rng, d) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
@@ -390,9 +450,9 @@ class Box:
         return float(np.max(absX @ np.maximum(np.abs(self.lower), np.abs(self.upper)), initial=0.0))
 
     def face(self, g, tol):
-        free, eye = np.abs(g) <= tol, np.eye(g.size)  # else at lower where g > 0, upper where g < 0
-        return (eye[~free], np.where(g > 0, self.lower, self.upper)[~free],
-                np.vstack([eye[free], -eye[free]]), np.append(self.upper[free], -self.lower[free]))
+        fixed = np.abs(g) > tol  # at lower where g > 0, upper where g < 0
+        return Face(fixed, np.where(fixed, np.where(g > 0, self.lower, self.upper), 0.0),
+                    self.lower, self.upper, None, np.zeros(g.size))
 
     def cut(self, z):
         return None
@@ -417,7 +477,7 @@ class L1Regularizer:
     def penalty(self, w) -> float:
         return self.lam * float(np.abs(w).sum()) if self.lam > 0 else 0.0
 
-    diameter = float("inf")
+    diameter_sq = float("inf")
 
     def sample(self, rng, d) -> np.ndarray:
         return rng.standard_normal(d)
@@ -427,10 +487,10 @@ class L1Regularizer:
 
     def face(self, g, tol):
         if self.lam == 0.0:
-            return (np.empty((0, g.size)), np.empty(0)) * 2
-        zero, eye = np.abs(g) < self.lam - tol, np.eye(g.size)  # sign(g_j) w_j <= 0 elsewhere
-        return (eye[zero], np.zeros(zero.sum()),
-                eye[~zero] * np.sign(g[~zero])[:, None], np.zeros(g.size - zero.sum()))
+            return _signed_face(np.zeros(g.size, dtype=bool), np.zeros(g.size))
+        face = _signed_face(np.abs(g) < self.lam - tol, np.sign(g))  # zero, else sign(g_j) w_j <= 0
+        # lam |w_j| = -lam sign(g_j) w_j on the face
+        return face._replace(slope=-self.lam * np.where(face.fixed, 0.0, np.sign(g)))
 
     def cut(self, z):
         return None
@@ -510,8 +570,15 @@ def margin_coefficients(problem: ProblemSpec, u) -> np.ndarray:
 
 def eval_objective(problem: ProblemSpec, w) -> float:
     """Objective at w: f(w) for constrained problems, f(w) + lam*||w||_1 for regularized."""
+    return objective_and_margins(problem, w)[0]
+
+
+def objective_and_margins(problem: ProblemSpec, w):
+    """``eval_objective(problem, w)`` and the margins X w it was computed from."""
     w = _check_w(problem, w)
-    return smooth_value(problem, w) + problem.side.penalty(w)
+    u = problem.matrix.matvec(w)
+    value = LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w)
+    return value + problem.side.penalty(w), u
 
 
 def eval_full_grad(problem: ProblemSpec, w) -> np.ndarray:

@@ -32,9 +32,11 @@ from .problems import (
     SparseDesignMatrix,
     aggregate_lipschitz,
     compute_lipschitz_info,
-    eval_objective,
+    eval_full_grad,
     gradient_mapping_norm,
     margin_coefficients,
+    objective_and_margins,
+    sigmoid,
 )
 
 
@@ -48,6 +50,11 @@ class LineSearchError(RuntimeError):
 
 _DIVERGENCE_FACTOR = 1e3  # an epoch objective past f0 + this * max(1, |f0|) diverged
 _MAX_HALVINGS = 60  # run_afg's line search gives up after this many in a row
+_FACE_TOL = 10.0  # _face_polish: |g_j| within this many gradient mappings of a threshold is at it
+_POLISH_STEPS = 12  # ... it takes this many Newton steps at most
+_POLISH_WORK = 16  # ... its dense work is at most this many times AFG's matrix reads
+_POLISH_MIN_STEPS = 4  # ... and it starts only if that covers this many steps
+_HESSIAN_ROWS = 256  # rows of X_F dense at once while a face Hessian is formed
 
 
 @dataclass
@@ -151,7 +158,7 @@ def _start_point(problem: ProblemSpec, w0) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by the epoch check
 def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, average=False,
-            steps=None):
+            steps=None, margins=None):
     """The one epoch loop, in which every stochastic runner takes its inner steps.
 
     A variance-reduced epoch takes the full gradient at the snapshot, then m steps
@@ -177,7 +184,9 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
     a Michelot lower bound, and the l1 penalty steps its active set, in
     O(active + row) instead of O(d).  Nothing is checked per step:
     ``record(label, cost, output, step_size)`` checks each epoch's output,
-    and a NaN iterate stays NaN until then.
+    and a NaN iterate stays NaN until then.  It returns the output's margins
+    X w, or None; a snapshot takes them, or ``margins`` for the first
+    w_tilde, rather than multiply again.
     """
     mat, n = problem.matrix, problem.n
     q, has_q = problem.q, bool(np.any(problem.q))
@@ -192,7 +201,8 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
 
     for k in labels:
         if not sgd:
-            snap_coef = margin_coefficients(problem, mat.matvec(w_tilde))
+            snap_coef = margin_coefficients(
+                problem, mat.matvec(w_tilde) if margins is None else margins)
             snap_grad = mat.rmatvec(snap_coef) / n
             if has_q:
                 snap_grad = snap_grad + q
@@ -201,7 +211,7 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
                         step_size, eta_snap_grad, average, t)
         if sgd:
             t += m
-        record(k, cost, w_tilde, step_size)
+        margins = record(k, cost, w_tilde, step_size)
     return w_tilde
 
 
@@ -361,18 +371,19 @@ def _stochastic_run(problem, config, w0, f_star, info, algorithm):
         dist = sampling.build_distribution(config.sampling_mode, info, seed=config.seed)
         l_p = aggregate_lipschitz(info, dist)
         theory_warning = l_p > 0 and config.step_size >= 1.0 / (4.0 * l_p)
-    f0 = eval_objective(problem, w)
+    f0, margins = objective_and_margins(problem, w)
     threshold = f0 + _DIVERGENCE_FACTOR * max(1.0, abs(f0))
-    rows, t0 = _Rows(), time.perf_counter()
+    rows, t0, last = _Rows(), time.perf_counter(), [margins]  # the margins of the latest w
 
     def record(k, cost, w_k, step_size):
-        f_val = eval_objective(problem, w_k)
+        f_val, last[0] = objective_and_margins(problem, w_k)
         if not np.isfinite(f_val) or f_val > threshold:
             raise DivergenceError(
                 f"{algorithm} diverged at epoch {k}: objective {f_val:g} "
                 f"(started at {f0:g}); step size {step_size:g} is likely too large"
             )
         rows.add(k, (rows.grad_evals[-1] if rows.grad_evals else 0) + cost, f_val, f_star, t0)
+        return last[0]
 
     eta0, epochs = config.sgd_initial_step, range(1, config.epochs + 1)
     if algorithm in ("sgd", "vrpsg2"):
@@ -384,7 +395,7 @@ def _stochastic_run(problem, config, w0, f_star, info, algorithm):
     if algorithm != "sgd":
         m = config.inner_iterations if config.inner_iterations is not None else n
         w = _epochs(problem, record, w, dist, epochs, config.step_size, m,
-                    average=config.average_epoch_output)
+                    average=config.average_epoch_output, margins=last[0])
     return rows.trace(w, f0, theory_warning=theory_warning)
 
 
@@ -508,8 +519,12 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
     Each iteration costs n gradient evaluations; line-search function
     probes are tallied in the trace's separate ``probe_evals`` column.
     With ``grad_mapping_tol`` set, iteration stops once the unit-step
-    gradient mapping norm falls below it (checked with a fresh gradient,
-    also n evaluations).
+    gradient mapping norm falls below it (checked every 10 iterations with a
+    fresh gradient, also n evaluations).  At checks 1, 2, 4, 8, ... that
+    find it above, ``_guarded_polish`` tries Newton steps on the optimal
+    face from a copy of the iterate; a polished point within the tolerance
+    ends the run, and otherwise AFG goes on from its own state, untouched.
+    The polish's gradients count n each; its Hessians are not counted.
     """
     w = _start_point(problem, w0)
     n = problem.n
@@ -595,9 +610,155 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
         done = it == config.epochs
         if grad_mapping_tol is not None and (done or it % check_every == 0):
             state["grad"] += n
-            done = gradient_mapping_norm(problem, x, value_grad(x)[1]) <= grad_mapping_tol or done
+            g = value_grad(x)[1]
+            gm = gradient_mapping_norm(problem, x, g)
+            done = gm <= grad_mapping_tol or done
+            check = it // check_every
+            if not done and check & (check - 1) == 0:  # checks 1, 2, 4, 8, ...
+                # X read once per function value, once more per gradient
+                reads = (state["grad"] + state["probe"]) // n * problem.matrix.data.size
+                z, grads = _guarded_polish(problem, x, g, gm, grad_mapping_tol,
+                                           _POLISH_WORK * reads)
+                state["grad"] += grads * n
+                if z is not None:
+                    x, F_x, done = z, value(z) + penalty(z), True
         if done or it % record_every == 0:
             rows.add(it, state["grad"], F_x, f_star, t0, probes=state["probe"])
         if done:
             break
     return rows.trace(x, f0, with_probes=True)
+
+
+def _guarded_polish(problem: ProblemSpec, x, g, gm, tol, budget):
+    """``_face_polish`` from x, kept only if it passes the guard.
+
+    The guard maps the polished point through the side's step map, so it is
+    feasible to the bit (a penalty's step of size 0 keeps it), and requires
+    its gradient mapping, from ``eval_full_grad``, to be at most tol.
+    Returns the point or None, and the gradients taken.
+    """
+    z, grads = _face_polish(problem, x, g, gm, tol, budget)
+    if z is None:
+        return None, grads
+    z = problem.side.step_map()(z, 0.0)
+    if gradient_mapping_norm(problem, z, eval_full_grad(problem, z)) > tol:
+        return None, grads + 1
+    return z, grads + 1
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a wild step fails the gradient-mapping test
+def _face_polish(problem: ProblemSpec, x, g, gm, tol, budget):
+    """Newton steps on the face of -g from x.
+
+    Returns a point whose gradient mapping is at most tol, or None, and the
+    gradients taken.  X w is the same at every optimum, so the smooth gradient
+    is too, and the optimal set lies on the face ``side.face(g*, .)``.  Near
+    an optimum the face of -g at x, with |g_j| within ``_FACE_TOL`` gradient
+    mappings of a threshold counting as at it, is that face (Wright 1993).
+    The polish sets the coordinates the face fixes, then takes Newton steps
+    for f + penalty on the rest, F: the penalty is linear on the face, and
+    the l1 ball's face adds the row a'w = tau.  A step solves
+    (H_FF + delta I) dw = -gradient with dw on the row, where H = X' D X / n,
+    D = 1 for least squares and sigma(u)(1 - sigma(u)) at the margins u for
+    logistic.  For logistic delta is 1/100 of the gradient mapping, a
+    regularized Newton step (Li, Fukushima, Qi & Yamashita 2004); for least
+    squares it is eps trace(H), a rounding-level shift that keeps the solve
+    defined on a singular H, so one step is the KKT solve of the face's
+    quadratic.  ``_face_step`` keeps the step inside the face's bounds.
+
+    A step's dense work is (n + |F|) |F|^2.  The attempt starts only if
+    ``budget`` covers ``_POLISH_MIN_STEPS`` steps on the first F, and it ends
+    at the first step that does not lower the gradient mapping, after
+    ``_POLISH_STEPS`` steps, or before a step that would take its total work
+    past ``budget``.  ``_face_hessian`` densifies X_F a block of rows at a time.
+    """
+    side, mat, n = problem.side, problem.matrix, problem.n
+    loss, y, logistic = LOSSES[problem.loss.kind], problem.loss.labels, problem.loss.kind == LOGISTIC
+    face = side.face(g, _FACE_TOL * gm)
+    lower, upper, free = face.lower, face.upper, np.flatnonzero(~face.fixed)
+    if budget < _POLISH_MIN_STEPS * (n + free.size) * free.size ** 2:
+        return None, 0  # AFG has not yet done the work of a few steps on this face
+    z = np.where(face.fixed, face.at, np.clip(x, lower, upper))
+    last = math.inf
+    for k in range(1, _POLISH_STEPS + 2):
+        u = mat.matvec(z)
+        g = mat.rmatvec(loss.coef(u, y)) / n + problem.q
+        gm = gradient_mapping_norm(problem, z, g)
+        if gm <= tol:
+            return z, k
+        budget -= (n + free.size) * free.size ** 2
+        if not (gm < last and k <= _POLISH_STEPS and free.size and budget >= 0):
+            return None, k
+        last = gm
+        if logistic:
+            sig = sigmoid(u)
+            H = _face_hessian(mat, free, sig * (1.0 - sig) / n)
+        else:
+            H = _face_hessian(mat, free, np.full(n, 1.0 / n))
+        delta = np.finfo(np.float64).eps * float(np.trace(H))
+        if logistic:
+            delta = max(delta, 0.01 * gm)
+        H[np.diag_indices_from(H)] += delta
+        row = None if face.row is None else (face.row[0][free], face.row[1] - float(face.row[0] @ z))
+        w, kept = _face_step(H, delta, g[free] + face.slope[free], z[free], lower[free],
+                             upper[free], row)
+        if w is None:
+            return None, k
+        z = z.copy()
+        z[free] = w
+        free = free[kept]
+    return None, k
+
+
+def _face_hessian(mat, free, weight):
+    """X_F' diag(weight) X_F, densifying ``_HESSIAN_ROWS`` rows of the columns F at a time."""
+    H = np.zeros((free.size, free.size))
+    for start in range(0, mat.n_rows, _HESSIAN_ROWS):
+        stop = min(start + _HESSIAN_ROWS, mat.n_rows)
+        B = mat.columns(free, start, stop)
+        B *= np.sqrt(weight[start:stop])[:, None]
+        H += B.T @ B
+    return H
+
+
+def _face_step(H, delta, r, w, lower, upper, row):
+    """One face Newton step from w: the new w and a mask of the coordinates it leaves free.
+
+    Minimizes r'dw + dw'H dw / 2 subject to a'dw = res when ``row`` = (a, res);
+    H already carries delta on its diagonal.  A coordinate that would leave
+    [lower, upper] is set to that bound, and the rest is solved again.  Returns
+    (None, None) if no step exists.
+    """
+    new, free = w.copy(), np.ones(w.size, dtype=bool)
+    while free.any():
+        H_ff = H if free.all() else H[np.ix_(free, free)]
+        rhs = -(r + H @ (new - w))[free]  # the fixed coordinates' moves enter through H
+        if row is not None:
+            a = row[0][free]
+            norm = float(np.linalg.norm(a))
+            if norm == 0.0:
+                return None, None
+            v = a / norm  # dw = v (res / |a|) + (I - v v') y meets the row
+            step0 = v * ((row[1] - float(row[0] @ (new - w))) / norm)
+            rhs -= H_ff @ step0
+            rhs -= v * float(v @ rhs)
+            Hv = H_ff @ v
+            H_ff = (H_ff - np.outer(v, Hv) - np.outer(Hv, v)
+                    + (float(v @ Hv) + delta) * np.outer(v, v))  # P H P + delta I, P = I - v v'
+        try:
+            dw = np.linalg.solve(H_ff, rhs)
+        except np.linalg.LinAlgError:
+            return None, None
+        if row is not None:
+            dw += step0 - v * float(v @ dw)
+        cand = w[free] + dw
+        out = (cand < lower[free]) | (cand > upper[free])
+        if not np.isfinite(cand).all():
+            return None, None
+        if not out.any():
+            new[free] = cand
+            return new, free
+        idx = np.flatnonzero(free)[out]
+        new[idx] = np.where(cand[out] < lower[idx], lower[idx], upper[idx])
+        free[idx] = False
+    return new, free

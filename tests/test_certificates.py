@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrgrad import certificates
+from vrgrad import certificates, solvers
 from vrgrad.certificates import (
     CertificateError,
     EnumerationBudgetError,
@@ -500,6 +500,25 @@ def test_regularized_ssc_probe_meets_strong_convexity_on_control(lam):
     assert probe.beta_empirical >= mu_tilde - 1e-6
 
 
+def test_ssc_probe_accepts_an_unregularized_design_with_a_tiny_eigenvalue(monkeypatch):
+    # 4 x 4 Gaussian X and y from Philox(583), lam = 0: X'X/n has smallest
+    # eigenvalue 7e-7.  AFG alone stops at a 1e-12 gradient mapping up to
+    # 1e-12 / 7e-7 off the optimal set {X w = r*}, past the probe's 1e-9
+    # check; the face polish's Newton step puts each final on the set.  The
+    # instance came from a seeded search over 4 x 5, 4 x 4 and 7 x 5 designs.
+    rng = np.random.Generator(np.random.Philox(583))
+    prob = make_problem(rng.standard_normal((4, 4)), rng.standard_normal(4),
+                        regularizer=L1Regularizer(0.0))
+    probe = ssc_probe(prob, reference_solution(prob), probes=40, seed=0)
+    assert probe.beta_empirical > 0.0 and probe.ratios_used == 40
+
+    monkeypatch.setattr(solvers, "_face_polish", lambda *args: (None, 0))  # plain AFG
+    facts = reference_solution(prob)
+    assert facts.certified
+    with pytest.raises(CertificateError, match="off the optimal set"):
+        ssc_probe(prob, facts, probes=40, seed=0)
+
+
 def test_ssc_probe_requires_certified_facts():
     prob = rank_deficient_ball_problem()
     facts = reference_solution(prob)
@@ -532,7 +551,7 @@ def test_certificate_pipeline_contractive_on_designed_instance():
     C, b = box_rows(prob.constraint.lower, prob.constraint.upper)
     report = build_certificate(prob, C, b, probe=True, probes=60)
     assert report.theta_bound == pytest.approx(1.0, rel=1e-9)
-    assert report.mu == 1.0 / 6.0
+    assert report.mu == np.nextafter(1.0 / 6.0, 0.0)  # a lower bound, rounded down
     assert report.contractive and report.rho < 1.0
     assert report.reference_certified
     assert report.beta_empirical is not None and report.beta_empirical > 0.0
@@ -551,7 +570,8 @@ def test_certificate_rate_consistent_with_rate_formula():
 
 
 def test_certificate_global_constant_is_the_dense_top_singular_value():
-    # L = sigma_max(X)^2 / n (over 4 for logistic) from one SVD, never above the row average
+    # L = sigma_max(X)^2 / n (over 4 for logistic) from one SVD, rounded up by one
+    # ulp, never above the row average
     for k, (n, d) in enumerate([(4, 2), (7, 3), (10, 3), (12, 2)]):
         box = Box(lower=np.full(d, -1.0), upper=np.full(d, 0.5))
         for make in (random_least_squares, random_logistic):
@@ -560,7 +580,8 @@ def test_certificate_global_constant_is_the_dense_top_singular_value():
             report = build_certificate(prob, C, b, seed=k)
             X = prob.matrix.toarray()
             scale = LOSSES[prob.loss.kind].lipschitz_scale
-            assert report.l_global == scale * np.linalg.svd(X, compute_uv=False)[0] ** 2 / n
+            L = scale * np.linalg.svd(X, compute_uv=False)[0] ** 2 / n
+            assert report.l_global == np.nextafter(L, np.inf)
             assert report.l_global <= report.l_avg * (1.0 + 1e-12)
 
 
@@ -590,7 +611,7 @@ def test_certificate_is_exact_on_the_stacked_identity_design(seed):
         rho = x * (m + 1.0) / ((1.0 - x) * m) + 1.0 / (beta * eta * (1.0 - x) * m)
         if best is None or rho < best[1]:
             best = (m, rho)
-    assert report.l_global.hex() == L.hex()
+    assert report.l_global.hex() == np.nextafter(L, np.inf).hex()  # rounded up
     assert report.gap_bound == pytest.approx(M, rel=1e-14)
     assert report.beta == pytest.approx(beta, rel=1e-14)
     assert report.rho == pytest.approx(best[1], rel=1e-14)

@@ -10,6 +10,7 @@ the semi-strong-convexity probe's projections onto the optimal set.  Last,
 the compiled libsvm reader against the Python one on messy files.
 """
 
+import builtins
 from unittest import mock
 
 import numpy as np
@@ -582,8 +583,9 @@ def whole_ball_case():
 def ill_conditioned_case():
     """Least squares with lam = 0 and a small eigenvalue of X'X/n (two near-equal columns).
 
-    The reference solve's 1e-12 gradient mapping leaves its finals more than
-    1e-9 off {X w = r*} here, so the probe refuses.
+    AFG alone stops at a 1e-12 gradient mapping more than 1e-9 off {X w = r*}
+    here, and the probe refused; the face polish of the reference runs puts
+    the finals on that set.
     """
     rng = np.random.Generator(np.random.Philox(6))
     X = rng.standard_normal((4, 3))
@@ -670,6 +672,64 @@ def test_a_repeated_cut_row_ends_the_projection():
     with mock.patch.object(L1Ball, "cut", lambda self, z: (np.sign(z), self.tau)):
         probe = certificates.ssc_probe(problem, facts, probes=probes)
     assert probe.beta_empirical > 0.0
+
+
+# ---- the reference run's face polish
+
+
+def polish_case(n, d, rank, seed, kind, logistic):
+    """A small problem with a minimizer, as ``optimal_set_cases`` builds them.
+
+    The nonzero singular values of X lie in [0.5, 2], so plain AFG, the
+    control, also reaches the tolerance soon.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    left, right = (np.linalg.qr(rng.standard_normal((k, rank)))[0] for k in (n, d))
+    X = (left * rng.uniform(0.5, 2.0, rank)) @ right.T
+    y = X @ rng.standard_normal(d) + 0.5 * rng.standard_normal(n)
+    task = "logistic" if logistic and kind != "lam = 0" else "least_squares"
+    if task == "logistic":
+        y = np.where(y >= 0.0, 1.0, -1.0)
+    side = {"ball": {"constraint": L1Ball(rng.uniform(0.1, 3.0))},
+            "box": {"constraint": Box(-rng.uniform(0.0, 1.0, d), rng.uniform(0.0, 1.0, d))},
+            "lam > 0": {"regularizer": L1Regularizer(rng.uniform(0.01, 0.5))},
+            "lam = 0": {"regularizer": L1Regularizer(0.0)}}[kind]
+    return make_problem(X, y, task=task, **side)
+
+
+# every side, both losses, designs of every rank
+polish_cases = st.tuples(st.integers(3, 12), st.integers(2, 8)).flatmap(lambda nd: st.builds(
+    polish_case, st.just(nd[0]), st.just(nd[1]), st.integers(1, min(nd)),
+    st.integers(0, 2 ** 32), st.sampled_from(["ball", "box", "lam > 0", "lam = 0"]),
+    st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polish_cases)
+@example(polish_case(12, 2, 1, 164, "ball", False))  # AFG's final is ulps outside the ball
+def test_reference_run_polish_is_exact_feasible_and_numpy_only(problem):
+    # the polished run reaches the tolerance at a point of the set, with the
+    # objective of plain AFG, and imports nothing from scipy
+    imported, real_import = [], builtins.__import__
+
+    def recording(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    with mock.patch.object(builtins, "__import__", recording):
+        run = certificates.reference_run(problem)
+    with mock.patch.object(solvers, "_face_polish", lambda *args: (None, 0)):
+        plain = certificates.reference_run(problem)
+    assert run.gradient_mapping <= 1e-12
+    side, w = problem.side, run.w
+    if isinstance(side, Box):
+        assert np.all(side.lower <= w) and np.all(w <= side.upper)
+    elif isinstance(side, L1Ball) and w.tobytes() != plain.w.tobytes():
+        # a polished point lies on the face's row, so its projection rounds by
+        # a few ulps of tau (AFG's own may round by ulps of a far larger |v|)
+        assert float(np.abs(w).sum()) <= side.tau * (1.0 + 4.0 * problem.d * EPS)
+    assert abs(run.objective - plain.objective) <= 1e-12 * max(1.0, abs(plain.objective))
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 # libsvm files: half keep to the spellings the compiled reader takes; the other

@@ -7,6 +7,7 @@ step, whatever the sampled index.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -14,16 +15,21 @@ import pytest
 
 from scipy.special import expit
 
+from vrgrad import solvers
+from vrgrad.data import SyntheticSpec, gen_synthetic
 from vrgrad.geometry import project_box, project_l1_ball, prox_l1
 from vrgrad.problems import (
     Box,
     L1Ball,
     L1Regularizer,
+    LossSpec,
+    ProblemSpec,
     SparseDesignMatrix,
     aggregate_lipschitz,
     compute_lipschitz_info,
     eval_full_grad,
     eval_objective,
+    gradient_mapping_norm,
     margin_coefficients,
 )
 from vrgrad.sampling import PROPORTIONAL, UNIFORM, build_distribution, draw
@@ -277,6 +283,65 @@ def test_afg_reaches_gradient_mapping_tolerance():
     assert np.linalg.norm(gm) <= 1e-10
     # the tolerance stop fired long before the iteration budget
     assert trace.epoch[-1] < 100000
+
+
+def polish_case(kind):
+    """A 40 x 10 rank-4 problem on which the reference-tolerance AFG runs 60 to 80 iterations."""
+    task = "least_squares" if kind == "ball" else "logistic"
+    matrix, y = gen_synthetic(SyntheticSpec(n=40, d=10, rank=4, task=task, noise_std=0.5,
+                                            row_scale_spread=2.0, seed=2))
+    side = {"box": {"constraint": Box(np.full(10, -0.5), np.full(10, 0.5))},
+            "ball": {"constraint": L1Ball(1.0)},
+            "penalty": {"regularizer": L1Regularizer(0.02)}}[kind]
+    return ProblemSpec(matrix=matrix, loss=LossSpec(task, y), **side)
+
+
+# SHA-256 of the final iterate of run_afg(polish_case(kind)) to a 1e-12 gradient
+# mapping, as plain AFG gives it, before the face polish existed
+_AFG_FINALS = {
+    "box": "8628fb777dc4a8d6a8bba2776846f16d26b67a79c1f849bd5b6e48a0df1e718b",
+    "ball": "69a46c15e4d34195d600f345e8c933f433187fd4cb415a1d830086ba2cce7b66",
+    "penalty": "b1dc0591c41e3e2d1a3f2c61858d0d6248cfd3e82cd019e583d421bd25f7c435",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_AFG_FINALS))
+def test_failed_polish_attempts_leave_afg_untouched(kind, monkeypatch):
+    # every Newton step refuses, so each attempt (at iterations 10, 20 and 40)
+    # fails after its first gradient, and AFG goes on from its own state
+    refused = []
+
+    def refuse(*args):
+        refused.append(args)
+        return None, None
+
+    monkeypatch.setattr(solvers, "_face_step", refuse)
+    trace = run_afg(polish_case(kind), SolverConfig(epochs=10 ** 6, step_size=1.0),
+                    grad_mapping_tol=1e-12, record_every=10 ** 9)
+    assert len(refused) == 3
+    assert hashlib.sha256(trace.final_iterate.tobytes()).hexdigest() == _AFG_FINALS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(_AFG_FINALS))
+def test_afg_without_a_tolerance_never_polishes(kind, monkeypatch):
+    def polish(*args):
+        raise AssertionError("run_afg polished without a gradient-mapping tolerance")
+
+    monkeypatch.setattr(solvers, "_face_polish", polish)
+    trace = run_afg(polish_case(kind), SolverConfig(epochs=200, step_size=1.0))
+    assert trace.epoch[-1] == 200
+
+
+def test_polish_finishes_the_reference_run_early():
+    # the same problems: an accepted polish ends the run at its attempt
+    for kind in _AFG_FINALS:
+        problem = polish_case(kind)
+        trace = run_afg(problem, SolverConfig(epochs=10 ** 6, step_size=1.0),
+                        grad_mapping_tol=1e-12, record_every=10 ** 9)
+        w = trace.final_iterate
+        assert trace.epoch[-1] in (10, 20, 40)
+        assert gradient_mapping_norm(problem, w, eval_full_grad(problem, w)) <= 1e-12
+        assert trace.objective[-1] == pytest.approx(eval_objective(problem, w), rel=1e-14)
 
 
 def public_step(problem):
