@@ -14,11 +14,10 @@
  * its active set: a coordinate at +0 that the row does not touch, with
  * |eta g_j| <= eta lam, is +0 again after the step.
  *
- * The file also holds the operations SparseDesignMatrix and the logistic
- * loss would otherwise take from scipy, with scipy's bits: the CSR products
- * X w and X' u in scipy's summation order, dense columns of X, and the
- * sigmoid 1/(1+exp(-x)) of scipy.special.expit, which the steps' coefficient
- * shares.
+ * The file also holds the three operations SparseDesignMatrix and the
+ * logistic loss would otherwise take from scipy, with scipy's bits: the CSR
+ * products X w and X' u in scipy's summation order, and the sigmoid
+ * 1/(1+exp(-x)) of scipy.special.expit, which the steps' coefficient shares.
  * Last comes the libsvm reader of vrgrad.data, which has nothing to do with
  * the rest but shares the build.
  */
@@ -417,18 +416,6 @@ void vrgrad_rmatvec(int64_t n, int64_t d, const int64_t *indptr, const int64_t *
     for (int64_t i = 0; i < n; i++)
         for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
             out[indices[k]] += values[k] * u[i];
-}
-
-/* out, n x k and zero, gets each entry of the CSR matrix X (n rows) whose column
-   c has col[c] >= 0, at row i and column col[c]; adding it to zero turns -0.0
-   into +0.0, as scipy's toarray does. */
-void vrgrad_columns(int64_t n, const int64_t *indptr, const int64_t *indices,
-                    const double *values, const int64_t *col, int64_t k, double *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++)
-            if (col[indices[p]] >= 0)
-                out[i * k + col[indices[p]]] += values[p];
 }
 
 /* out = 1 / (1 + exp(-x)) elementwise */

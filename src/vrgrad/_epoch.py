@@ -1,5 +1,4 @@
-"""Build and load ``_epoch.c``: compiled inner steps, CSR products and columns, sigmoid and
-libsvm reader.
+"""Build and load ``_epoch.c``: compiled inner steps, CSR products, sigmoid and libsvm reader.
 
 ``library()`` is the one entry point.  The source is compiled on first use
 with the system ``gcc`` into this package's ``__pycache__``, under a name
@@ -13,12 +12,10 @@ there is no compiler, the cache cannot be written or the build fails:
 libsvm files in Python, and ``solvers`` runs the numpy loop.  The library
 also carries ``ddot``, the address of numpy's BLAS ``ddot`` that the inner
 steps call, resolved once; it is None when that symbol cannot be found, and
-then only the inner steps fall back to the numpy loop.  ``one_blas_thread()``
-runs a block with that BLAS on one thread."""
+then only the inner steps fall back to the numpy loop."""
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -33,9 +30,6 @@ _CACHE = Path(__file__).with_name("__pycache__")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # numpy's `x @ y` on float64 vectors calls this ddot (64-bit integer BLAS)
 _DDOT_NAMES = ("scipy_cblas_ddot64_", "cblas_ddot64_")
-# ... and these get and set its thread count (OpenBLAS)
-_THREAD_NAMES = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"))
 
 
 def _build(compiler) -> Path:
@@ -58,55 +52,16 @@ def _build(compiler) -> Path:
     return target
 
 
-def _blas():
+def _ddot():
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
-    return ctypes.CDLL(umath.__file__)
-
-
-def _ddot():
-    blas = _blas()
+    blas = ctypes.CDLL(umath.__file__)
     for name in _DDOT_NAMES:
         if hasattr(blas, name):
             return ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
     return None
-
-
-@functools.lru_cache(maxsize=None)
-def _thread_control():
-    """numpy's BLAS (get, set) thread-count functions, or None."""
-    try:
-        blas = _blas()
-    except (OSError, ImportError):
-        return None
-    for get, set_ in _THREAD_NAMES:
-        if hasattr(blas, get) and hasattr(blas, set_):
-            return getattr(blas, get), getattr(blas, set_)
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with numpy's BLAS and LAPACK on one thread, then restore the count.
-
-    A threaded matrix product or factorization wakes the BLAS's other threads,
-    which on a VM whose other vCPUs idle can stall the first call by 0.1-1 s;
-    one thread also makes the block's bits independent of the thread count.
-    Where the BLAS offers no thread control, the block runs as it is.
-    """
-    control = _thread_control()
-    if control is None:
-        yield
-        return
-    get, set_ = control
-    threads = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(threads)
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,13 +80,12 @@ def library():
     lib.vrgrad_steps.restype = ctypes.c_int
     lib.vrgrad_matvec.argtypes = [i64, p, p, p, p, p]
     lib.vrgrad_rmatvec.argtypes = [i64, i64, p, p, p, p, p]
-    lib.vrgrad_columns.argtypes = [i64, p, p, p, p, i64, p]
     lib.vrgrad_sigmoid.argtypes = [i64, p, p]
     lib.vrgrad_libsvm_size.argtypes = [ctypes.c_char_p, i64, p]
     lib.vrgrad_read_libsvm.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p]
     for fn in (lib.vrgrad_libsvm_size, lib.vrgrad_read_libsvm):
         fn.restype = ctypes.c_int
-    for fn in (lib.vrgrad_matvec, lib.vrgrad_rmatvec, lib.vrgrad_columns, lib.vrgrad_sigmoid):
+    for fn in (lib.vrgrad_matvec, lib.vrgrad_rmatvec, lib.vrgrad_sigmoid):
         fn.restype = None
     try:
         lib.ddot = _ddot()

@@ -97,18 +97,13 @@ def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
 
     AFG stops once the unit-step gradient mapping norm drops below 1e-12
     (``_REFERENCE_TOL``), or after 10^6 iterations; its polish on the optimal
-    face (``run_afg``) usually ends it much sooner.  It runs on one BLAS
-    thread, so its bits do not depend on the thread count and the polish's
-    matrix products and factorizations wake no idle thread.  ``solve`` and
-    ``bench`` read f* from one such run from zero; ``reference_solution``
-    makes one per start.
+    face (``run_afg``) usually ends it much sooner.  ``solve`` and ``bench``
+    read f* from one such run from zero; ``reference_solution`` makes one
+    per start.
     """
-    from . import _epoch
-
     cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
-    with _epoch.one_blas_thread():
-        w = run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
-                    record_every=10 ** 9).final_iterate
+    w = run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
+                record_every=10 ** 9).final_iterate
     return ReferenceRun(w, eval_objective(problem, w),
                         gradient_mapping_norm(problem, w, eval_full_grad(problem, w)))
 
@@ -556,12 +551,16 @@ class CertificateReport:
 
 
 def _up(x: float) -> float:
-    """The next double above x: an upper bound's safe rounding."""
+    """The next double above x: an upper bound's last rounding, directed up.
+
+    It covers one rounding of the value, not the roundings of the formula
+    before it, so the bound is not proven to the last bit.
+    """
     return float(np.nextafter(x, math.inf))
 
 
 def _down(x: float) -> float:
-    """The next double below x: a lower bound's safe rounding."""
+    """The next double below x: a lower bound's last rounding, directed down (see ``_up``)."""
     return float(np.nextafter(x, -math.inf))
 
 
@@ -577,9 +576,12 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     (C, b), mu, the full-gradient constant L = sigma_max(X)^2 / n (over 4
     for logistic) from one SVD of the dense X, M, beta, and then
     grid-searches (eta, m) for a contractive epoch factor.  Each constant
-    the rate rests on is moved one ulp to its safe side as it is computed:
+    the rate rests on is moved one ulp to its safe side once it is computed:
     the upper bounds L, M and rho up, the lower bounds mu and beta down, and
-    beta and rho are computed from the moved values.  The report carries
+    beta and rho are computed from the moved values.  That directs only the
+    last rounding of each; the SVD, the squaring and the products before it
+    can each be off by a few ulps, which the one ulp does not cover.  The
+    report carries
     the grid minimum even when it is not contractive; callers inspect
     ``contractive``.
     """

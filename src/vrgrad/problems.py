@@ -180,14 +180,25 @@ class SparseDesignMatrix:
         return _kernels().rmatvec(self, _vector(u, self.n_rows))
 
     def columns(self, cols, start=0, stop=None) -> np.ndarray:
-        """The distinct columns ``cols`` of X, in that order, rows start to stop, dense."""
+        """The distinct columns ``cols`` of X, in that order, rows start to stop, dense.
+
+        Each row gets one spare slot, where the entries of the columns left out land.
+        """
+        k, stop = len(cols), self.n_rows if stop is None else stop
         col = np.full(self.n_cols, -1, dtype=np.int64)
-        col[cols] = np.arange(len(cols))
-        stop = self.n_rows if stop is None else stop
-        return _kernels().columns(self, col, len(cols), start, stop)
+        col[cols] = np.arange(k)
+        lo, hi, rows = self.indptr[start], self.indptr[stop], stop - start
+        flat = (np.repeat(np.arange(rows) * (k + 1) + 1, np.diff(self.indptr[start:stop + 1]))
+                + col[self.indices[lo:hi]])
+        out = np.zeros(rows * (k + 1))
+        out[flat] = self.data[lo:hi] + 0.0  # scipy adds into zeros: -0.0 comes out +0.0
+        return out.reshape(rows, k + 1)[:, 1:].copy()
 
     def toarray(self) -> np.ndarray:
-        return self.columns(np.arange(self.n_cols))
+        out = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        out[rows, self.indices] = self.data + 0.0  # scipy adds into zeros: -0.0 comes out +0.0
+        return out
 
 
 def _vector(x, size):
@@ -200,7 +211,6 @@ def _vector(x, size):
 class _Kernels(NamedTuple):
     matvec: Callable  # (matrix, w) -> X w, w contiguous float64 of the right size
     rmatvec: Callable  # (matrix, u) -> X' u
-    columns: Callable  # (matrix, col, k, start, stop) -> rows start:stop, column c at col[c] >= 0
     sigmoid: Callable  # x -> 1/(1 + exp(-x)) elementwise; a scalar for a scalar
 
 
@@ -238,28 +248,12 @@ def _compiled_kernels(lib) -> _Kernels:
             m.data.ctypes.data, u.ctypes.data, out.ctypes.data)
         return out
 
-    def columns(m, col, k, start, stop):
-        out = np.zeros((stop - start, k))
-        lib.vrgrad_columns(stop - start, m.indptr[start:].ctypes.data, m.indices.ctypes.data,
-                           m.data.ctypes.data, col.ctypes.data, k, out.ctypes.data)
-        return out
-
     def sigmoid(x):
         x = np.asarray(x, dtype=np.float64, order="C")
         out = np.empty(x.shape)
         sig(x.size, x.ctypes.data, out.ctypes.data)
         return out[()]
-    return _Kernels(matvec, rmatvec, columns, sigmoid)
-
-
-def _numpy_columns(m, col, k, start, stop):
-    """``_Kernels.columns`` in numpy: each row gets one spare slot for the columns left out."""
-    lo, hi, rows = m.indptr[start], m.indptr[stop], stop - start
-    flat = (np.repeat(np.arange(rows) * (k + 1) + 1, np.diff(m.indptr[start:stop + 1]))
-            + col[m.indices[lo:hi]])
-    out = np.zeros(rows * (k + 1))
-    out[flat] = m.data[lo:hi] + 0.0  # scipy adds into zeros: -0.0 comes out +0.0
-    return out.reshape(rows, k + 1)[:, 1:].copy()
+    return _Kernels(matvec, rmatvec, sigmoid)
 
 
 def _scipy_kernels() -> _Kernels:
@@ -273,38 +267,34 @@ def _scipy_kernels() -> _Kernels:
         if a is None:
             a = csr[m] = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
         return a
-    return _Kernels(lambda m, w: as_csr(m) @ w, lambda m, u: as_csr(m).T @ u, _numpy_columns,
-                    expit)
+    return _Kernels(lambda m, w: as_csr(m) @ w, lambda m, u: as_csr(m).T @ u, expit)
 
 
 def _kernels_probe(kernels: _Kernels) -> bool:
-    """Whether products, columns and sigmoid give the bits of plain Python loops on fixed inputs.
+    """Whether the products and sigmoid give the bits of plain Python loops on fixed inputs.
 
     The 5 x 4 matrix has a full row, an empty row and partial rows, an
-    explicit 0.0 and a -0.0; its columns 3 and 1 are taken, in that order.
-    The sigmoid's reference is ``_scalar_sigmoid``, at values that saturate,
-    overflow or are not finite.
+    explicit 0.0 and a -0.0.  The sigmoid's reference is ``_scalar_sigmoid``,
+    at values that saturate, overflow or are not finite.
     """
     indptr, indices = [0, 4, 4, 6, 7, 9], [0, 1, 2, 3, 1, 3, 2, 0, 3]
     data = [1.5, -2.25, 0.1, 3.0, 0.0, -0.0, 7.0, 1e-3, -4.5]
-    w, u, col = [0.3, -1.7, 2.5, -0.0], [0.7, 11.0, -0.0, 1e-9, -3.25], [-1, 1, -1, 0]
+    w, u = [0.3, -1.7, 2.5, -0.0], [0.7, 11.0, -0.0, 1e-9, -3.25]
     m = SparseDesignMatrix(5, 4, indptr, indices, data)
-    want_mv, want_rmv, want_cols = [], [0.0] * 4, [[0.0, 0.0] for _ in range(5)]
+    want_mv, want_rmv = [], [0.0] * 4
     for i in range(5):
         s = 0.0
         for k in range(indptr[i], indptr[i + 1]):
             s += data[k] * w[indices[k]]
             want_rmv[indices[k]] += data[k] * u[i]
-            if col[indices[k]] >= 0:
-                want_cols[i][col[indices[k]]] += data[k]
         want_mv.append(s)
     x = [0.0, -0.0, 0.5, -1.25, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308,
          math.inf, -math.inf, math.nan]
     want_sig = [_scalar_sigmoid(v) for v in x]
     got = (kernels.matvec(m, np.array(w)), kernels.rmatvec(m, np.array(u)),
-           kernels.columns(m, np.array(col, dtype=np.int64), 2, 0, 5), kernels.sigmoid(np.array(x)))
+           kernels.sigmoid(np.array(x)))
     return all(np.array(want).tobytes() == g.tobytes()
-               for want, g in zip((want_mv, want_rmv, want_cols, want_sig), got))
+               for want, g in zip((want_mv, want_rmv, want_sig), got))
 
 
 @dataclass
@@ -558,9 +548,13 @@ def _check_w(problem, w):
 
 def smooth_value(problem: ProblemSpec, w) -> float:
     """Smooth part f(w) = (1/n) sum_i loss_i(x_i' w) + q' w."""
-    w = _check_w(problem, w)
+    return _smooth_and_margins(problem, _check_w(problem, w))[0]
+
+
+def _smooth_and_margins(problem, w):
+    """``smooth_value`` at a checked w, and the margins X w it was computed from."""
     u = problem.matrix.matvec(w)
-    return LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w)
+    return LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w), u
 
 
 def margin_coefficients(problem: ProblemSpec, u) -> np.ndarray:
@@ -576,8 +570,7 @@ def eval_objective(problem: ProblemSpec, w) -> float:
 def objective_and_margins(problem: ProblemSpec, w):
     """``eval_objective(problem, w)`` and the margins X w it was computed from."""
     w = _check_w(problem, w)
-    u = problem.matrix.matvec(w)
-    value = LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w)
+    value, u = _smooth_and_margins(problem, w)
     return value + problem.side.penalty(w), u
 
 

@@ -632,15 +632,20 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
 def _guarded_polish(problem: ProblemSpec, x, g, gm, tol, budget):
     """``_face_polish`` from x, kept only if it passes the guard.
 
-    The guard maps the polished point through the side's step map, so it is
-    feasible to the bit (a penalty's step of size 0 keeps it), and requires
-    its gradient mapping, from ``eval_full_grad``, to be at most tol.
-    Returns the point or None, and the gradients taken.
+    The guard maps the polished point through the side's step map (a
+    penalty's step of size 0 keeps it) and requires it to be feasible to the
+    bit: the l1 ball's projection can round a few ulps of tau outside, and a
+    point it leaves there is refused.  It then requires the gradient
+    mapping, from ``eval_full_grad``, to be at most tol.  Returns the point
+    or None, and the gradients taken.
     """
     z, grads = _face_polish(problem, x, g, gm, tol, budget)
     if z is None:
         return None, grads
-    z = problem.side.step_map()(z, 0.0)
+    side = problem.side
+    z = side.step_map()(z, 0.0)
+    if isinstance(side, L1Ball) and float(np.abs(z).sum()) > side.tau:
+        return None, grads
     if gradient_mapping_norm(problem, z, eval_full_grad(problem, z)) > tol:
         return None, grads + 1
     return z, grads + 1
