@@ -19,7 +19,10 @@ import numpy as np
 
 from . import sampling
 from .problems import (
+    LEAST_SQUARES,
+    LOGISTIC,
     LOSSES,
+    L1Ball,
     ProblemSpec,
     aggregate_lipschitz,
     compute_lipschitz_info,
@@ -27,16 +30,21 @@ from .problems import (
     eval_objective,
     gradient_mapping_norm,
     margin_coefficients,
-    sigmoid,
     smooth_value,
 )
-from .solvers import SolverConfig, run_afg
+from .solvers import _afg_iterations, _full_grad_ops
 
 
 # Fixed values, each with one use; the docstrings below say what they govern.
 _REFERENCE_STARTS = 3  # reference_solution's accelerated-baseline runs
 _REFERENCE_MAX_ITERATIONS = 10 ** 6  # iterations per run at most
 _REFERENCE_TOL = 1e-12  # ... stopping once the gradient mapping norm is below this
+_CHECK_EVERY = 10  # ... which is checked every this many iterations
+_FACE_TOL = 10.0  # _face_polish: |g_j| within this many gradient mappings of a threshold is at it
+_POLISH_STEPS = 12  # ... it takes this many Newton steps at most
+_POLISH_WORK = 16  # ... its dense work is at most this many times AFG's matrix reads
+_POLISH_MIN_STEPS = 4  # ... and it starts only if that covers this many steps
+_HESSIAN_ROWS = 256  # rows of X_F dense at once while a face Hessian is formed
 _RANK_TOL = 1e-10  # hoffman_theta_bound: a basis has sigma_min/sigma_max above this
 _MAX_COLUMNS = 24  # the enumeration's budget: columns of [C', X'] ...
 _MAX_SUBSETS = 200_000  # ... and column subsets
@@ -95,17 +103,162 @@ class ReferenceRun(NamedTuple):
 def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
     """Run the accelerated baseline from w0 (zero by default) to the reference tolerance.
 
-    AFG stops once the unit-step gradient mapping norm drops below 1e-12
-    (``_REFERENCE_TOL``), or after 10^6 iterations; its polish on the optimal
-    face (``run_afg``) usually ends it much sooner.  ``solve`` and ``bench``
-    read f* from one such run from zero; ``reference_solution`` makes one
-    per start.
+    Every 10 iterations AFG's own gradient gives the unit-step gradient
+    mapping norm, and the run stops once that is at most 1e-12, or after
+    10^6 iterations.  Checks 1, 2, 4, 8, ... that find it above try
+    ``_face_polish`` from a copy of the iterate, within ``_POLISH_WORK`` times
+    the reads of X counted so far: one per AFG function value, two per AFG
+    gradient, one per check or polish gradient.  A guard keeps a polished
+    point, and ends the run, only if the side's step map leaves it feasible
+    to the bit (the l1 ball's projection can round a few ulps of tau
+    outside) and its gradient mapping from ``eval_full_grad`` is within the
+    tolerance; otherwise AFG goes on, untouched.  ``solve`` and ``bench``
+    read f* from one run from zero; ``reference_solution`` makes one per
+    start.
     """
-    cfg = SolverConfig(epochs=_REFERENCE_MAX_ITERATIONS, step_size=1.0)
-    w = run_afg(problem, cfg, w0=w0, grad_mapping_tol=_REFERENCE_TOL,
-                record_every=10 ** 9).final_iterate
-    return ReferenceRun(w, eval_objective(problem, w),
-                        gradient_mapping_norm(problem, w, eval_full_grad(problem, w)))
+    _, value_grad = ops = _full_grad_ops(problem)
+    iterations = _afg_iterations(problem, w0, 1.0, ops)
+    next(iterations)  # the start point
+    extra = 0  # the check and polish gradients so far
+    for it, (x, _, grads, probes) in zip(range(1, _REFERENCE_MAX_ITERATIONS + 1), iterations):
+        if it % _CHECK_EVERY:
+            continue
+        extra += 1
+        g = value_grad(x)[1]
+        gm = gradient_mapping_norm(problem, x, g)
+        if gm <= _REFERENCE_TOL:
+            break
+        check = it // _CHECK_EVERY
+        if check & (check - 1):  # a polish is tried at checks 1, 2, 4, 8, ... only
+            continue
+        reads = ((grads + probes) // problem.n + extra) * problem.matrix.data.size
+        z, k = _face_polish(problem, x, g, gm, _REFERENCE_TOL, _POLISH_WORK * reads)
+        extra += k
+        if z is None:
+            continue
+        z = problem.side.step_map()(z, 0.0)
+        if isinstance(problem.side, L1Ball) and float(np.abs(z).sum()) > problem.side.tau:
+            continue
+        extra += 1
+        gm = gradient_mapping_norm(problem, z, eval_full_grad(problem, z))
+        if gm <= _REFERENCE_TOL:
+            return ReferenceRun(z, eval_objective(problem, z), gm)
+    return ReferenceRun(x, eval_objective(problem, x),
+                        gradient_mapping_norm(problem, x, eval_full_grad(problem, x)))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a wild step fails the gradient-mapping test
+def _face_polish(problem: ProblemSpec, x, g, gm, tol, budget):
+    """Newton steps on the face of -g from x.
+
+    Returns a point whose gradient mapping is at most tol, or None, and the
+    gradients taken.  X w is the same at every optimum, so the smooth gradient
+    is too, and the optimal set lies on the face ``side.face(g*, .)``.  Near
+    an optimum the face of -g at x, with |g_j| within ``_FACE_TOL`` gradient
+    mappings of a threshold counting as at it, is that face (Wright 1993).
+    The polish sets the coordinates the face fixes, then takes Newton steps
+    for f + penalty on the rest, F: the penalty is linear on the face, and
+    the l1 ball's face adds the row a'w = tau.  A step solves
+    (H_FF + delta I) dw = -gradient with dw on the row, where H = X' D X / n
+    and D is the loss's curvature at the margins u.  For logistic delta is
+    1/100 of the gradient mapping, a regularized Newton step (Li, Fukushima,
+    Qi & Yamashita 2004); for least squares it is eps trace(H), a
+    rounding-level shift that keeps the solve defined on a singular H, so
+    one step is the KKT solve of the face's quadratic.  ``_face_step`` keeps
+    the step inside the face's bounds.
+
+    A step's dense work is (n + |F|) |F|^2.  The attempt starts only if
+    ``budget`` covers ``_POLISH_MIN_STEPS`` steps on the first F, and it ends
+    at the first step that does not lower the gradient mapping, after
+    ``_POLISH_STEPS`` steps, or before a step that would take its total work
+    past ``budget``.  ``_face_hessian`` densifies X_F a block of rows at a time.
+    """
+    side, mat, n = problem.side, problem.matrix, problem.n
+    loss, y, logistic = LOSSES[problem.loss.kind], problem.loss.labels, problem.loss.kind == LOGISTIC
+    face = side.face(g, _FACE_TOL * gm)
+    lower, upper, free = face.lower, face.upper, np.flatnonzero(~face.fixed)
+    if budget < _POLISH_MIN_STEPS * (n + free.size) * free.size ** 2:
+        return None, 0  # AFG has not yet done the work of a few steps on this face
+    z = np.where(face.fixed, face.at, np.clip(x, lower, upper))
+    last = math.inf
+    for k in range(1, _POLISH_STEPS + 2):
+        u = mat.matvec(z)
+        g = mat.rmatvec(loss.coef(u, y)) / n + problem.q
+        gm = gradient_mapping_norm(problem, z, g)
+        if gm <= tol:
+            return z, k
+        budget -= (n + free.size) * free.size ** 2
+        if not (gm < last and k <= _POLISH_STEPS and free.size and budget >= 0):
+            return None, k
+        last = gm
+        H = _face_hessian(mat, free, loss.curvature(u) / n)
+        delta = np.finfo(np.float64).eps * float(np.trace(H))
+        if logistic:
+            delta = max(delta, 0.01 * gm)
+        H[np.diag_indices_from(H)] += delta
+        row = None if face.row is None else (face.row[0][free], face.row[1] - float(face.row[0] @ z))
+        w, kept = _face_step(H, delta, g[free] + face.slope[free], z[free], lower[free],
+                             upper[free], row)
+        if w is None:
+            return None, k
+        z = z.copy()
+        z[free] = w
+        free = free[kept]
+    return None, k
+
+
+def _face_hessian(mat, free, weight):
+    """X_F' diag(weight) X_F, densifying ``_HESSIAN_ROWS`` rows of the columns F at a time."""
+    H = np.zeros((free.size, free.size))
+    for start in range(0, mat.n_rows, _HESSIAN_ROWS):
+        stop = min(start + _HESSIAN_ROWS, mat.n_rows)
+        B = mat.columns(free, start, stop)
+        B *= np.sqrt(weight[start:stop])[:, None]
+        H += B.T @ B
+    return H
+
+
+def _face_step(H, delta, r, w, lower, upper, row):
+    """One face Newton step from w: the new w and a mask of the coordinates it leaves free.
+
+    Minimizes r'dw + dw'H dw / 2 subject to a'dw = res when ``row`` = (a, res);
+    H already carries delta on its diagonal.  A coordinate that would leave
+    [lower, upper] is set to that bound, and the rest is solved again.  Returns
+    (None, None) if no step exists.
+    """
+    new, free = w.copy(), np.ones(w.size, dtype=bool)
+    while free.any():
+        H_ff = H if free.all() else H[np.ix_(free, free)]
+        rhs = -(r + H @ (new - w))[free]  # the fixed coordinates' moves enter through H
+        if row is not None:
+            a = row[0][free]
+            norm = float(np.linalg.norm(a))
+            if norm == 0.0:
+                return None, None
+            v = a / norm  # dw = v (res / |a|) + (I - v v') y meets the row
+            step0 = v * ((row[1] - float(row[0] @ (new - w))) / norm)
+            rhs -= H_ff @ step0
+            rhs -= v * float(v @ rhs)
+            Hv = H_ff @ v
+            H_ff = (H_ff - np.outer(v, Hv) - np.outer(Hv, v)
+                    + (float(v @ Hv) + delta) * np.outer(v, v))  # P H P + delta I, P = I - v v'
+        try:
+            dw = np.linalg.solve(H_ff, rhs)
+        except np.linalg.LinAlgError:
+            return None, None
+        if row is not None:
+            dw += step0 - v * float(v @ dw)
+        cand = w[free] + dw
+        out = (cand < lower[free]) | (cand > upper[free])
+        if not np.isfinite(cand).all():
+            return None, None
+        if not out.any():
+            new[free] = cand
+            return new, free
+        idx = np.flatnonzero(free)[out]
+        new[idx] = np.where(cand[out] < lower[idx], lower[idx], upper[idx])
+        free[idx] = False
+    return new, free
 
 
 def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
@@ -339,16 +492,16 @@ def mu_estimate(problem: ProblemSpec) -> float:
 
     Least squares: exactly 1/n.  Logistic: sigma'(z_max)/n, where z_max =
     ``side.margin_bound(X)`` bounds |x_i' w| over the compact feasible set
-    and sigma'(z) = sigma(z)(1 - sigma(z)); sigma' is even and decreasing in
-    |z|, so this is its minimum over every reachable margin.
+    and sigma'(z), the loss's curvature, is even and decreasing in |z|, so
+    this is its minimum over every reachable margin.
     """
     if not problem.is_constrained:
         raise ValueError("mu_estimate needs a compact feasible set")
     n = problem.n
-    if problem.loss.kind == "least_squares":
+    if problem.loss.kind == LEAST_SQUARES:
         return 1.0 / n  # before margin_bound, which would densify a box's X
-    sig = sigmoid(problem.side.margin_bound(problem.matrix))
-    return float(sig * (1.0 - sig)) / n
+    curvature = LOSSES[problem.loss.kind].curvature
+    return float(curvature(problem.side.margin_bound(problem.matrix))) / n
 
 
 @dataclass

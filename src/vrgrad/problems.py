@@ -28,14 +28,16 @@ class Loss(NamedTuple):
 
     ``mean(u, y)`` is (1/n) sum_i loss(u_i, y_i); ``coef(u, y)`` is the vector
     a with grad f_i = a_i x_i + q; ``scalar(u_i, y_i)`` is one a_i at a
-    Python-float margin, as the inner steps call it; ``lipschitz_scale``
-    times ||x_i||^2 is component i's smoothness constant; ``signed_labels``
-    says the labels must be +1 or -1.
+    Python-float margin, as the inner steps call it; ``curvature(u)`` is the
+    loss's second derivative in the margin, the same for either label;
+    ``lipschitz_scale`` times ||x_i||^2 is component i's smoothness constant
+    (the largest curvature); ``signed_labels`` says the labels must be +1 or -1.
     """
 
     mean: Callable[[np.ndarray, np.ndarray], float]
     coef: Callable[[np.ndarray, np.ndarray], np.ndarray]
     scalar: Callable[[float, float], float]
+    curvature: Callable[[np.ndarray], np.ndarray]
     lipschitz_scale: float
     signed_labels: bool
 
@@ -48,6 +50,12 @@ def _squares_mean(u, y):
 def sigmoid(x):
     """The logistic sigmoid 1/(1 + exp(-x)), elementwise, with the bits of scipy's ``expit``."""
     return _kernels().sigmoid(x)
+
+
+def _sigmoid_slope(u):
+    """sigma(u)(1 - sigma(u)), the logistic loss's curvature at the margins u."""
+    s = sigmoid(u)
+    return s * (1.0 - s)
 
 
 def _scalar_sigmoid(z: float) -> float:
@@ -63,15 +71,15 @@ def _scalar_sigmoid(z: float) -> float:
 
 
 LOSSES = {
-    LEAST_SQUARES: Loss(mean=_squares_mean, coef=lambda u, y: u - y,
-                        scalar=lambda u, y: u - y, lipschitz_scale=1.0, signed_labels=False),
+    LEAST_SQUARES: Loss(mean=_squares_mean, coef=lambda u, y: u - y, scalar=lambda u, y: u - y,
+                        curvature=np.ones_like, lipschitz_scale=1.0, signed_labels=False),
     # log(1 + exp(-z)) as logaddexp(0, -z): exact for large |z|, no overflow;
     # the coefficient -y sigmoid(-y u) saturates at extreme margins instead of
     # overflowing
     LOGISTIC: Loss(mean=lambda u, y: float(np.logaddexp(0.0, -y * u).sum()) / u.size,
                    coef=lambda u, y: -y * sigmoid(-y * u),
                    scalar=lambda u, y: -y * _scalar_sigmoid(-y * u),
-                   lipschitz_scale=0.25, signed_labels=True),
+                   curvature=_sigmoid_slope, lipschitz_scale=0.25, signed_labels=True),
 }
 
 
@@ -603,7 +611,8 @@ def compute_lipschitz_info(problem: ProblemSpec) -> LipschitzInfo:
     Component i's constant is ||x_i||^2, over 4 for logistic.  A zero row
     gives 0; such components are degenerate and get excluded from
     Lipschitz-proportional sampling.  A row whose squared norm overflows
-    (an entry above about 1.34e154) raises ValueError naming the first.
+    (an entry above about 1.34e154) raises ValueError naming the first; a
+    sum of finite constants that overflows raises it too.
     """
     per = problem.matrix.row_sq_norms * LOSSES[problem.loss.kind].lipschitz_scale
     if per.size == 0:
@@ -612,9 +621,13 @@ def compute_lipschitz_info(problem: ProblemSpec) -> LipschitzInfo:
     if overflow.any():
         raise ValueError(f"row {int(overflow.argmax())}: squared norm overflows a double "
                          "(an entry above about 1.34e154), so its Lipschitz constant is infinite")
+    with np.errstate(over="ignore"):
+        avg = float(per.mean())
+    if math.isinf(avg):
+        raise ValueError("the sum of the components' Lipschitz constants overflows a double")
     return LipschitzInfo(
         per_component=per,
-        avg=float(per.mean()),
+        avg=avg,
         max_component=float(per.max()),
         degenerate=per == 0.0,
     )

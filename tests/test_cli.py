@@ -175,6 +175,20 @@ def test_solve_overflowing_row_norm_exits_one_naming_the_row(tmp_path, capsys, m
                    "1.34e154), so its Lipschitz constant is infinite\n")
 
 
+@pytest.mark.parametrize("mode", ["proportional", "uniform"])
+def test_solve_overflowing_sum_of_row_norms_exits_one(tmp_path, capsys, mode):
+    # each squared norm is finite, their sum is not
+    (tmp_path / "a.svm").write_text("1 1:1.3e154\n-1 2:1.3e154\n1 1:0.5\n")
+    cfg = dict(README_SOLVE, dataset={"kind": "libsvm", "path": str(tmp_path / "a.svm")},
+               sampling=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the sum of the components' Lipschitz constants overflows a double\n")
+
+
 def test_certify_contractive_exits_zero(tmp_path):
     cfg = write_config(tmp_path, CONTRACTIVE_CERTIFY)
     out = tmp_path / "cert"
@@ -347,13 +361,13 @@ def test_reference_runs_per_command(tmp_path, monkeypatch, command, starts):
     # solve and bench read only f*, from one run from zero; certify needs
     # three starts to check that X w* is unique.  The bench's afg cell runs
     # through solvers.run_afg and is not counted.
-    original, w0s = certificates.run_afg, []
+    original, w0s = certificates.reference_run, []
 
-    def counted(*args, **kwargs):
-        w0s.append(kwargs["w0"])
-        return original(*args, **kwargs)
+    def counted(problem, w0=None):
+        w0s.append(w0)
+        return original(problem, w0)
 
-    monkeypatch.setattr(certificates, "run_afg", counted)
+    monkeypatch.setattr(certificates, "reference_run", counted)
     cfg = {"solve": BASE_SOLVE, "certify": CONTRACTIVE_CERTIFY,
            "bench": bench_config([{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20},
                                   {"name": "afg", "algorithm": "afg"}])}[command]

@@ -707,6 +707,7 @@ polish_cases = st.tuples(st.integers(3, 12), st.integers(2, 8)).flatmap(lambda n
 @settings(max_examples=40, deadline=None)
 @given(polish_cases)
 @example(polish_case(12, 2, 1, 164, "ball", False))  # AFG's final is ulps outside the ball
+@example(polish_case(9, 4, 3, 3408961583, "ball", True))  # a polished point ulps outside
 def test_reference_run_polish_is_exact_feasible_and_numpy_only(problem):
     # the polished run reaches the tolerance at a point of the set, with the
     # objective of plain AFG, and imports nothing from scipy
@@ -718,7 +719,7 @@ def test_reference_run_polish_is_exact_feasible_and_numpy_only(problem):
 
     with mock.patch.object(builtins, "__import__", recording):
         run = certificates.reference_run(problem)
-    with mock.patch.object(solvers, "_face_polish", lambda *args: (None, 0)):
+    with mock.patch.object(certificates, "_face_polish", lambda *args: (None, 0)):
         plain = certificates.reference_run(problem)
     assert run.gradient_mapping <= 1e-12
     side, w = problem.side, run.w

@@ -15,7 +15,7 @@ import pytest
 
 from scipy.special import expit
 
-from vrgrad import solvers
+from vrgrad import certificates, solvers
 from vrgrad.data import SyntheticSpec, gen_synthetic
 from vrgrad.geometry import project_box, project_l1_ball, prox_l1
 from vrgrad.problems import (
@@ -249,7 +249,7 @@ def test_solver_config_validation():
 def test_afg_monotone_on_constrained_problem():
     prob = small_ball_problem(tau=2.0)
     cfg = SolverConfig(epochs=300, step_size=1.0)
-    trace = run_afg(prob, cfg, record_every=1)
+    trace = run_afg(prob, cfg)
     diffs = np.diff(trace.objective)
     # monotone up to float-rounding slack in the restart margin
     assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace.objective[:-1])))
@@ -259,14 +259,14 @@ def test_afg_monotone_on_regularized_problem():
     prob = random_least_squares(20, 6, seed=54,
                                 regularizer=L1Regularizer(lam=0.05))
     cfg = SolverConfig(epochs=300, step_size=1.0)
-    trace = run_afg(prob, cfg, record_every=1)
+    trace = run_afg(prob, cfg)
     diffs = np.diff(trace.objective)
     assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace.objective[:-1])))
 
 
 def test_afg_probe_accounting_separate_from_gradients():
     prob = small_ball_problem()
-    trace = run_afg(prob, SolverConfig(epochs=50, step_size=1.0), record_every=1)
+    trace = run_afg(prob, SolverConfig(epochs=50, step_size=1.0))
     assert trace.probe_evals is not None
     assert np.all(np.diff(trace.probe_evals) >= 0)
     assert np.all(np.diff(trace.grad_evals) >= 0)
@@ -274,15 +274,28 @@ def test_afg_probe_accounting_separate_from_gradients():
     assert trace.grad_evals[-1] >= 50 * prob.n
 
 
-def test_afg_reaches_gradient_mapping_tolerance():
+def counted_reference_run(problem, monkeypatch):
+    """``certificates.reference_run(problem)`` and the number of AFG iterations it took."""
+    afg, taken = solvers._afg_iterations, [0]
+
+    def counted(*args):
+        for taken[0], item in enumerate(afg(*args)):
+            yield item
+
+    monkeypatch.setattr(certificates, "_afg_iterations", counted)
+    return certificates.reference_run(problem), taken[0]
+
+
+def test_afg_reaches_gradient_mapping_tolerance(monkeypatch):
+    # with the face polish off, AFG alone reaches the reference tolerance
     prob = small_ball_problem(tau=2.0)
-    cfg = SolverConfig(epochs=100000, step_size=1.0)
-    trace = run_afg(prob, cfg, grad_mapping_tol=1e-10, record_every=1000)
-    w = trace.final_iterate
+    monkeypatch.setattr(certificates, "_face_polish", lambda *args: (None, 0))
+    run, iterations = counted_reference_run(prob, monkeypatch)
+    w = run.w
     gm = w - project_l1_ball(w - eval_full_grad(prob, w), 2.0)
-    assert np.linalg.norm(gm) <= 1e-10
+    assert np.linalg.norm(gm) <= 1e-12
     # the tolerance stop fired long before the iteration budget
-    assert trace.epoch[-1] < 100000
+    assert iterations < 100000
 
 
 def polish_case(kind):
@@ -296,7 +309,7 @@ def polish_case(kind):
     return ProblemSpec(matrix=matrix, loss=LossSpec(task, y), **side)
 
 
-# SHA-256 of the final iterate of run_afg(polish_case(kind)) to a 1e-12 gradient
+# SHA-256 of the final iterate of AFG on polish_case(kind) to a 1e-12 gradient
 # mapping, as plain AFG gives it, before the face polish existed
 _AFG_FINALS = {
     "box": "8628fb777dc4a8d6a8bba2776846f16d26b67a79c1f849bd5b6e48a0df1e718b",
@@ -315,33 +328,22 @@ def test_failed_polish_attempts_leave_afg_untouched(kind, monkeypatch):
         refused.append(args)
         return None, None
 
-    monkeypatch.setattr(solvers, "_face_step", refuse)
-    trace = run_afg(polish_case(kind), SolverConfig(epochs=10 ** 6, step_size=1.0),
-                    grad_mapping_tol=1e-12, record_every=10 ** 9)
+    monkeypatch.setattr(certificates, "_face_step", refuse)
+    run = certificates.reference_run(polish_case(kind))
     assert len(refused) == 3
-    assert hashlib.sha256(trace.final_iterate.tobytes()).hexdigest() == _AFG_FINALS[kind]
+    assert hashlib.sha256(run.w.tobytes()).hexdigest() == _AFG_FINALS[kind]
 
 
-@pytest.mark.parametrize("kind", sorted(_AFG_FINALS))
-def test_afg_without_a_tolerance_never_polishes(kind, monkeypatch):
-    def polish(*args):
-        raise AssertionError("run_afg polished without a gradient-mapping tolerance")
-
-    monkeypatch.setattr(solvers, "_face_polish", polish)
-    trace = run_afg(polish_case(kind), SolverConfig(epochs=200, step_size=1.0))
-    assert trace.epoch[-1] == 200
-
-
-def test_polish_finishes_the_reference_run_early():
+def test_polish_finishes_the_reference_run_early(monkeypatch):
     # the same problems: an accepted polish ends the run at its attempt
     for kind in _AFG_FINALS:
         problem = polish_case(kind)
-        trace = run_afg(problem, SolverConfig(epochs=10 ** 6, step_size=1.0),
-                        grad_mapping_tol=1e-12, record_every=10 ** 9)
-        w = trace.final_iterate
-        assert trace.epoch[-1] in (10, 20, 40)
-        assert gradient_mapping_norm(problem, w, eval_full_grad(problem, w)) <= 1e-12
-        assert trace.objective[-1] == pytest.approx(eval_objective(problem, w), rel=1e-14)
+        run, iterations = counted_reference_run(problem, monkeypatch)
+        assert iterations in (10, 20, 40)
+        assert run.gradient_mapping <= 1e-12
+        assert run.gradient_mapping == gradient_mapping_norm(
+            problem, run.w, eval_full_grad(problem, run.w))
+        assert run.objective == eval_objective(problem, run.w)
 
 
 def public_step(problem):
