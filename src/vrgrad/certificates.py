@@ -24,6 +24,7 @@ from .problems import (
     LOSSES,
     L1Ball,
     ProblemSpec,
+    _coef_and_grad,
     aggregate_lipschitz,
     compute_lipschitz_info,
     eval_full_grad,
@@ -49,6 +50,12 @@ _RANK_TOL = 1e-10  # hoffman_theta_bound: a basis has sigma_min/sigma_max above 
 _MAX_COLUMNS = 24  # the enumeration's budget: columns of [C', X'] ...
 _MAX_SUBSETS = 200_000  # ... and column subsets
 _VARIANCE_DRAWS = 10 ** 5  # variance_diagnostic: samples of the direction
+
+# The certificate's defaults, which `vrgrad certify` takes too: the rate grid's
+# step fractions eta L_P and epoch lengths m, and the number of ssc_probe probes.
+ETA_FRACTIONS = (0.02, 0.05, 0.1, 0.2)
+M_VALUES = (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7)
+PROBES = 200
 
 # Column subsets per stacked SVD call in hoffman_theta_bound: large enough
 # that numpy's per-call overhead is a few percent of the LAPACK work, small
@@ -174,7 +181,7 @@ def _face_polish(problem: ProblemSpec, x, g, gm, tol, budget):
     past ``budget``.  ``_face_hessian`` densifies X_F a block of rows at a time.
     """
     side, mat, n = problem.side, problem.matrix, problem.n
-    loss, y, logistic = LOSSES[problem.loss.kind], problem.loss.labels, problem.loss.kind == LOGISTIC
+    loss, logistic = LOSSES[problem.loss.kind], problem.loss.kind == LOGISTIC
     face = side.face(g, _FACE_TOL * gm)
     lower, upper, free = face.lower, face.upper, np.flatnonzero(~face.fixed)
     if budget < _POLISH_MIN_STEPS * (n + free.size) * free.size ** 2:
@@ -183,7 +190,7 @@ def _face_polish(problem: ProblemSpec, x, g, gm, tol, budget):
     last = math.inf
     for k in range(1, _POLISH_STEPS + 2):
         u = mat.matvec(z)
-        g = mat.rmatvec(loss.coef(u, y)) / n + problem.q
+        g = _coef_and_grad(problem, u)[1]
         gm = gradient_mapping_norm(problem, z, g)
         if gm <= tol:
             return z, k
@@ -451,8 +458,7 @@ def theoretical_rate(eta: float, m: int, l_p: float, beta: float) -> RateResult:
     return RateResult(rho=float(rho), contractive=bool(rho < 1.0))
 
 
-def rate_grid_search(l_p: float, beta: float, eta_fractions=(0.02, 0.05, 0.1, 0.2),
-                     m_values=(10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7)):
+def rate_grid_search(l_p: float, beta: float, eta_fractions=ETA_FRACTIONS, m_values=M_VALUES):
     """Smallest rho over a grid of eta = frac/L_P and m values.
 
     Returns (eta, m, RateResult) at the grid minimum; callers decide what
@@ -540,7 +546,7 @@ def _projector(A, t):
     return project
 
 
-def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
+def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = PROBES,
               seed: int = 0) -> SSCProbe:
     """Empirical worst-case ratio 2 (f(w) - f*) / dist(w, W*)^2 over probes, exact distances.
 
@@ -564,8 +570,8 @@ def ssc_probe(problem: ProblemSpec, facts: OptimalFacts, probes: int = 200,
 
     rng = np.random.Generator(np.random.Philox(seed))
     side = problem.side
+    g_star = _coef_and_grad(problem, facts.r_star)[1]
     Xd = problem.matrix.toarray()
-    g_star = Xd.T @ facts.grad_h_at_r_star + problem.q
     E, e, G, h = side.face(g_star, 1e-9 * max(1.0, float(np.max(np.abs(g_star))))).rows()
     project = _projector(np.vstack([Xd, E]), np.concatenate([facts.r_star, e]))
 
@@ -638,10 +644,8 @@ def variance_diagnostic(problem: ProblemSpec, dist: sampling.SamplingDistributio
     n = problem.n
     Xd = problem.matrix.toarray()
 
-    a_w = margin_coefficients(problem, Xd @ w)
-    a_s = margin_coefficients(problem, Xd @ w_snapshot)
-    snap_grad = Xd.T @ a_s / n + problem.q
-    full_grad = Xd.T @ a_w / n + problem.q
+    a_w, full_grad = _coef_and_grad(problem, Xd @ w)
+    a_s, snap_grad = _coef_and_grad(problem, Xd @ w_snapshot)
     c = (a_w - a_s) / (n * dist.p)  # per-component scalar in v_i = c_i x_i + snap_grad
 
     idx = sampling.draw_many(dist, draws)
@@ -718,9 +722,8 @@ def _down(x: float) -> float:
 
 
 def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.PROPORTIONAL,
-                      eta_fractions=(0.02, 0.05, 0.1, 0.2),
-                      m_values=(10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7),
-                      probe: bool = False, probes: int = 200,
+                      eta_fractions=ETA_FRACTIONS, m_values=M_VALUES,
+                      probe: bool = False, probes: int = PROBES,
                       seed: int = 0) -> CertificateReport:
     """Run the whole certificate pipeline on one desk-scale instance.
 
@@ -746,8 +749,7 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     l_p = aggregate_lipschitz(info, dist)
     theta = hoffman_theta_bound(C, b, problem.matrix)
     mu = _down(mu_estimate(problem))
-    grad_norm = float(np.linalg.norm(
-        problem.matrix.rmatvec(facts.grad_h_at_r_star) + problem.q))
+    grad_norm = float(np.linalg.norm(_coef_and_grad(problem, facts.r_star)[1]))
     # sigma_max(X)^2 from one SVD: the Hoffman bound has refused an X past 24 rows
     sigma_max = np.linalg.svd(problem.matrix.toarray(), compute_uv=False)[0]
     l_global = _up(LOSSES[problem.loss.kind].lipschitz_scale * float(sigma_max) ** 2 / problem.n)

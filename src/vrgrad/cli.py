@@ -13,7 +13,6 @@ stalled line search, 3 certificate found no contractive rate.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -164,9 +163,10 @@ _RUN = {
 }
 _SOLVE = {**_INPUTS, **_REFERENCE, **_SEED, **_RUN}
 _CERTIFY = {  # no reference block: certify always runs the reference solve
-    **_INPUTS, **_SEED, **_SAMPLING, "probe": (_flag, False), "probes": (_integer, 200),
-    "eta_fractions": (_each(_number), (0.02, 0.05, 0.1, 0.2)),
-    "m_values": (_each(_integer), (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7)),
+    **_INPUTS, **_SEED, **_SAMPLING, "probe": (_flag, False),
+    "probes": (_integer, certificates.PROBES),
+    "eta_fractions": (_each(_number), certificates.ETA_FRACTIONS),
+    "m_values": (_each(_integer), certificates.M_VALUES),
 }
 # a bench dataset entry, and an algorithm cell: a run that takes the keys it does not set,
 # all but the algorithm, from the top level of the bench config
@@ -422,6 +422,7 @@ def cmd_bench(cfg: dict, out_dir: str, workers: int = 1) -> int:
         jobs = [(name, sv, seed, ({**cell, **swept}, seed)) for name, cell in zip(names, cells)
                 for sv, swept in points for seed in top["seeds"]]
         if workers > 1:
+            import concurrent.futures  # it loads logging: only this branch needs it
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, initializer=_set_dataset,
                     initargs=(problem, info, f_star)) as pool:

@@ -203,10 +203,7 @@ class SparseDesignMatrix:
         return out.reshape(rows, k + 1)[:, 1:].copy()
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        out[rows, self.indices] = self.data + 0.0  # scipy adds into zeros: -0.0 comes out +0.0
-        return out
+        return self.columns(np.arange(self.n_cols))
 
 
 def _vector(x, size):
@@ -559,15 +556,22 @@ def smooth_value(problem: ProblemSpec, w) -> float:
     return _smooth_and_margins(problem, _check_w(problem, w))[0]
 
 
-def _smooth_and_margins(problem, w):
-    """``smooth_value`` at a checked w, and the margins X w it was computed from."""
-    u = problem.matrix.matvec(w)
+def _smooth_and_margins(problem, w, matvec=None):
+    """``smooth_value`` at a checked w and the margins X w, taken by ``matvec`` if given."""
+    u = (matvec or problem.matrix.matvec)(w)
     return LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w), u
 
 
 def margin_coefficients(problem: ProblemSpec, u) -> np.ndarray:
     """Per-component scalar a_i with grad f_i(w) = a_i * x_i + q, at margins u = X w."""
     return LOSSES[problem.loss.kind].coef(u, problem.loss.labels)
+
+
+def _coef_and_grad(problem, u, rmatvec=None):
+    """At margins u = X w, the coefficients a of ``margin_coefficients`` and the smooth
+    gradient X' a / n + q, X' a taken by ``rmatvec`` if given (``run_afg``'s dense copy)."""
+    a = margin_coefficients(problem, u)
+    return a, (rmatvec or problem.matrix.rmatvec)(a) / problem.n + problem.q
 
 
 def eval_objective(problem: ProblemSpec, w) -> float:
@@ -584,10 +588,7 @@ def objective_and_margins(problem: ProblemSpec, w):
 
 def eval_full_grad(problem: ProblemSpec, w) -> np.ndarray:
     """Gradient of the smooth part f at w (one pass over the matrix)."""
-    w = _check_w(problem, w)
-    u = problem.matrix.matvec(w)
-    a = margin_coefficients(problem, u)
-    return problem.matrix.rmatvec(a) / problem.n + problem.q
+    return _coef_and_grad(problem, problem.matrix.matvec(_check_w(problem, w)))[1]
 
 
 def gradient_mapping_norm(problem: ProblemSpec, w, g) -> float:

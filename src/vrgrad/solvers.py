@@ -30,9 +30,10 @@ from .problems import (
     LossSpec,
     ProblemSpec,
     SparseDesignMatrix,
+    _coef_and_grad,
+    _smooth_and_margins,
     aggregate_lipschitz,
     compute_lipschitz_info,
-    margin_coefficients,
     objective_and_margins,
 )
 
@@ -181,7 +182,6 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
     w_tilde, rather than multiply again.
     """
     mat, n = problem.matrix, problem.n
-    q, has_q = problem.q, bool(np.any(problem.q))
     steps = steps or _inner_steps(problem)
     if sgd:
         t, cost = 0, n
@@ -193,11 +193,8 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
 
     for k in labels:
         if not sgd:
-            snap_coef = margin_coefficients(
+            snap_coef, snap_grad = _coef_and_grad(
                 problem, mat.matvec(w_tilde) if margins is None else margins)
-            snap_grad = mat.rmatvec(snap_coef) / n
-            if has_q:
-                snap_grad = snap_grad + q
             eta_snap_grad = step_size * snap_grad
         w_tilde = steps(w_tilde, sampling.draw_many(dist, m), snap_coef, weight,
                         step_size, eta_snap_grad, average, t)
@@ -478,20 +475,17 @@ _DENSE_MAX_ENTRIES = 500_000
 def _full_grad_ops(problem: ProblemSpec):
     """Smooth value, and value with gradient from one matvec, on the dense or sparse matrix."""
     mat = problem.matrix
-    if mat.n_rows * mat.n_cols > _DENSE_MAX_ENTRIES:
-        matvec, rmatvec = mat.matvec, mat.rmatvec
-    else:
+    matvec = rmatvec = None  # the sparse products
+    if mat.n_rows * mat.n_cols <= _DENSE_MAX_ENTRIES:
         Xd = mat.toarray()
         matvec, rmatvec = Xd.__matmul__, Xd.T.__matmul__
-    loss = LOSSES[problem.loss.kind]
-    y, q, n = problem.loss.labels, problem.q, mat.n_rows
 
     def value(w):
-        return loss.mean(matvec(w), y) + float(q @ w)
+        return _smooth_and_margins(problem, w, matvec)[0]
 
     def value_grad(w):
-        u = matvec(w)
-        return loss.mean(u, y) + float(q @ w), rmatvec(loss.coef(u, y)) / n + q
+        f, u = _smooth_and_margins(problem, w, matvec)
+        return f, _coef_and_grad(problem, u, rmatvec)[1]
 
     return value, value_grad
 

@@ -538,7 +538,7 @@ def holds_a_problem(payload):
 def test_bench_workers_receive_each_problem_once(tmp_path, monkeypatch):
     # the problem goes to each worker through the pool's initializer;
     # the cells sent through map carry only their run config and seed
-    from vrgrad import cli
+    import concurrent.futures
 
     pools = []
 
@@ -559,7 +559,7 @@ def test_bench_workers_receive_each_problem_once(tmp_path, monkeypatch):
             self.payloads = list(payloads)
             return [fn(p) for p in self.payloads]
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     algorithms = [{"name": "vr", "algorithm": "vrpsg", "eta": 0.1, "m": 20},
                   {"name": "sgd", "algorithm": "sgd", "eta0": 0.5}]
     second = {"name": "other", "dataset": dict(BASE_SOLVE["dataset"], seed=4),

@@ -168,3 +168,13 @@ def test_import_does_not_touch_the_kernel():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(_epoch._SOURCE.parents[1])})
     assert out.stdout.strip() == "False []"
+
+
+def test_cli_import_loads_no_process_pool_or_logging():
+    # concurrent.futures, which imports logging, is loaded by bench --workers K > 1 only
+    import subprocess
+
+    code = "import sys, vrgrad.cli; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(_epoch._SOURCE.parents[1])})
+    assert out.stdout.strip() == "False False"

@@ -5,9 +5,11 @@ Each case runs one solver on a tiny problem, writes its trace with the CLI's
 iterate's bytes (signed zeros folded to +0.0), and hashes the result.  The
 cases cover every algorithm x side x loss x sampling x averaging
 combination the solvers distinguish: ``sgd`` and ``afg`` ignore sampling
-and averaging, so they run once per side and loss.  Each case runs through
-both inner-step loops, the compiled kernel (the bare case name) and the
-numpy loop (the name with ``-numpy``), against the one table.
+and averaging, so they run once per side and loss.  Each case runs three
+ways against the one table: through the compiled kernel (the bare case
+name), the numpy loop (the name with ``-numpy``), and the numpy loop with
+scipy's products and sigmoid, as where the compiled library does not build
+(``-scipy``).
 
 A change that alters a trace on purpose re-freezes the table below with
 
@@ -24,7 +26,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from vrgrad import solvers
+from vrgrad import problems, solvers
 from vrgrad.cli import write_trace_csv
 from vrgrad.problems import (
     Box,
@@ -175,10 +177,14 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case, loop", [
-    pytest.param(case, loop, id=case if loop == "compiled" else f"{case}-numpy")
-    for loop in ("compiled", "numpy") for case in _cases()])
+    pytest.param(case, loop, id=case if loop == "compiled" else f"{case}-{loop}")
+    for loop in ("compiled", "numpy", "scipy") for case in _cases()])
 def test_trace_matches_frozen_hash(case, loop, tmp_path, monkeypatch):
-    monkeypatch.setattr(solvers, "_inner_steps", inner_steps(loop))
+    if loop == "scipy":  # as where gcc is missing: the numpy loop, scipy's products and sigmoid
+        kernels = problems._scipy_kernels()
+        monkeypatch.setattr(problems, "_kernels", lambda: kernels)
+    monkeypatch.setattr(solvers, "_inner_steps", inner_steps("compiled" if loop == "compiled"
+                                                             else "numpy"))
     assert _digest(_run(case), str(tmp_path)) == GOLDEN[case]
 
 

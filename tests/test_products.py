@@ -101,6 +101,24 @@ def test_row_norms_and_toarray_on_odd_csr_arrays():
         assert same_bits(m.toarray(), A.toarray())
 
 
+def filled_by_2d_index(m):
+    """X dense by one 2-D index assignment, as ``toarray`` built it before it took
+    ``columns`` over every column: -0.0 comes out +0.0, as scipy gives it."""
+    out = np.zeros(m.shape)
+    out[np.repeat(np.arange(m.n_rows), np.diff(m.indptr)), m.indices] = m.data + 0.0
+    return out
+
+
+def test_toarray_has_the_bits_of_a_2d_index_fill():
+    # the battery above, then shapes with no rows, no columns or neither
+    empty = [((0, 0), [0], [], []), ((0, 4), [0], [], []), ((3, 0), [0, 0, 0, 0], [], [])]
+    for shape, indptr, indices, data in [*odd_csr_arrays(), *empty]:
+        m = SparseDesignMatrix(*shape, indptr, indices, data)
+        dense = m.toarray()
+        assert dense.shape == shape and dense.flags.c_contiguous
+        assert same_bits(dense, filled_by_2d_index(m))
+
+
 def test_columns_take_scipys_dense_columns_over_row_ranges():
     # in any column order, on any range of rows, an empty one and no columns included
     rng = np.random.Generator(np.random.Philox(0x5C))
