@@ -78,7 +78,7 @@ def library():
     lib.vrgrad_steps.argtypes = [p, i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p,
                                  i64, p, p, p]
     lib.vrgrad_steps.restype = ctypes.c_int
-    lib.vrgrad_matvec.argtypes = [i64, p, p, p, p, p]
+    lib.vrgrad_matvec.argtypes = [i64, i64, p, p, p, p, p]
     lib.vrgrad_rmatvec.argtypes = [i64, i64, p, p, p, p, p]
     lib.vrgrad_sigmoid.argtypes = [i64, p, p]
     lib.vrgrad_libsvm_size.argtypes = [ctypes.c_char_p, i64, p]

@@ -30,10 +30,8 @@ from .problems import (
     eval_full_grad,
     eval_objective,
     gradient_mapping_norm,
-    margin_coefficients,
-    smooth_value,
 )
-from .solvers import _afg_iterations, _full_grad_ops
+from .solvers import _afg_iterations
 
 
 # Fixed values, each with one use; the docstrings below say what they govern.
@@ -84,16 +82,15 @@ class EnumerationBudgetError(CertificateError):
 class OptimalFacts:
     """High-accuracy reference facts about one problem's optimal set.
 
-    X w = ``r_star`` all over the optimal set, so the smooth part's gradient
-    X' grad_h(r*) + q, with ``grad_h_at_r_star`` = grad_h(r*), is constant
-    there and names the side's face that holds it (``ssc_probe``).
+    X w = ``r_star`` all over the optimal set, so the smooth part's gradient,
+    ``_coef_and_grad(problem, r_star)``, is constant there and names the
+    side's face that holds it (``ssc_probe``).
     ``certified`` means every start reached the gradient mapping tolerance
     and all finals agree on X w and on q' w + penalty(w) to 1e-6.
     """
 
     f_star: float
     r_star: np.ndarray
-    grad_h_at_r_star: np.ndarray
     reference_solutions: List[np.ndarray]
     tolerance_achieved: float
     certified: bool
@@ -110,7 +107,7 @@ class ReferenceRun(NamedTuple):
 def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
     """Run the accelerated baseline from w0 (zero by default) to the reference tolerance.
 
-    Every 10 iterations AFG's own gradient gives the unit-step gradient
+    Every 10 iterations ``eval_full_grad`` gives the unit-step gradient
     mapping norm, and the run stops once that is at most 1e-12, or after
     10^6 iterations.  Checks 1, 2, 4, 8, ... that find it above try
     ``_face_polish`` from a copy of the iterate, within ``_POLISH_WORK`` times
@@ -123,15 +120,14 @@ def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
     read f* from one run from zero; ``reference_solution`` makes one per
     start.
     """
-    _, value_grad = ops = _full_grad_ops(problem)
-    iterations = _afg_iterations(problem, w0, 1.0, ops)
+    iterations = _afg_iterations(problem, w0, 1.0)
     next(iterations)  # the start point
     extra = 0  # the check and polish gradients so far
     for it, (x, _, grads, probes) in zip(range(1, _REFERENCE_MAX_ITERATIONS + 1), iterations):
         if it % _CHECK_EVERY:
             continue
         extra += 1
-        g = value_grad(x)[1]
+        g = eval_full_grad(problem, x)
         gm = gradient_mapping_norm(problem, x, g)
         if gm <= _REFERENCE_TOL:
             break
@@ -286,7 +282,6 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     values = [run.objective for run in runs]
     w_star = finals[int(np.argmin(values))]
     r_star = problem.matrix.matvec(w_star)
-    grad_h = margin_coefficients(problem, r_star) / problem.n
     level = float(problem.q @ w_star) + problem.side.penalty(w_star)
     unique = all(
         np.linalg.norm(problem.matrix.matvec(w) - r_star) <= 1e-6
@@ -296,7 +291,6 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     return OptimalFacts(
         f_star=float(min(values)),
         r_star=r_star,
-        grad_h_at_r_star=grad_h,
         reference_solutions=finals,
         tolerance_achieved=worst_gm,
         certified=unique and worst_gm <= _REFERENCE_TOL,
@@ -644,8 +638,8 @@ def variance_diagnostic(problem: ProblemSpec, dist: sampling.SamplingDistributio
     n = problem.n
     Xd = problem.matrix.toarray()
 
-    a_w, full_grad = _coef_and_grad(problem, Xd @ w)
-    a_s, snap_grad = _coef_and_grad(problem, Xd @ w_snapshot)
+    a_w, full_grad = _coef_and_grad(problem, problem.matrix.matvec(w))
+    a_s, snap_grad = _coef_and_grad(problem, problem.matrix.matvec(w_snapshot))
     c = (a_w - a_s) / (n * dist.p)  # per-component scalar in v_i = c_i x_i + snap_grad
 
     idx = sampling.draw_many(dist, draws)
@@ -667,9 +661,9 @@ def variance_diagnostic(problem: ProblemSpec, dist: sampling.SamplingDistributio
 
     info = compute_lipschitz_info(problem)
     l_p = aggregate_lipschitz(info, dist)
-    f_w = smooth_value(problem, w)
-    f_s = smooth_value(problem, w_snapshot)
-    bound = 4.0 * l_p * (f_w - f_star + f_s - f_star)
+    # the composite objective, as f_star is (Xiao & Zhang 2014, Lemma 3)
+    bound = 4.0 * l_p * (eval_objective(problem, w) - f_star
+                         + eval_objective(problem, w_snapshot) - f_star)
     return VarianceDiagnostic(
         mean_grad=mean_grad,
         full_grad=full_grad,

@@ -243,7 +243,7 @@ def _compiled_kernels(lib) -> _Kernels:
 
     def matvec(m, w):
         out = np.empty(m.n_rows)
-        mv(m.n_rows, m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data,
+        mv(m.n_rows, m.n_cols, m.indptr.ctypes.data, m.indices.ctypes.data, m.data.ctypes.data,
            w.ctypes.data, out.ctypes.data)
         return out
 
@@ -278,16 +278,24 @@ def _scipy_kernels() -> _Kernels:
 def _kernels_probe(kernels: _Kernels) -> bool:
     """Whether the products and sigmoid give the bits of plain Python loops on fixed inputs.
 
-    The 5 x 4 matrix has a full row, an empty row and partial rows, an
-    explicit 0.0 and a -0.0.  The sigmoid's reference is ``_scalar_sigmoid``,
-    at values that saturate, overflow or are not finite.
+    The 9 x 6 matrix has a run of five full rows, which the compiled
+    products take four at a time, then an empty row and partial rows; an
+    explicit 0.0 and a -0.0 sit in a full row and in a partial one.  Terms of
+    1e16 cancel in the block: summed in another order, a row of X w, or a
+    column of X' u over the block's rows, comes out different.  The sigmoid's
+    reference is ``_scalar_sigmoid``, at values that saturate, overflow or are
+    not finite.
     """
-    indptr, indices = [0, 4, 4, 6, 7, 9], [0, 1, 2, 3, 1, 3, 2, 0, 3]
-    data = [1.5, -2.25, 0.1, 3.0, 0.0, -0.0, 7.0, 1e-3, -4.5]
-    w, u = [0.3, -1.7, 2.5, -0.0], [0.7, 11.0, -0.0, 1e-9, -3.25]
-    m = SparseDesignMatrix(5, 4, indptr, indices, data)
-    want_mv, want_rmv = [], [0.0] * 4
-    for i in range(5):
+    full = [1e16, -2e16, 1.5, 3.0, 1.0, 0.5, 1e16, 3.0, -1e16, 3.0, 0.0, -0.0,
+            1.5, 2e16, -1e16, 3.0, 1.0, -0.5, -1e16, 1.5, 1e16, 6.0, 1.0, 0.25,
+            5.0, -3.5, 0.25, 1e-8, 2.0, 1.0]
+    indptr = [0, 2, 8, 14, 20, 26, 32, 32, 35, 36]
+    indices = [1, 4] + [0, 1, 2, 3, 4, 5] * 5 + [0, 3, 5, 2]
+    data = [7.0, -2.5] + full + [0.0, -0.0, 1e-3, 4.5]
+    w, u = [1.0, 0.5, 1.0, 0.25, -0.0, 3.0], [0.7, 1.0, 2.0, 0.5, 1.0, -3.25, 11.0, -0.0, 1e-9]
+    m = SparseDesignMatrix(9, 6, indptr, indices, data)
+    want_mv, want_rmv = [], [0.0] * 6
+    for i in range(9):
         s = 0.0
         for k in range(indptr[i], indptr[i + 1]):
             s += data[k] * w[indices[k]]
@@ -556,9 +564,9 @@ def smooth_value(problem: ProblemSpec, w) -> float:
     return _smooth_and_margins(problem, _check_w(problem, w))[0]
 
 
-def _smooth_and_margins(problem, w, matvec=None):
-    """``smooth_value`` at a checked w and the margins X w, taken by ``matvec`` if given."""
-    u = (matvec or problem.matrix.matvec)(w)
+def _smooth_and_margins(problem, w):
+    """``smooth_value`` at a checked w and the margins X w."""
+    u = problem.matrix.matvec(w)
     return LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w), u
 
 
@@ -567,11 +575,11 @@ def margin_coefficients(problem: ProblemSpec, u) -> np.ndarray:
     return LOSSES[problem.loss.kind].coef(u, problem.loss.labels)
 
 
-def _coef_and_grad(problem, u, rmatvec=None):
+def _coef_and_grad(problem, u):
     """At margins u = X w, the coefficients a of ``margin_coefficients`` and the smooth
-    gradient X' a / n + q, X' a taken by ``rmatvec`` if given (``run_afg``'s dense copy)."""
+    gradient X' a / n + q."""
     a = margin_coefficients(problem, u)
-    return a, (rmatvec or problem.matrix.rmatvec)(a) / problem.n + problem.q
+    return a, problem.matrix.rmatvec(a) / problem.n + problem.q
 
 
 def eval_objective(problem: ProblemSpec, w) -> float:

@@ -464,32 +464,6 @@ def run_hybrid_vrpsg2(problem: ProblemSpec, config: SolverConfig, w0=None,
     return _stochastic_run(problem, config, w0, f_star, info, "vrpsg2")
 
 
-# Below this many matrix entries the full-gradient baseline multiplies by a
-# cached dense array: BLAS on a dense array beats the sparse products, which
-# pay a few microseconds per call and read an index per entry, and the
-# baseline calls them several times per iteration.  Larger problems keep the
-# sparse matrix.
-_DENSE_MAX_ENTRIES = 500_000
-
-
-def _full_grad_ops(problem: ProblemSpec):
-    """Smooth value, and value with gradient from one matvec, on the dense or sparse matrix."""
-    mat = problem.matrix
-    matvec = rmatvec = None  # the sparse products
-    if mat.n_rows * mat.n_cols <= _DENSE_MAX_ENTRIES:
-        Xd = mat.toarray()
-        matvec, rmatvec = Xd.__matmul__, Xd.T.__matmul__
-
-    def value(w):
-        return _smooth_and_margins(problem, w, matvec)[0]
-
-    def value_grad(w):
-        f, u = _smooth_and_margins(problem, w, matvec)
-        return f, _coef_and_grad(problem, u, rmatvec)[1]
-
-    return value, value_grad
-
-
 def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None) -> RunTrace:
     """Accelerated full-gradient baseline with backtracking and restarts.
 
@@ -505,15 +479,15 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None) ->
     probes are tallied in the trace's separate ``probe_evals`` column.
     """
     rows, t0 = _Rows(), time.perf_counter()
-    iterations = _afg_iterations(problem, w0, config.step_size, _full_grad_ops(problem))
+    iterations = _afg_iterations(problem, w0, config.step_size)
     x, f0, _, _ = next(iterations)
     for it, (x, F_x, grads, probes) in zip(range(1, config.epochs + 1), iterations):
         rows.add(it, grads, F_x, f_star, t0, probes=probes)
     return rows.trace(x, f0, with_probes=True)
 
 
-def _afg_iterations(problem: ProblemSpec, w0, step_size, ops):
-    """``run_afg``'s iterations from w0 with first step ``step_size``, ops = ``_full_grad_ops``.
+def _afg_iterations(problem: ProblemSpec, w0, step_size):
+    """``run_afg``'s iterations from w0 with first step ``step_size``.
 
     Yields (x, F(x), gradient evaluations, probe evaluations) at the start
     and after each iteration, the counts so far; the caller decides when to stop.
@@ -522,7 +496,13 @@ def _afg_iterations(problem: ProblemSpec, w0, step_size, ops):
     n = problem.n
     step = problem.side.step_map()
     penalty = problem.side.penalty
-    value, value_grad = ops
+
+    def value(w):
+        return _smooth_and_margins(problem, w)[0]
+
+    def value_grad(w):  # the smooth value and gradient from one matvec
+        f, u = _smooth_and_margins(problem, w)
+        return f, _coef_and_grad(problem, u)[1]
 
     state = {"grad": 0, "probe": 0}
     eps_slack = 8.0 * np.finfo(np.float64).eps

@@ -10,6 +10,7 @@ per run.  Everything here is deterministic given the pinned seeds.
 import numpy as np
 import pytest
 
+from vrgrad import problems
 from vrgrad.certificates import (
     beta_from_constants,
     bounded_gap_M,
@@ -250,8 +251,7 @@ def test_criterion_08_certificate_composition():
     C, b = box_rows(box.lower, box.upper)
     theta = hoffman_theta_bound(C, b, prob.matrix)
     mu = mu_estimate(prob)
-    g = float(np.linalg.norm(
-        prob.matrix.rmatvec(facts.grad_h_at_r_star) + prob.q))
+    g = float(np.linalg.norm(problems._coef_and_grad(prob, facts.r_star)[1]))
     info = compute_lipschitz_info(prob)
     M = bounded_gap_M(prob, g, np.linalg.norm(X, 2) ** 2 / X.shape[0])
     beta = beta_from_constants(theta, mu, M, g)

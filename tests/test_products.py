@@ -153,6 +153,54 @@ def test_products_on_odd_csr_arrays(kernels):
         assert same_bits(kernels.rmatvec(m, u), A.T @ u)
 
 
+def full_block_starts(m):
+    """The rows that start a run of four full rows of m."""
+    full = np.diff(m.indptr) == m.n_cols
+    return np.flatnonzero(full[:-3] & full[1:-2] & full[2:-1] & full[3:])
+
+
+def full_row_csr_arrays():
+    """(shape, indptr, indices, data) built row by row: three runs of 1 to 9 full rows,
+    each after a sparse or an empty row, then 0 to 3 more rows, so n takes every
+    residue mod 4; full rows hold an explicit 0.0 or -0.0 and entries of mixed scale.
+    Then the shapes with no rows or no columns."""
+    rng = np.random.Generator(np.random.Philox(0xF4))
+    for d in (1, 2, 3, 7, 16):
+        for run in range(1, 10):
+            for tail in range(4):
+                rows = []
+                for _ in range(3):
+                    k = int(rng.integers(0, d))  # 0: an empty row
+                    rows += [np.sort(rng.choice(d, k, replace=False))] + [np.arange(d)] * run
+                rows += [np.sort(rng.choice(d, int(rng.integers(0, d + 1)), replace=False))
+                         for _ in range(tail)]
+                counts = [len(r) for r in rows]
+                data = rng.standard_normal(sum(counts)) * 10.0 ** rng.integers(-3, 4, sum(counts))
+                data[rng.random(data.size) < 0.1] = 0.0
+                data[rng.random(data.size) < 0.1] = -0.0
+                indptr = np.concatenate([[0], np.cumsum(counts)])
+                indices = np.concatenate(rows).astype(np.int64)
+                yield (len(rows), d), indptr, indices, data
+    yield from [((0, 3), [0], [], []), ((0, 0), [0], [], []), ((5, 0), [0] * 6, [], [])]
+
+
+def test_products_on_runs_of_full_rows(kernels):
+    # the compiled products take four full rows at once; scipy's bits all the same
+    rng = np.random.Generator(np.random.Philox(0xF5))
+    blocks = 0
+    for shape, indptr, indices, data in full_row_csr_arrays():
+        m = SparseDesignMatrix(*shape, indptr, indices, data)
+        A = sp.csr_matrix((np.asarray(data, dtype=float), indices, indptr), shape=shape)
+        blocks += full_block_starts(m).size > 0
+        for _ in range(3):
+            w, u = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+            w[rng.random(w.size) < 0.2] = -0.0
+            u[rng.random(u.size) < 0.2] = -0.0
+            assert same_bits(kernels.matvec(m, w), A @ w)
+            assert same_bits(kernels.rmatvec(m, u), A.T @ u)
+    assert blocks > 100  # most of the matrices have a run of four full rows
+
+
 def test_sigmoid_has_the_bits_of_expit(kernels):
     rng = np.random.Generator(np.random.Philox(0xE7))
     special = [0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, 36.7, -36.7, 709.8, -709.8,
@@ -189,6 +237,15 @@ def test_probe_accepts_scipy_and_refuses_a_product_off_by_one_bit():
     assert problems._kernels_probe(scipy_kernels)
     off = scipy_kernels._replace(matvec=lambda m, w: np.nextafter(scipy_kernels.matvec(m, w), 1.0))
     assert not problems._kernels_probe(off)
+
+    def off_in_full_blocks(m, w):
+        # one bit off on the first four of a run of full rows, and nowhere else
+        out, starts = scipy_kernels.matvec(m, w), full_block_starts(m)
+        assert starts.size
+        block = starts[0] + np.arange(4)
+        out[block] = np.nextafter(out[block], np.inf)
+        return out
+    assert not problems._kernels_probe(scipy_kernels._replace(matvec=off_in_full_blocks))
     off = scipy_kernels._replace(sigmoid=lambda x: np.nan_to_num(expit(x)))
     assert not problems._kernels_probe(off)
 

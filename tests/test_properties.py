@@ -2,7 +2,7 @@
 
 Kernels, draws, the l1-ball projection and the positive homogeneity of
 the projections and the prox; the side interface (step maps, penalties)
-and the full-gradient baseline's two matrix branches; the stochastic
+and the smooth part's value and gradient; the stochastic
 solvers' gradient-evaluation accounting and feasibility; then the batched
 Hoffman bound, over extended bases, against its one-SVD-per-subset
 reference, the closed-form mu against the 201-point grid it replaced, and
@@ -270,42 +270,35 @@ def test_objective_is_smooth_value_plus_the_side_penalty(case):
 
 @PROPS
 @given(problem_cases)
-def test_full_gradient_baseline_branches(case):
-    # the sparse branch is smooth_value / eval_full_grad, the dense branch the
-    # textbook formulas on the dense array, bit for bit; the two agree to rounding.
-    # Each runs with the drawn q and with a zero q that keeps q's signs (-0.0 entries).
+def test_smooth_value_and_gradient_match_the_dense_formulas(case):
+    # AFG and the reference solve take f and its gradient from _smooth_and_margins and
+    # _coef_and_grad, on the CSR products: smooth_value's and eval_full_grad's bits, and
+    # the textbook formulas on the dense array to rounding.  Each runs with the drawn q
+    # and with a zero q that keeps q's signs (-0.0 entries).
     X, y, q_drawn, w, task, _ = case
     for q in (q_drawn, np.copysign(0.0, q_drawn)):
         problem = make_problem(X, y, task=task, q=q)
-        with mock.patch.object(solvers, "_DENSE_MAX_ENTRIES", -1):
-            sparse_value, sparse_value_grad = solvers._full_grad_ops(problem)
-        with mock.patch.object(solvers, "_DENSE_MAX_ENTRIES", X.size):
-            dense_value, dense_value_grad = solvers._full_grad_ops(problem)
-        # value_grad's value is value's, from the same margins
-        (sparse_f, sparse_g), (dense_f, dense_g) = sparse_value_grad(w), dense_value_grad(w)
-        assert sparse_f == sparse_value(w) == smooth_value(problem, w)
-        assert dense_f == dense_value(w)
-        assert sparse_g.tobytes() == eval_full_grad(problem, w).tobytes()
-        # the sparse gradient has the bits of the formulas it replaced: X' a / n + q, and
-        # the snapshot's, which added q only when some entry was nonzero
         mat, n = problem.matrix, y.size
-        a, g = problems._coef_and_grad(problem, mat.matvec(w))
+        f, u = problems._smooth_and_margins(problem, w)
+        a, g = problems._coef_and_grad(problem, u)
+        assert f == smooth_value(problem, w)
+        assert u.tobytes() == mat.matvec(w).tobytes()
+        assert a.tobytes() == problems.margin_coefficients(problem, u).tobytes()
+        # the gradient has the bits of the formulas it replaced: X' a / n + q, and
+        # the snapshot's, which added q only when some entry was nonzero
         snap = mat.rmatvec(a) / n
-        assert a.tobytes() == problems.margin_coefficients(problem, mat.matvec(w)).tobytes()
-        assert g.tobytes() == sparse_g.tobytes() == (snap + q).tobytes()
+        assert g.tobytes() == eval_full_grad(problem, w).tobytes() == (snap + q).tobytes()
         assert g.tobytes() == (snap + q if np.any(q) else snap).tobytes()
         u = X @ w
         if task == "least_squares":
             value, a = float((u - y) @ (u - y)) / (2.0 * n), u - y
         else:
             value, a = float(np.logaddexp(0.0, -y * u).sum()) / n, -y * expit(-y * u)
-        assert dense_f == value + float(q @ w)
-        assert dense_g.tobytes() == (X.T @ a / n + q).tobytes()
-        # the two sum in different orders: they agree to a few ulps of the terms' size
+        # the dense products sum in another order: they agree to a few ulps of the terms' size
         size = (1.0 + np.abs(X).max()) * (1.0 + np.abs(w).sum()) + np.abs(q).sum()
         tol = 8.0 * EPS * X.size * size ** 2
-        assert abs(dense_f - sparse_f) <= tol
-        assert np.all(np.abs(dense_g - sparse_g) <= tol)
+        assert abs(value + float(q @ w) - f) <= tol
+        assert np.all(np.abs(X.T @ a / n + q - g) <= tol)
 
 
 solver_cases = st.tuples(st.integers(1, 12), st.integers(1, 5)).flatmap(

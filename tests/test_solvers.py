@@ -310,11 +310,12 @@ def polish_case(kind):
 
 
 # SHA-256 of the final iterate of AFG on polish_case(kind) to a 1e-12 gradient
-# mapping, as plain AFG gives it, before the face polish existed
+# mapping, as plain AFG gives it: from reference_run with _face_polish
+# replaced by one that returns (None, 0)
 _AFG_FINALS = {
-    "box": "8628fb777dc4a8d6a8bba2776846f16d26b67a79c1f849bd5b6e48a0df1e718b",
-    "ball": "69a46c15e4d34195d600f345e8c933f433187fd4cb415a1d830086ba2cce7b66",
-    "penalty": "b1dc0591c41e3e2d1a3f2c61858d0d6248cfd3e82cd019e583d421bd25f7c435",
+    "box": "44cffb074baef892c84af10acc593c333a4278294a7907b0670410bb68e13870",
+    "ball": "bcf643fdfdf91da1d218c27dad61a71bf3048fa746ff51efb1730b6d2eaa1c0a",
+    "penalty": "9fe7ff4346e05789d4d1f8243950b21a2da2dff0b6acfb369d945ddcdeb9596b",
 }
 
 
@@ -344,6 +345,40 @@ def test_polish_finishes_the_reference_run_early(monkeypatch):
         assert run.gradient_mapping == gradient_mapping_norm(
             problem, run.w, eval_full_grad(problem, run.w))
         assert run.objective == eval_objective(problem, run.w)
+
+
+def test_afg_and_the_reference_run_have_the_same_bytes_at_one_and_two_blas_threads():
+    # AFG takes every product from the CSR kernels, which do not thread; the design
+    # is drawn with no BLAS product, as gen_synthetic's X@Y product depends on the
+    # thread count.  The reference run polishes once, at its third attempt.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """if True:
+        import hashlib
+        import numpy as np
+        from vrgrad.certificates import reference_run
+        from vrgrad.problems import Box, LossSpec, ProblemSpec, SparseDesignMatrix
+        from vrgrad.solvers import SolverConfig, run_afg
+        rng = np.random.Generator(np.random.Philox(7))
+        X = rng.standard_normal((1000, 300)) * np.linspace(0.5, 2.0, 1000)[:, None]
+        y = np.where(rng.random(1000) < 0.5, 1.0, -1.0)
+        prob = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X), loss=LossSpec("logistic", y),
+                           constraint=Box(np.full(300, -1.0), np.full(300, 1.0)))
+        trace = run_afg(prob, SolverConfig(epochs=10, step_size=1.0), f_star=0.0)
+        run = reference_run(prob)
+        h = hashlib.sha256()
+        for a in (trace.objective, trace.grad_evals, trace.probe_evals, trace.final_iterate,
+                  run.w, np.array([run.objective, run.gradient_mapping])):
+            h.update(a.tobytes())
+        print(h.hexdigest())
+    """
+    src = str(Path(solvers.__file__).parents[1])
+    digests = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": k}
+                              ).stdout for k in ("1", "2")]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def public_step(problem):
