@@ -14,6 +14,8 @@ to numpy or scipy with the same bits.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .certificates import (
     CertificateError,
     CertificateReport,
@@ -57,49 +59,6 @@ from .solvers import (
     run_vrpsg,
 )
 
-__all__ = [
-    "Box",
-    "CertificateError",
-    "CertificateReport",
-    "DivergenceError",
-    "EnumerationBudgetError",
-    "L1Ball",
-    "L1Regularizer",
-    "LineSearchError",
-    "LipschitzInfo",
-    "LossSpec",
-    "OptimalFacts",
-    "ProblemSpec",
-    "RunTrace",
-    "SamplingDistribution",
-    "SolverConfig",
-    "SparseDesignMatrix",
-    "SyntheticSpec",
-    "aggregate_lipschitz",
-    "beta_from_constants",
-    "bounded_gap_M",
-    "build_certificate",
-    "build_distribution",
-    "compute_lipschitz_info",
-    "draw",
-    "draw_many",
-    "eval_full_grad",
-    "eval_objective",
-    "gen_synthetic",
-    "hoffman_theta_bound",
-    "mu_estimate",
-    "project_box",
-    "project_l1_ball",
-    "prox_l1",
-    "read_libsvm",
-    "reference_solution",
-    "run_afg",
-    "run_hybrid_vrpsg2",
-    "run_projected_sgd",
-    "run_prox_svrg",
-    "run_vrpsg",
-    "ssc_probe",
-    "theoretical_rate",
-    "variance_diagnostic",
-    "write_libsvm",
-]
+# the names imported above, so that each is listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

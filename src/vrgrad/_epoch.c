@@ -2,11 +2,12 @@
  *
  * solvers._numpy_steps is the specification: for the same inputs this file
  * returns the same bits.  It does the same floating-point operations in the
- * same order, and it takes from numpy the three pieces whose order numpy
- * owns: the row dot is the BLAS ddot that `@` calls (its pointer is passed
- * in), the l1 sum is numpy's pairwise sum, and max, min, clip and sign keep
- * numpy's NaN rules.  Build with -O2 -ffp-contract=off: a fused multiply-add
- * would round once where numpy rounds twice.
+ * same order, and it takes from numpy the pieces whose order numpy owns: the
+ * row dot (problems._dot) and the l1 sum are numpy's pairwise sums, the dot's
+ * of the rounded products, and max, min, clip and sign keep numpy's NaN
+ * rules.  No BLAS is called, so the bits depend on neither the CPU kernel a
+ * BLAS would pick nor its thread count.  Build with -O2 -ffp-contract=off: a
+ * fused multiply-add would round once where numpy rounds twice.
  *
  * Two shortcuts change the work and not the result.  The l1-ball threshold
  * sorts only the magnitudes above a Michelot lower bound, and a guard sends
@@ -33,8 +34,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int64_t);
-
 enum { SQUARES, LOGISTIC };
 enum { BALL, BOX, PENALTY, IDENTITY }; /* IDENTITY is the penalty at lam = 0 */
 
@@ -53,37 +52,49 @@ static inline double soft(double x, double t)
     return x - c;
 }
 
-/* numpy's pairwise summation of a contiguous float64 array */
-static double pairwise(const double *a, int64_t n)
+/* two doubles at any double's address */
+typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
+
+/* a[i] and a[i + 1], times b[i] and b[i + 1] unless b is NULL */
+static inline pair load_pair(const double *a, const double *b, int64_t i)
+{
+    pair x = *(const pair *)(a + i);
+    if (b)
+        x *= *(const pair *)(b + i);
+    return x;
+}
+
+/* numpy's pairwise sum of a[0..n), or, when b is not NULL, of the products
+   a[i] b[i], each rounded before it is added: np.add.reduce's order on a
+   contiguous float64 array.  Callers add it to +0, as numpy does, so that
+   np.multiply(a, b).sum() is 0.0 + pairwise(a, b, n).  The eight accumulators
+   are four pairs, which stay in registers; each lane adds what numpy's adds. */
+static double pairwise(const double *a, const double *b, int64_t n)
 {
     if (n < 8) {
         double res = 0.0;
         for (int64_t i = 0; i < n; i++)
-            res += a[i];
+            res += b ? a[i] * b[i] : a[i];
         return res;
     }
     if (n <= 128) {
-        double r[8];
+        pair r0 = load_pair(a, b, 0), r2 = load_pair(a, b, 2), r4 = load_pair(a, b, 4),
+             r6 = load_pair(a, b, 6);
         int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r0 += load_pair(a, b, i);
+            r2 += load_pair(a, b, i + 2);
+            r4 += load_pair(a, b, i + 4);
+            r6 += load_pair(a, b, i + 6);
+        }
+        double res = ((r0[0] + r0[1]) + (r2[0] + r2[1])) + ((r4[0] + r4[1]) + (r6[0] + r6[1]));
         for (; i < n; i++)
-            res += a[i];
+            res += b ? a[i] * b[i] : a[i];
         return res;
     }
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise(a, n2) + pairwise(a + n2, n - n2);
-}
-
-/* float(x @ y) for contiguous x and y of length n */
-static inline double dot(ddot_fn ddot, const double *x, const double *y, int64_t n)
-{
-    return n ? 0.0 + ddot(n, x, 1, y, 1) : 0.0;
+    return pairwise(a, b, n2) + pairwise(a + n2, b ? b + n2 : NULL, n - n2);
 }
 
 /* A nonnegative double's bits, complemented: ascending keys are descending values. */
@@ -197,7 +208,7 @@ static void l1_ball(const double *v, double *out, int64_t d, double tau, double 
 {
     for (int64_t j = 0; j < d; j++)
         mags[j] = fabs(v[j]);
-    double total = 0.0 + pairwise(mags, d);
+    double total = 0.0 + pairwise(mags, NULL, d);
     if (total <= tau) {
         memcpy(out, v, (size_t)d * sizeof *out);
         return;
@@ -274,10 +285,10 @@ static inline double coefficient(int64_t loss, double u, double y)
  * runs under a ball or a box only.
  * Returns 0, or -1 when scratch memory cannot be had.
  */
-int vrgrad_steps(ddot_fn ddot, int64_t d, const int64_t *indptr, const int64_t *indices,
-                 const double *values, const double *labels, int64_t loss, int64_t side,
-                 double radius, const double *lower, const double *upper, const int64_t *draws,
-                 int64_t m, const double *snap_coef, const double *weight, double eta,
+int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const double *values,
+                 const double *labels, int64_t loss, int64_t side, double radius,
+                 const double *lower, const double *upper, const int64_t *draws, int64_t m,
+                 const double *snap_coef, const double *weight, double eta,
                  const double *eta_grad, int64_t sgd_t, const double *q, double *w, double *acc)
 {
     int sparse = side == PENALTY;
@@ -327,11 +338,11 @@ int vrgrad_steps(ddot_fn ddot, int64_t d, const int64_t *indptr, const int64_t *
         }
         double u;
         if (full) {
-            u = dot(ddot, val, w, d);
+            u = 0.0 + pairwise(val, w, d); /* problems._dot */
         } else {
             for (int64_t k = 0; k < nnz; k++)
                 row_w[k] = w[idx[k]];
-            u = dot(ddot, val, row_w, nnz);
+            u = 0.0 + pairwise(val, row_w, nnz);
         }
         double c = (coefficient(loss, u, labels[i]) - snap_coef[i]) / weight[i];
         double ec = e * c;

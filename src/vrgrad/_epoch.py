@@ -9,10 +9,7 @@ once do not see each other's half written files, and a new build removes
 the libraries of older sources.  ``library()`` returns None, quietly, when
 there is no compiler, the cache cannot be written or the build fails:
 ``problems`` then takes its products and sigmoid from scipy, ``data`` reads
-libsvm files in Python, and ``solvers`` runs the numpy loop.  The library
-also carries ``ddot``, the address of numpy's BLAS ``ddot`` that the inner
-steps call, resolved once; it is None when that symbol cannot be found, and
-then only the inner steps fall back to the numpy loop."""
+libsvm files in Python, and ``solvers`` runs the numpy loop."""
 
 from __future__ import annotations
 
@@ -28,8 +25,6 @@ from pathlib import Path
 _SOURCE = Path(__file__).with_name("_epoch.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# numpy's `x @ y` on float64 vectors calls this ddot (64-bit integer BLAS)
-_DDOT_NAMES = ("scipy_cblas_ddot64_", "cblas_ddot64_")
 
 
 def _build(compiler) -> Path:
@@ -52,21 +47,9 @@ def _build(compiler) -> Path:
     return target
 
 
-def _ddot():
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    blas = ctypes.CDLL(umath.__file__)
-    for name in _DDOT_NAMES:
-        if hasattr(blas, name):
-            return ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
-    return None
-
-
 @functools.lru_cache(maxsize=None)
 def library():
-    """The built library through ctypes, every function typed, with ``ddot``; or None."""
+    """The built library through ctypes, every function typed; or None."""
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
@@ -75,8 +58,8 @@ def library():
     except (OSError, subprocess.SubprocessError):
         return None
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.vrgrad_steps.argtypes = [p, i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p,
-                                 i64, p, p, p]
+    lib.vrgrad_steps.argtypes = [i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p, i64,
+                                 p, p, p]
     lib.vrgrad_steps.restype = ctypes.c_int
     lib.vrgrad_matvec.argtypes = [i64, i64, p, p, p, p, p]
     lib.vrgrad_rmatvec.argtypes = [i64, i64, p, p, p, p, p]
@@ -87,8 +70,4 @@ def library():
         fn.restype = ctypes.c_int
     for fn in (lib.vrgrad_matvec, lib.vrgrad_rmatvec, lib.vrgrad_sigmoid):
         fn.restype = None
-    try:
-        lib.ddot = _ddot()
-    except (OSError, ImportError):
-        lib.ddot = None
     return lib

@@ -3,8 +3,9 @@
 Configs are JSON files with optional ``--set key=value`` overrides (dots
 descend into nested objects; values are parsed as JSON when possible).
 Each config block is one table of its keys; a key in no table is refused.
-Outputs are deterministic byte-for-byte given the same config, seed and
-BLAS thread count, except for wall-clock columns.
+Outputs are deterministic byte-for-byte given the same config and seed,
+except for wall-clock columns and for what synthetic data, the reference
+polish and the certificate's SVDs take from BLAS and LAPACK (README).
 
 Exit codes: 0 done, 1 config or validation error, 2 solver divergence or a
 stalled line search, 3 certificate found no contractive rate.

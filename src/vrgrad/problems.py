@@ -42,9 +42,15 @@ class Loss(NamedTuple):
     signed_labels: bool
 
 
+def _dot(x, y) -> float:
+    """x' y as numpy's pairwise sum of the products, which ``_epoch.c`` repeats: unlike
+    ``x @ y``, a BLAS call, its order does not depend on the CPU or the thread count."""
+    return float(np.add.reduce(np.multiply(x, y)))  # x * y then .sum(), with less overhead
+
+
 def _squares_mean(u, y):
     r = u - y
-    return float(r @ r) / (2.0 * u.size)
+    return _dot(r, r) / (2.0 * u.size)
 
 
 def sigmoid(x):
@@ -567,7 +573,7 @@ def smooth_value(problem: ProblemSpec, w) -> float:
 def _smooth_and_margins(problem, w):
     """``smooth_value`` at a checked w and the margins X w."""
     u = problem.matrix.matvec(w)
-    return LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + float(problem.q @ w), u
+    return LOSSES[problem.loss.kind].mean(u, problem.loss.labels) + _dot(problem.q, w), u
 
 
 def margin_coefficients(problem: ProblemSpec, u) -> np.ndarray:
@@ -601,7 +607,8 @@ def eval_full_grad(problem: ProblemSpec, w) -> np.ndarray:
 
 def gradient_mapping_norm(problem: ProblemSpec, w, g) -> float:
     """Norm of the unit-step gradient mapping w - step_map(w - g, 1), g the gradient at w."""
-    return float(np.linalg.norm(w - problem.side.step_map()(w - g, 1.0)))
+    r = w - problem.side.step_map()(w - g, 1.0)
+    return math.sqrt(_dot(r, r))
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 All stochastic runs are deterministic given (problem, config): index draws
 come from the pinned Philox stream in the sampling module and every
-floating-point reduction is sequential.  Work is accounted in component
+floating-point reduction has a fixed order.  Work is accounted in component
 gradient evaluations: a full-gradient snapshot costs n, an inner step costs
 2 (fresh point and snapshot point), so one variance-reduced epoch with m
 inner steps adds n + 2m to the counter.
@@ -11,6 +11,7 @@ inner steps adds n + 2m to the counter.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .problems import (
     ProblemSpec,
     SparseDesignMatrix,
     _coef_and_grad,
+    _dot,
     _smooth_and_margins,
     aggregate_lipschitz,
     compute_lipschitz_info,
@@ -166,20 +168,10 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
 
     The snapshot, one draw_many call and the epoch check stay here; the m
     steps are one call of ``steps``, by default ``_inner_steps(problem)``.
-    That is the C kernel of ``_epoch.c`` when it builds (with the system
-    gcc, cached in this package's ``__pycache__`` under a hash of source
-    and flags), finds numpy's BLAS ddot, and matches the numpy loop on a
-    fixed probe for this side and loss; otherwise, quietly, it is the
-    numpy loop ``_numpy_steps``.  The two give the same bits: the kernel
-    repeats the loop's operations in its order, calls the ddot that ``@``
-    calls and sums the l1 norm pairwise as numpy does.  It saves work only
-    where no bit can move: the l1-ball threshold sorts the magnitudes above
-    a Michelot lower bound, and the l1 penalty steps its active set, in
-    O(active + row) instead of O(d).  Nothing is checked per step:
-    ``record(label, cost, output, step_size)`` checks each epoch's output,
-    and a NaN iterate stays NaN until then.  It returns the output's margins
-    X w, or None; a snapshot takes them, or ``margins`` for the first
-    w_tilde, rather than multiply again.
+    Nothing is checked per step: ``record(label, cost, output, step_size)``
+    checks each epoch's output, and a NaN iterate stays NaN until then.  It
+    returns the output's margins X w, or None; a snapshot takes them, or
+    ``margins`` for the first w_tilde, rather than multiply again.
     """
     mat, n = problem.matrix, problem.n
     steps = steps or _inner_steps(problem)
@@ -238,11 +230,11 @@ def _numpy_steps(problem):
             val = values[lo:hi]
             v = w - eta_snap_grad  # w is never written in place: each step makes a new vector
             if hi - lo == d:  # a full row's indices are 0..d-1: no gather or scatter
-                c = (coef(float(val @ w), y[i]) - snap_coef[i]) / weight[i]
+                c = (coef(_dot(val, w), y[i]) - snap_coef[i]) / weight[i]
                 v -= (eta * c) * val
             else:
                 idx = indices[lo:hi]
-                c = (coef(float(val @ w[idx]), y[i]) - snap_coef[i]) / weight[i]
+                c = (coef(_dot(val, w[idx]), y[i]) - snap_coef[i]) / weight[i]
                 v[idx] -= (eta * c) * val
             w = step(v, eta)
             if average:
@@ -271,7 +263,7 @@ def _compiled_steps(problem, lib):
     mat = problem.matrix
     code, radius, lower, upper = _side_args(problem.side)
     q = problem.q if np.any(problem.q) else None
-    fixed = (lib.ddot, problem.d, mat.indptr, mat.indices, mat.data, problem.loss.labels,
+    fixed = (problem.d, mat.indptr, mat.indices, mat.data, problem.loss.labels,
              _LOSS_CODES[problem.loss.kind], code, radius, lower, upper)
     fixed = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in fixed]
     q_ptr = None if q is None else q.ctypes.data
@@ -292,55 +284,100 @@ def _compiled_steps(problem, lib):
 
 
 def _inner_steps(problem):
-    """The compiled steps, or else the numpy loop.
+    """The C kernel of ``_epoch.c``, or else, quietly, the numpy loop ``_numpy_steps``.
 
-    The compiled steps run where the library loads with a ``ddot`` and
-    passes its probe for this side and loss.
+    The kernel runs where the library builds (with the system gcc, cached
+    in this package's ``__pycache__`` under a hash of source and flags) and
+    passes ``_probe`` for this side and loss.  The two give the same bits:
+    the kernel repeats the loop's operations in its order, and sums the row
+    dot ``_dot`` and the l1 norm pairwise as numpy does.  Neither calls a
+    BLAS, so the bits do not depend on the CPU or the BLAS thread count.
+    It saves work only where no bit can move: the l1-ball threshold sorts
+    the magnitudes above a Michelot lower bound, and the l1 penalty steps
+    its active set, in O(active + row) instead of O(d).
     """
     from . import _epoch
 
     lib = _epoch.library()
-    if (lib is not None and lib.ddot is not None
-            and _probe(_side_args(problem.side)[0], problem.loss.kind)):
+    if lib is not None and _probe(_side_args(problem.side)[0], problem.loss.kind):
         return _compiled_steps(problem, lib)
     return _numpy_steps(problem)
 
 
+# row lengths that take every branch of the pairwise sum: a block of eight with and
+# without a remainder, and the recursion with one or two blocks after the split
+_PROBE_LENGTHS = (8, 9, 16, 129, 137)
+
+
+def _dot_probe_designs(rng):
+    """A full row of each of ``_PROBE_LENGTHS`` entries, one design each, then a gathered
+    row of each in one design, under a full row of negative entries.
+
+    At a constant w, the products of entries 16k and 16k + 8, 1e16 times the
+    others and of opposite signs, cancel: numpy's pairwise sum adds them in one
+    accumulator, exactly, and any other order rounds the terms between them
+    differently.  At w = 0 the negative row's products are all -0.0.
+    """
+    wide = np.zeros((len(_PROBE_LENGTHS) + 1, _PROBE_LENGTHS[-1] + 1))
+    wide[0] = -1.0 - rng.random(wide.shape[1])
+    designs = []
+    for r, length in enumerate(_PROBE_LENGTHS, 1):
+        scale = 256.0 / math.sqrt(length)  # margins of about one at w = 1/256
+        row = scale * rng.standard_normal(length)
+        pairs = np.arange(0, length - 8, 16)
+        row[pairs], row[pairs + 8] = 1e16 * scale, -1e16 * scale
+        wide[r, np.sort(rng.choice(wide.shape[1], length, replace=False))] = row
+        designs.append(row[None, :])
+    return designs + [wide]
+
+
 @functools.lru_cache(maxsize=None)  # once per process, side and loss
 def _probe(code, loss):
-    """Whether both loops give the same bits on a fixed 12 x 7 problem with this side and loss.
+    """Whether both loops give the same bits on fixed problems with this side and loss.
 
-    Its rows are full, empty and partial, q is nonzero, and it runs an SGD
-    epoch (under a constraint) and averaged and last-iterate epochs.
+    A 12 x 7 problem's rows are full, empty and partial, q is nonzero, and it
+    runs an SGD epoch (under a constraint) and averaged and last-iterate
+    epochs.  Then each row of ``_dot_probe_designs`` takes one step from w = 0
+    and from w = +-1/256, a step that moves w by up to about 0.1: so its row
+    dot must come out as numpy's pairwise sum does.
     """
+    from . import _epoch
+
     rng = np.random.Generator(np.random.Philox(0xE90C))
     n, d = 12, 7
     X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
     X[0], X[1] = rng.standard_normal(d), 0.0
-    lower, upper = np.full(d, -0.3), np.full(d, 0.3)
-    lower[0] = upper[0] = 0.1
-    side = {_BALL: L1Ball(tau=0.5), _BOX: Box(lower=lower, upper=upper),
-            _PENALTY: L1Regularizer(lam=0.05), _IDENTITY: L1Regularizer(lam=0.0)}[code]
-    problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
-                          loss=LossSpec(kind=loss, labels=np.where(rng.random(n) < 0.5, -1.0, 1.0)),
-                          q=0.1 * rng.standard_normal(d), **{
-                              "constraint" if code < _PENALTY else "regularizer": side})
-    from . import _epoch
+    y, q = np.where(rng.random(n) < 0.5, -1.0, 1.0), 0.1 * rng.standard_normal(d)
+    runs = ([], [])
+    for k, X in enumerate([X] + _dot_probe_designs(rng)):
+        n, d = X.shape
+        if k:  # margins, not labels, make a least-squares coefficient
+            y, q = np.ones(n) if loss == LOGISTIC else np.zeros(n), None
+        lower, upper = np.full(d, -0.3), np.full(d, 0.3)
+        lower[0] = upper[0] = 0.1
+        side = {_BALL: L1Ball(tau=0.5), _BOX: Box(lower=lower, upper=upper),
+                _PENALTY: L1Regularizer(lam=0.05), _IDENTITY: L1Regularizer(lam=0.0)}[code]
+        problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
+                              loss=LossSpec(kind=loss, labels=y), q=q,
+                              **{"constraint" if code < _PENALTY else "regularizer": side})
+        for out, steps in zip(runs, (_numpy_steps(problem),
+                                     _compiled_steps(problem, _epoch.library()))):
+            if k:
+                for i, start in itertools.product(range(n), (0.0, 1.0 / 256, -1.0 / 256)):
+                    w = steps(np.full(d, start), np.array([i]), np.zeros(n), np.ones(n),
+                              0.1 / np.abs(X[i]).max(), np.zeros(d), False, None)
+                    out.append((w + 0.0).tobytes())
+                continue
 
-    runs = []
-    for steps in (_numpy_steps(problem), _compiled_steps(problem, _epoch.library())):
-        out = []
-
-        def record(k, cost, w, step_size):
-            out.append((w + 0.0).tobytes())
-        w = np.zeros(d)
-        dist = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=1)
-        if code < _PENALTY:  # SGD runs under a constraint only
-            w = _epochs(problem, record, w, dist, range(1), 0.5, n, sgd=True, steps=steps)
-        for average in (True, False):
-            w = _epochs(problem, record, w, dist, range(2), 0.05, n, average=average,
-                        steps=steps)
-        runs.append(out)
+            def record(label, cost, w, step_size):
+                out.append((w + 0.0).tobytes())
+            w = np.zeros(d)
+            dist = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=1)
+            if code < _PENALTY:  # SGD runs under a constraint only
+                w = _epochs(problem, record, w, dist, range(1), 0.5, n, sgd=True, steps=steps)
+            for average in (True, False):
+                w = _epochs(problem, record, w, dist, range(2), 0.05, n, average=average,
+                            steps=steps)
     return runs[0] == runs[1]
 
 
@@ -531,7 +568,7 @@ def _afg_iterations(problem: ProblemSpec, w0, step_size):
             diff = cand - y
             f_c = value(cand)
             state["probe"] += n
-            if f_c <= f_y + float(g @ diff) + float(diff @ diff) / (2.0 * s) + noise:
+            if f_c <= f_y + _dot(g, diff) + _dot(diff, diff) / (2.0 * s) + noise:
                 drop = F_y - (f_c + penalty(cand))
                 may_grow = halvings == 0 and drop > 100.0 * noise
                 return cand, f_c, s, may_grow
@@ -569,7 +606,7 @@ def _afg_iterations(problem: ProblemSpec, w0, step_size):
         # scale-free momentum reset: once objective differences sit below
         # float noise, restart instead when the projected step direction
         # opposes the actual move
-        if float((base - x) @ (x - x_prev)) > 0.0:
+        if _dot(base - x, x - x_prev) > 0.0:
             t = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = x + ((t - 1.0) / t_next) * (x - x_prev)

@@ -420,7 +420,7 @@ def reference_vr_run(problem, cfg):
         for _ in range(m):
             i = draw(dist)
             idx, val = X.row(i)
-            a = (coef(i, float(val @ w[idx])) - snap_coef[i]) / (n * dist.p[i])
+            a = (coef(i, float((val * w[idx]).sum())) - snap_coef[i]) / (n * dist.p[i])
             v = w - eta * snap_grad
             v[idx] -= (eta * a) * val
             w = step(v, eta)
@@ -449,7 +449,7 @@ def reference_sgd_run(problem, eta0, passes, seed):
             eta = eta0 / math.sqrt(k)
             i = draw(dist)
             idx, val = X.row(i)
-            a = coef(i, float(val @ w[idx]))
+            a = coef(i, float((val * w[idx]).sum()))
             v = w - eta * q
             v[idx] -= (eta * a) * val
             w = step(v, eta)
