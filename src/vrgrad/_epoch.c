@@ -6,14 +6,16 @@
  * row dot (problems._dot) and the l1 sum are numpy's pairwise sums, the dot's
  * of the rounded products, and max, min, clip and sign keep numpy's NaN
  * rules.  No BLAS is called, so the bits depend on neither the CPU kernel a
- * BLAS would pick nor its thread count.  Build with -O2 -ffp-contract=off: a
- * fused multiply-add would round once where numpy rounds twice.
+ * BLAS would pick nor its thread count.  Build with -O3 -ffp-contract=off,
+ * and any -march: a fused multiply-add would round once where numpy rounds
+ * twice, and nothing else the vectoriser may do reorders a sum.
  *
  * Two shortcuts change the work and not the result.  The l1-ball threshold
- * sorts only the magnitudes above a Michelot lower bound, and a guard sends
- * every case it cannot vouch for to the full sort.  The l1 penalty steps only
- * its active set: a coordinate at +0 that the row does not touch, with
- * |eta g_j| <= eta lam, is +0 again after the step.
+ * sorts only the support that Michelot's iteration finds from half the
+ * previous step's threshold, and a guard sends every case it cannot vouch
+ * for to a retry from the bound (total - tau) / d, then to the full sort.
+ * The l1 penalty steps only its active set: a coordinate at +0 that the row
+ * does not touch, with |eta g_j| <= eta lam, is +0 again after the step.
  *
  * The file also holds the three operations SparseDesignMatrix and the
  * logistic loss would otherwise take from scipy, with scipy's bits: the CSR
@@ -202,47 +204,71 @@ static void l1_ball_by_gaps(const double *v, const double *mags, double *out, in
         out[j] = np_sign(v[j]) * np_max((mags[j] - s_k) + shift, 0.0);
 }
 
-/* geometry.l1_ball_kernel(v, tau) into out */
-static void l1_ball(const double *v, double *out, int64_t d, double tau, double *mags,
-                    double *csum, uint64_t *key, uint64_t *tmp)
+/* The last passing position of the magnitudes above t, from their sort alone, or -1
+   where the guard cannot vouch that no magnitude at or below t passes.  Any t is
+   safe: one at or below the threshold makes the kept set hold the support, and
+   Michelot's iteration then raises t to the mean excess over tau of the kept
+   magnitudes while that drops some of them, so that only the support is sorted.
+   Sorted descending, the kept magnitudes are a prefix of the whole, so the
+   prefix sums and the test agree with the full sort's there; the guard shows
+   that no later position passes, with room for the rounding of every sum
+   involved.  The sums that pick t may run in any order. */
+static int64_t prefix_passing(const double *mags, int64_t d, double tau, double total, double t,
+                              double *csum, uint64_t *key, uint64_t *tmp)
+{
+    double above = 0.0;
+    int64_t big = 0;
+    for (int64_t j = 0; j < d; j++)
+        if (mags[j] > t) { /* few pass from a warm t, so the branch predicts well */
+            key[big++] = key_of(mags[j]);
+            above += mags[j];
+        }
+    while (big) { /* everything left out lies at or below t, whatever the rounding */
+        double next = (above - tau) / (double)big;
+        if (!(next > t))
+            break;
+        int64_t kept = 0;
+        above = 0.0;
+        for (int64_t a = 0; a < big; a++) {
+            double s = value_of(key[a]);
+            key[kept] = key[a];
+            kept += s > next;
+            above += s > next ? s : 0.0;
+        }
+        if (kept == big) /* t = next would leave the guard no room */
+            break;
+        big = kept;
+        t = next;
+    }
+    if (!big)
+        return -1;
+    bucket_sort(key, tmp, big);
+    int64_t k = last_passing(key, big, tau, csum);
+    return csum[big - 1] - (double)big * t > 4.0 * (double)d * DBL_EPSILON * total ? k : -1;
+}
+
+/* geometry.l1_ball_kernel(v, tau) into out, given the previous step's threshold
+   last, or 0; returns this step's, or 0 where no sort finds one. */
+static double l1_ball(const double *v, double *out, int64_t d, double tau, double last,
+                      double *mags, double *csum, uint64_t *key, uint64_t *tmp)
 {
     for (int64_t j = 0; j < d; j++)
         mags[j] = fabs(v[j]);
     double total = 0.0 + pairwise(mags, NULL, d);
     if (total <= tau) {
         memcpy(out, v, (size_t)d * sizeof *out);
-        return;
+        return 0.0;
     }
     if (!(tau > total * ((double)d * RESOLUTION))) {
         l1_ball_by_gaps(v, mags, out, d, tau, key, tmp);
-        return;
+        return 0.0;
     }
-    /* Two Michelot steps give t at or below the threshold: the magnitudes above
-       (total - tau) / d, collected in one pass, then those of them above the
-       mean excess over tau.  Sorted descending, the magnitudes above t are a
-       prefix of the whole, so the prefix sums and the test agree with the full
-       sort's there; the guard shows that no later position passes, with room
-       for the rounding of every sum involved. */
-    double t = (total - tau) / (double)d, above = 0.0;
-    int64_t count = 0, big = 0, k = -1;
-    for (int64_t j = 0; j < d; j++) { /* no branch: a branch on the test mispredicts */
-        key[count] = key_of(mags[j]);
-        above += mags[j] * (double)(mags[j] > t);
-        count += mags[j] > t;
-    }
-    /* so everything left out lies at or below t, whatever the rounding */
-    if (count && (above - tau) / (double)count > t)
-        t = (above - tau) / (double)count;
-    for (int64_t a = 0; a < count; a++) {
-        key[big] = key[a];
-        big += value_of(key[a]) > t;
-    }
-    if (big) {
-        bucket_sort(key, tmp, big);
-        k = last_passing(key, big, tau, csum);
-        if (!(csum[big - 1] - (double)big * t > 4.0 * (double)d * DBL_EPSILON * total))
-            k = -1;
-    }
+    /* from half the previous threshold; where that overshoots, from Michelot's
+       first bound (total - tau) / d; where that fails too, the full sort */
+    double t0 = (total - tau) / (double)d, warm = 0.5 * last;
+    int64_t k = prefix_passing(mags, d, tau, total, warm > t0 ? warm : t0, csum, key, tmp);
+    if (k < 0 && warm > t0)
+        k = prefix_passing(mags, d, tau, total, t0, csum, key, tmp);
     if (k < 0) {
         for (int64_t j = 0; j < d; j++)
             key[j] = key_of(mags[j]);
@@ -262,6 +288,7 @@ static void l1_ball(const double *v, double *out, int64_t d, double tau, double 
         xb = ((xb & ~(uint64_t)((int64_t)xb >> 63)) | (vb & 0x8000000000000000u)) & nonzero;
         memcpy(&out[j], &xb, sizeof xb);
     }
+    return theta;
 }
 
 /* scipy's expit */
@@ -314,7 +341,7 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
     /* the penalty's active set: coordinates stepped every time, and the nonzeros */
     int64_t *mark = ibuf, *always = ibuf + nd, *nz = ibuf + 2 * nd, *nz_next = ibuf + 3 * nd;
     int64_t n_always = 0, n_nz = 0, stamp = 0;
-    double t = eta * radius;
+    double t = eta * radius, theta = 0.0; /* the last l1-ball threshold, reset every call */
     if (sparse) {
         for (int64_t j = 0; j < d; j++) {
             if (!(fabs(g[j]) <= t))
@@ -391,7 +418,7 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
         }
         switch (side) {
         case BALL:
-            l1_ball(v, w, d, radius, mags, csum, key, tmp);
+            theta = l1_ball(v, w, d, radius, theta, mags, csum, key, tmp);
             break;
         case BOX:
             for (int64_t j = 0; j < d; j++)
@@ -449,27 +476,10 @@ void vrgrad_matvec(int64_t n, int64_t d, const int64_t *indptr, const int64_t *i
     }
 }
 
-/* out[j] += a[j] u0, then b[j] u1, c[j] u2 and e[j] u3, for j < d: four full rows
-   of rmatvec.  gcc 12 vectorises the first loop across j at -O2 only as it
-   stands: out of line (inlined, it stays scalar) and over a count that is a
-   multiple of the vector's two doubles.  The second loop takes the last column
-   of an odd d.  Each out[j] takes the same four additions in the same order. */
-static __attribute__((noinline)) void add_four_rows(int64_t d, const double *restrict a,
-                                                    const double *restrict b,
-                                                    const double *restrict c,
-                                                    const double *restrict e,
-                                                    const double *u, double *restrict out)
-{
-    double u0 = u[0], u1 = u[1], u2 = u[2], u3 = u[3];
-    int64_t even = d & ~(int64_t)1;
-    for (int64_t j = 0; j < even; j++)
-        out[j] = (((out[j] + a[j] * u0) + b[j] * u1) + c[j] * u2) + e[j] * u3;
-    for (int64_t j = even; j < d; j++)
-        out[j] = (((out[j] + a[j] * u0) + b[j] * u1) + c[j] * u2) + e[j] * u3;
-}
-
 /* out = X' u for the CSR matrix X of n rows and d columns: row i's products
-   added into out in row order, as scipy's csc_matvec does on X'. */
+   added into out in row order, as scipy's csc_matvec does on X'.  Four
+   consecutive full rows are added into each out[j] in turn, a loop across j
+   that -O3 vectorises. */
 void vrgrad_rmatvec(int64_t n, int64_t d, const int64_t *indptr, const int64_t *indices,
                     const double *values, const double *u, double *out)
 {
@@ -477,8 +487,10 @@ void vrgrad_rmatvec(int64_t n, int64_t d, const int64_t *indptr, const int64_t *
     int64_t i = 0;
     while (i < n) {
         if (i + 4 <= n && four_full(indptr, i, d)) {
-            const double *a = values + indptr[i];
-            add_four_rows(d, a, a + d, a + 2 * d, a + 3 * d, u + i, out);
+            const double *a = values + indptr[i], *b = a + d, *c = b + d, *e = c + d;
+            double u0 = u[i], u1 = u[i + 1], u2 = u[i + 2], u3 = u[i + 3];
+            for (int64_t j = 0; j < d; j++)
+                out[j] = (((out[j] + a[j] * u0) + b[j] * u1) + c[j] * u2) + e[j] * u3;
             i += 4;
             continue;
         }

@@ -1,15 +1,20 @@
 """Build and load ``_epoch.c``: compiled inner steps, CSR products, sigmoid and libsvm reader.
 
 ``library()`` is the one entry point.  The source is compiled on first use
-with the system ``gcc`` into this package's ``__pycache__``, under a name
-keyed by a hash of the source and the flags, and loaded through ctypes;
-later processes load the cached library.  The compiler writes to a
-temporary name that is then renamed into place, so processes that build at
-once do not see each other's half written files, and a new build removes
-the libraries of older sources.  ``library()`` returns None, quietly, when
-there is no compiler, the cache cannot be written or the build fails:
-``problems`` then takes its products and sigmoid from scipy, ``data`` reads
-libsvm files in Python, and ``solvers`` runs the numpy loop."""
+with the system ``gcc`` into this package's ``__pycache__`` and loaded
+through ctypes; later processes load the cached library.  The flags are
+``-O3 -ffp-contract=off``, and ``-march=x86-64-v3`` where numpy reports the
+CPU's ``X86_V3`` group and gcc takes it; no flag moves a bit.  The file name
+hashes the source and the flags, so a library built for x86-64-v3 is never
+loaded on a CPU without the group, and both builds can share one cache.
+The compiler writes to a temporary name that is then renamed into place,
+so processes that build at once do not see each other's half written
+files, and a new build removes the libraries of other sources.  With no
+``PATH``, gcc runs with ``os.defpath``, where it was found.  ``library()``
+returns None, quietly, when there is no compiler, the cache cannot be
+written or the build fails: ``problems`` then takes its products and
+sigmoid from scipy, ``data`` reads libsvm files in Python, and ``solvers``
+runs the numpy loop."""
 
 from __future__ import annotations
 
@@ -24,26 +29,41 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 _CACHE = Path(__file__).with_name("__pycache__")
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _build(compiler) -> Path:
-    source = _SOURCE.read_bytes()
-    tag = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
-    target = _CACHE / f"_epoch-{tag}.so"
+def _flags() -> tuple:
+    """The compiler flags: ``_FLAGS``, and ``-march=x86-64-v3`` where numpy reports X86_V3."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+        v3 = __cpu_features__.get("X86_V3") is True
+    except Exception:  # another numpy layout: the baseline build is right everywhere
+        v3 = False
+    return _FLAGS + (("-march=x86-64-v3",) if v3 else ())
+
+
+def _tag(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _build(compiler, flags) -> Path:
+    source = _tag(_SOURCE.read_bytes())
+    target = _CACHE / f"_epoch-{source}-{_tag(' '.join(flags).encode())}.so"
     if not target.exists():
         _CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=_CACHE, prefix="_epoch-", suffix=".tmp")
         os.close(fd)
-        try:
-            subprocess.run([compiler, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"],
-                           check=True, capture_output=True, timeout=120)
+        env = None if "PATH" in os.environ else {**os.environ, "PATH": os.defpath}
+        try:  # with no PATH, gcc finds itself on os.defpath but would not find ld
+            subprocess.run([compiler, *flags, "-o", tmp, str(_SOURCE), "-lm"],
+                           check=True, capture_output=True, timeout=120, env=env)
             os.replace(tmp, target)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        for stale in set(_CACHE.glob("_epoch-*.so")) - {target}:  # from older sources
-            stale.unlink(missing_ok=True)
+        for stale in _CACHE.glob("_epoch-*.so"):  # from other sources, whatever the flags
+            if not stale.name.startswith(f"_epoch-{source}-"):
+                stale.unlink(missing_ok=True)
     return target
 
 
@@ -53,9 +73,13 @@ def library():
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
-    try:
-        lib = ctypes.CDLL(str(_build(compiler)))
-    except (OSError, subprocess.SubprocessError):
+    for flags in dict.fromkeys((_flags(), _FLAGS)):  # a gcc may not know x86-64-v3
+        try:
+            lib = ctypes.CDLL(str(_build(compiler, flags)))
+            break
+        except (OSError, subprocess.SubprocessError):
+            continue
+    else:
         return None
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.vrgrad_steps.argtypes = [i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p, i64,

@@ -286,15 +286,17 @@ def _compiled_steps(problem, lib):
 def _inner_steps(problem):
     """The C kernel of ``_epoch.c``, or else, quietly, the numpy loop ``_numpy_steps``.
 
-    The kernel runs where the library builds (with the system gcc, cached
-    in this package's ``__pycache__`` under a hash of source and flags) and
-    passes ``_probe`` for this side and loss.  The two give the same bits:
+    The kernel runs where the library builds (with the system gcc, for the
+    host's vector ISA, cached in this package's ``__pycache__`` under a
+    hash of source and flags) and passes ``_probe`` for this side and
+    loss.  The two give the same bits:
     the kernel repeats the loop's operations in its order, and sums the row
     dot ``_dot`` and the l1 norm pairwise as numpy does.  Neither calls a
     BLAS, so the bits do not depend on the CPU or the BLAS thread count.
     It saves work only where no bit can move: the l1-ball threshold sorts
-    the magnitudes above a Michelot lower bound, and the l1 penalty steps
-    its active set, in O(active + row) instead of O(d).
+    only the support that Michelot's iteration finds from the previous
+    step's bound, and the l1 penalty steps its active set, in
+    O(active + row) instead of O(d).
     """
     from . import _epoch
 

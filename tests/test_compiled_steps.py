@@ -2,10 +2,13 @@
 
 Bit-identity with the numpy loop is checked by the golden traces (both
 loops against one table) and by the differential properties in
-``test_properties.py``; this file covers the build, the cache, the
-fallback and the probe that decides between the two loops.
+``test_properties.py``; this file covers the build, the cache keyed on the
+source and the flags, the fallback and the probe that decides between the
+two loops, and pins one epoch through each path of the kernel's l1-ball
+step.
 """
 
+import os
 import shutil
 import subprocess
 import sys
@@ -18,19 +21,19 @@ import numpy as np
 import pytest
 
 from vrgrad import _epoch, problems, solvers
-from vrgrad.problems import L1Ball, L1Regularizer, SparseDesignMatrix
+from vrgrad.problems import L1Ball, L1Regularizer, LossSpec, ProblemSpec, SparseDesignMatrix
 from vrgrad.solvers import SolverConfig, run_prox_svrg, run_vrpsg
 
-from conftest import random_least_squares, random_logistic
+from conftest import inner_steps, random_least_squares, random_logistic
 
 
 def _working_gcc():
-    """The gcc on PATH if it builds a shared library with the library's flags, else None."""
+    """The gcc on PATH if it builds a shared library with ``library()``'s flags, else None."""
     gcc = shutil.which("gcc")
     with tempfile.TemporaryDirectory() as tmp:
         source = Path(tmp) / "empty.c"
         source.write_text("int empty(void) { return 0; }\n")
-        build = [gcc, *_epoch._FLAGS, "-o", str(source.with_suffix(".so")), str(source)]
+        build = [gcc, *_epoch._flags(), "-o", str(source.with_suffix(".so")), str(source)]
         return gcc if gcc and subprocess.run(build, capture_output=True).returncode == 0 else None
 
 
@@ -107,6 +110,93 @@ def test_probe_refuses_a_row_dot_off_only_on_rows_of_eight_or_more(monkeypatch, 
         assert not solvers._probe.__wrapped__(code, loss), off.__name__
 
 
+# ---- one epoch through each path of the l1-ball step, against the numpy loop
+
+def ball_epochs(X, labels, tau, g, epochs, loop):
+    """The iterate after each of ``epochs`` calls of one loop's steps under the ball of
+    radius tau: each call draws every row of X in order, from the last call's iterate
+    (w = 0 first), with step 1 and eta times the snapshot gradient g."""
+    n, d = X.shape
+    problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
+                          loss=LossSpec(kind="least_squares", labels=labels),
+                          constraint=L1Ball(tau=tau))
+    steps = inner_steps(loop)(problem)
+    w, out = np.zeros(d), []
+    for _ in range(epochs):
+        w = steps(w, np.arange(n), np.zeros(n), np.ones(n), 1.0, g, False, None)
+        out.append((w + 0.0).tobytes())
+    return out
+
+
+def assert_ball_epochs_agree(X, labels, tau, g=None, epochs=1):
+    X = np.asarray(X, dtype=np.float64)
+    g = np.zeros(X.shape[1]) if g is None else np.asarray(g, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    want = ball_epochs(X, labels, tau, g, epochs, "numpy")
+    assert ball_epochs(X, labels, tau, g, epochs, "compiled") == want
+    return [np.frombuffer(w) for w in want]
+
+
+def one_big_row(n, d, seed, scale=1e3):
+    """A random design whose last row is ``scale`` times the others, and random labels."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = rng.standard_normal((n, d))
+    X[-1] *= scale
+    return X, rng.standard_normal(n)
+
+
+@needs_library
+def test_ball_step_retries_from_the_first_bound_when_the_threshold_halves():
+    # step 1 projects (2.8, 0, ...) at threshold 1.8; step 2 projects (1.5, 0.8, 0.8,
+    # 0.8, 0, ...), whose threshold 0.725 lies below half of that: the warm bound 0.9
+    # keeps 1.5 alone, and 1.5 - tau = 0.5 passes a guard taken against any bound
+    # below 0.5, such as the first bound (total - tau) / d = 0.29
+    X = np.zeros((2, 10))
+    X[0, 0], X[1, :4] = 2.8, [0.5, 0.8, 0.8, 0.8]
+    w = assert_ball_epochs_agree(X, [1.0, 1.5], 1.0)[0]
+    assert np.allclose(w, [0.775, 0.075, 0.075, 0.075] + [0.0] * 6, rtol=0.0, atol=1e-15)
+    # a row 1e3 times the others: each step after it finds a threshold far below
+    X, y = one_big_row(12, 30, seed=5)
+    assert_ball_epochs_agree(X[::-1], y[::-1], 1.0, epochs=2)
+
+
+@needs_library
+def test_ball_step_with_ties_at_the_threshold():
+    # three magnitudes tie at the threshold, and the rounded test admits them
+    v = [0.5629921770044009, 1.43046318141301, -0.5758757359602791, -0.10530144599225422,
+         0.10530144599225422, -0.10530144599225422, 0.06926315598997633, 0.04509221114797176,
+         -0.05515059068711284]
+    assert_ball_epochs_agree(np.zeros((2, 9)), [0.0, 0.0], 2.253426756400927, g=np.negative(v))
+    assert_ball_epochs_agree(np.zeros((1, 6)), [0.0], 5.0, g=[-3.0, -3.0, -3.0, 3.0, -1.0, -1.0])
+
+
+@needs_library
+def test_ball_step_falls_to_the_full_sort_where_the_guard_cannot_vouch():
+    # the magnitudes above a bound that the threshold equals pass the guard with no
+    # room: step 2 projects (3, 1, -1, 1, 0) onto tau = 2, at threshold 1, which is half
+    # the last one and the Michelot bound reached from (total - tau) / d = 0.8
+    X = [[4.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, -1.0, 1.0, 0.0]]
+    w = assert_ball_epochs_agree(X, [1.0, 3.0], 2.0)[0]
+    assert w.tolist() == [2.0, 0.0, 0.0, 0.0, 0.0]
+    # from w = 0, where (total - tau) / d is the threshold itself
+    assert_ball_epochs_agree(np.zeros((1, 4)), [0.0], 2.0, g=[-3.0, -1.0, 1.0, -1.0])
+
+
+@needs_library
+def test_ball_step_by_gaps_where_tau_is_lost_in_the_sums():
+    X, y = one_big_row(10, 12, seed=6, scale=1.0)
+    assert_ball_epochs_agree(X, y, 1e-13, epochs=2)
+    assert_ball_epochs_agree(np.zeros((1, 2)), [0.0], 1.0, g=[-1e308, 1e308])
+
+
+@needs_library
+def test_ball_bound_is_carried_within_an_epoch_and_not_across_epochs():
+    # each epoch ends on the big row, at a threshold far above the next epoch's first
+    X, y = one_big_row(12, 30, seed=7)
+    assert_ball_epochs_agree(X, y, 1.0, epochs=3)
+    assert_ball_epochs_agree(X, y, 50.0, epochs=3)
+
+
 @needs_gcc
 def test_build_is_cached_under_a_hash_and_leaves_no_temporary(fresh_library):
     # the kernel tests skip where the library does not load: a working gcc
@@ -122,7 +212,7 @@ def test_build_is_cached_under_a_hash_and_leaves_no_temporary(fresh_library):
 @needs_gcc
 def test_concurrent_builds_rename_whole_libraries_into_place(fresh_library):
     with ThreadPoolExecutor(2) as pool:
-        paths = list(pool.map(lambda _: _epoch._build(GCC), range(2)))
+        paths = list(pool.map(lambda _: _epoch._build(GCC, _epoch._flags()), range(2)))
     assert paths[0] == paths[1]
     assert [p.name for p in fresh_library.iterdir()] == [paths[0].name]
 
@@ -132,11 +222,63 @@ def test_a_build_from_a_new_source_removes_the_old_library(fresh_library, monkey
     source = tmp_path / "_epoch.c"
     source.write_bytes(_epoch._SOURCE.read_bytes())
     monkeypatch.setattr(_epoch, "_SOURCE", source)
-    old = _epoch._build(GCC)
+    old = _epoch._build(GCC, _epoch._flags())
     source.write_bytes(_epoch._SOURCE.read_bytes() + b"/* edited */\n")
-    new = _epoch._build(GCC)
+    new = _epoch._build(GCC, _epoch._flags())
     assert new != old
     assert [p.name for p in fresh_library.iterdir()] == [new.name]
+
+
+def test_flags_follow_numpy_cpu_report(monkeypatch):
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    monkeypatch.setitem(features, "X86_V3", True)
+    assert _epoch._flags() == _epoch._FLAGS + ("-march=x86-64-v3",)
+    monkeypatch.setitem(features, "X86_V3", False)
+    assert _epoch._flags() == _epoch._FLAGS
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)  # cannot import
+    assert _epoch._flags() == _epoch._FLAGS
+
+
+@needs_gcc
+@pytest.mark.skipif("-march=x86-64-v3" not in _epoch._flags(),
+                    reason="numpy reports no X86_V3 on this CPU")
+def test_a_baseline_build_sits_beside_the_v3_build_and_passes_the_probe(fresh_library,
+                                                                         monkeypatch):
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    v3 = Path(_epoch.library()._name)
+    monkeypatch.setitem(__cpu_features__, "X86_V3", False)  # as a CPU without AVX2 reports
+    forget()
+    baseline = Path(_epoch.library()._name)
+    source = v3.name.rsplit("-", 1)[0]
+    assert baseline.name != v3.name and baseline.name.startswith(source + "-")
+    assert sorted(fresh_library.iterdir()) == sorted([v3, baseline])  # both survive
+    assert baseline == _epoch._build(GCC, _epoch._FLAGS)
+    for code in range(4):
+        for loss in ("least_squares", "logistic"):
+            assert solvers._probe.__wrapped__(code, loss), (code, loss)
+
+
+@needs_gcc
+def test_a_gcc_that_cannot_build_for_v3_gives_the_baseline_build(fresh_library, monkeypatch,
+                                                                  tmp_path):
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    monkeypatch.setitem(features, "X86_V3", True)
+    fake = tmp_path / "gcc"
+    fake.write_text(f'#!/bin/sh\ncase "$*" in *-march=x86-64-v3*) exit 1;; esac\nexec {GCC} "$@"\n')
+    fake.chmod(0o755)
+    monkeypatch.setattr(shutil, "which", lambda name: str(fake))
+    assert Path(_epoch.library()._name) == _epoch._build(GCC, _epoch._FLAGS)
+    assert len(list(fresh_library.iterdir())) == 1
+
+
+@needs_gcc
+@pytest.mark.skipif(shutil.which("gcc", path=os.defpath) is None,
+                    reason="no gcc on the default path")
+def test_a_process_with_no_path_still_builds(fresh_library, monkeypatch):
+    # gcc is found on os.defpath, and must be run with it, or it cannot find ld
+    monkeypatch.delenv("PATH")
+    assert _epoch.library() is not None
 
 
 def test_no_compiler_on_path_falls_back_quietly(fresh_library, monkeypatch, capfd):
