@@ -12,8 +12,8 @@
  *
  * Two shortcuts change the work and not the result.  The l1-ball threshold
  * sorts only the support that Michelot's iteration finds from half the
- * previous step's threshold, and a guard sends every case it cannot vouch
- * for to a retry from the bound (total - tau) / d, then to the full sort.
+ * previous step's threshold, or from (total - tau) / d where that is higher,
+ * and a guard sends every case it cannot vouch for to the full sort.
  * The l1 penalty steps only its active set: a coordinate at +0 that the row
  * does not touch, with |eta g_j| <= eta lam, is +0 again after the step.
  *
@@ -263,12 +263,10 @@ static double l1_ball(const double *v, double *out, int64_t d, double tau, doubl
         l1_ball_by_gaps(v, mags, out, d, tau, key, tmp);
         return 0.0;
     }
-    /* from half the previous threshold; where that overshoots, from Michelot's
-       first bound (total - tau) / d; where that fails too, the full sort */
+    /* from half the previous threshold or Michelot's first bound (total - tau) / d,
+       whichever is higher; where the guard fails, the full sort */
     double t0 = (total - tau) / (double)d, warm = 0.5 * last;
     int64_t k = prefix_passing(mags, d, tau, total, warm > t0 ? warm : t0, csum, key, tmp);
-    if (k < 0 && warm > t0)
-        k = prefix_passing(mags, d, tau, total, t0, csum, key, tmp);
     if (k < 0) {
         for (int64_t j = 0; j < d; j++)
             key[j] = key_of(mags[j]);

@@ -7,9 +7,15 @@ through ctypes; later processes load the cached library.  The flags are
 CPU's ``X86_V3`` group and gcc takes it; no flag moves a bit.  The file name
 hashes the source and the flags, so a library built for x86-64-v3 is never
 loaded on a CPU without the group, and both builds can share one cache.
+numpy reports the group by that name only in recent releases (2.4.6 does);
+under one that reports AVX2, FMA3 and the rest one by one, as 1.x does,
+the baseline build runs.
+Where gcc refuses the flag (before gcc 11) and the baseline then builds,
+an empty ``.refused`` file under the v3 name keeps later processes from
+asking gcc again.
 The compiler writes to a temporary name that is then renamed into place,
 so processes that build at once do not see each other's half written
-files, and a new build removes the libraries of other sources.  With no
+files, and a new build removes the files of other sources.  With no
 ``PATH``, gcc runs with ``os.defpath``, where it was found.  ``library()``
 returns None, quietly, when there is no compiler, the cache cannot be
 written or the build fails: ``problems`` then takes its products and
@@ -46,9 +52,14 @@ def _tag(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _target(flags) -> Path:
+    """The cache file of this source built with these flags."""
+    return _CACHE / f"_epoch-{_tag(_SOURCE.read_bytes())}-{_tag(' '.join(flags).encode())}.so"
+
+
 def _build(compiler, flags) -> Path:
-    source = _tag(_SOURCE.read_bytes())
-    target = _CACHE / f"_epoch-{source}-{_tag(' '.join(flags).encode())}.so"
+    target = _target(flags)
+    source = target.name.rsplit("-", 1)[0] + "-"
     if not target.exists():
         _CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=_CACHE, prefix="_epoch-", suffix=".tmp")
@@ -61,8 +72,8 @@ def _build(compiler, flags) -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        for stale in _CACHE.glob("_epoch-*.so"):  # from other sources, whatever the flags
-            if not stale.name.startswith(f"_epoch-{source}-"):
+        for stale in [*_CACHE.glob("_epoch-*.so"), *_CACHE.glob("_epoch-*.refused")]:
+            if not stale.name.startswith(source):  # from other sources, whatever the flags
                 stale.unlink(missing_ok=True)
     return target
 
@@ -73,14 +84,24 @@ def library():
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
+    refused = []
     for flags in dict.fromkeys((_flags(), _FLAGS)):  # a gcc may not know x86-64-v3
+        if _target(flags).with_suffix(".refused").exists():
+            continue
         try:
             lib = ctypes.CDLL(str(_build(compiler, flags)))
             break
+        except subprocess.CalledProcessError:
+            refused.append(flags)
         except (OSError, subprocess.SubprocessError):
             continue
     else:
         return None
+    for flags in refused:  # the baseline built, so gcc refused the flags, not the host
+        try:
+            _target(flags).with_suffix(".refused").touch()
+        except OSError:
+            pass
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.vrgrad_steps.argtypes = [i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p, i64,
                                  p, p, p]

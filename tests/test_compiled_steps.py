@@ -146,11 +146,11 @@ def one_big_row(n, d, seed, scale=1e3):
 
 
 @needs_library
-def test_ball_step_retries_from_the_first_bound_when_the_threshold_halves():
+def test_ball_step_takes_the_full_sort_when_the_threshold_halves():
     # step 1 projects (2.8, 0, ...) at threshold 1.8; step 2 projects (1.5, 0.8, 0.8,
     # 0.8, 0, ...), whose threshold 0.725 lies below half of that: the warm bound 0.9
-    # keeps 1.5 alone, and 1.5 - tau = 0.5 passes a guard taken against any bound
-    # below 0.5, such as the first bound (total - tau) / d = 0.29
+    # keeps 1.5 alone, and 1.5 - tau = 0.5 fails the guard there, though it passes one
+    # taken against any bound below 0.5, such as (total - tau) / d = 0.29
     X = np.zeros((2, 10))
     X[0, 0], X[1, :4] = 2.8, [0.5, 0.8, 0.8, 0.8]
     w = assert_ball_epochs_agree(X, [1.0, 1.5], 1.0)[0]
@@ -223,6 +223,7 @@ def test_a_build_from_a_new_source_removes_the_old_library(fresh_library, monkey
     source.write_bytes(_epoch._SOURCE.read_bytes())
     monkeypatch.setattr(_epoch, "_SOURCE", source)
     old = _epoch._build(GCC, _epoch._flags())
+    old.with_suffix(".refused").touch()  # as where gcc refused x86-64-v3
     source.write_bytes(_epoch._SOURCE.read_bytes() + b"/* edited */\n")
     new = _epoch._build(GCC, _epoch._flags())
     assert new != old
@@ -264,12 +265,20 @@ def test_a_gcc_that_cannot_build_for_v3_gives_the_baseline_build(fresh_library, 
                                                                   tmp_path):
     features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
     monkeypatch.setitem(features, "X86_V3", True)
-    fake = tmp_path / "gcc"
-    fake.write_text(f'#!/bin/sh\ncase "$*" in *-march=x86-64-v3*) exit 1;; esac\nexec {GCC} "$@"\n')
+    fake, calls = tmp_path / "gcc", tmp_path / "calls"
+    fake.write_text(f'#!/bin/sh\necho "$*" >> {calls}\n'
+                    f'case "$*" in *-march=x86-64-v3*) exit 1;; esac\nexec {GCC} "$@"\n')
     fake.chmod(0o755)
     monkeypatch.setattr(shutil, "which", lambda name: str(fake))
-    assert Path(_epoch.library()._name) == _epoch._build(GCC, _epoch._FLAGS)
-    assert len(list(fresh_library.iterdir())) == 1
+    baseline = _epoch._target(_epoch._FLAGS)
+    assert Path(_epoch.library()._name) == baseline
+    refused = _epoch._target(_epoch._flags()).with_suffix(".refused")
+    assert sorted(fresh_library.iterdir()) == sorted([baseline, refused])
+    assert len(calls.read_text().splitlines()) == 2
+    # a later process loads the baseline build and does not ask gcc for x86-64-v3 again
+    forget()
+    assert Path(_epoch.library()._name) == baseline
+    assert len(calls.read_text().splitlines()) == 2
 
 
 @needs_gcc
