@@ -4,15 +4,14 @@
 with the system ``gcc`` into this package's ``__pycache__`` and loaded
 through ctypes; later processes load the cached library.  The flags are
 ``-O3 -ffp-contract=off``, and ``-march=x86-64-v3`` where numpy reports the
-CPU's ``X86_V3`` group and gcc takes it; no flag moves a bit.  The file name
-hashes the source and the flags, so a library built for x86-64-v3 is never
+CPU's ``X86_V3`` group; no flag moves a bit.  The file name hashes the
+source and the flags asked for, so a library built for x86-64-v3 is never
 loaded on a CPU without the group, and both builds can share one cache.
 numpy reports the group by that name only in recent releases (2.4.6 does);
 under one that reports AVX2, FMA3 and the rest one by one, as 1.x does,
 the baseline build runs.
-Where gcc refuses the flag (before gcc 11) and the baseline then builds,
-an empty ``.refused`` file under the v3 name keeps later processes from
-asking gcc again.
+Where gcc refuses the flag (before gcc 11), the baseline build is cached
+under the v3 name, so later processes load it without asking gcc again.
 The compiler writes to a temporary name that is then renamed into place,
 so processes that build at once do not see each other's half written
 files, and a new build removes the files of other sources.  With no
@@ -58,6 +57,8 @@ def _target(flags) -> Path:
 
 
 def _build(compiler, flags) -> Path:
+    """``_target(flags)``, built unless cached; the baseline flags go in where gcc
+    refuses these."""
     target = _target(flags)
     source = target.name.rsplit("-", 1)[0] + "-"
     if not target.exists():
@@ -65,14 +66,22 @@ def _build(compiler, flags) -> Path:
         fd, tmp = tempfile.mkstemp(dir=_CACHE, prefix="_epoch-", suffix=".tmp")
         os.close(fd)
         env = None if "PATH" in os.environ else {**os.environ, "PATH": os.defpath}
-        try:  # with no PATH, gcc finds itself on os.defpath but would not find ld
+
+        def gcc(flags):  # with no PATH, gcc finds itself on os.defpath but not ld
             subprocess.run([compiler, *flags, "-o", tmp, str(_SOURCE), "-lm"],
                            check=True, capture_output=True, timeout=120, env=env)
+        try:
+            try:
+                gcc(flags)
+            except subprocess.CalledProcessError:
+                if flags == _FLAGS:
+                    raise
+                gcc(_FLAGS)  # a gcc before 11 does not know x86-64-v3
             os.replace(tmp, target)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        for stale in [*_CACHE.glob("_epoch-*.so"), *_CACHE.glob("_epoch-*.refused")]:
+        for stale in _CACHE.glob("_epoch-*.so"):
             if not stale.name.startswith(source):  # from other sources, whatever the flags
                 stale.unlink(missing_ok=True)
     return target
@@ -84,24 +93,10 @@ def library():
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
-    refused = []
-    for flags in dict.fromkeys((_flags(), _FLAGS)):  # a gcc may not know x86-64-v3
-        if _target(flags).with_suffix(".refused").exists():
-            continue
-        try:
-            lib = ctypes.CDLL(str(_build(compiler, flags)))
-            break
-        except subprocess.CalledProcessError:
-            refused.append(flags)
-        except (OSError, subprocess.SubprocessError):
-            continue
-    else:
+    try:
+        lib = ctypes.CDLL(str(_build(compiler, _flags())))
+    except (OSError, subprocess.SubprocessError):
         return None
-    for flags in refused:  # the baseline built, so gcc refused the flags, not the host
-        try:
-            _target(flags).with_suffix(".refused").touch()
-        except OSError:
-            pass
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.vrgrad_steps.argtypes = [i64, p, p, p, p, i64, i64, f64, p, p, p, i64, p, p, f64, p, i64,
                                  p, p, p]

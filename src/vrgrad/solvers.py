@@ -71,14 +71,18 @@ class SolverConfig:
     average_epoch_output: bool = True
 
     def __post_init__(self):
+        for name in ("epochs", "inner_iterations"):  # counts of range and draw_many
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (self.step_size > 0 and np.isfinite(self.step_size)):
             raise ValueError("step_size must be positive and finite")
         if self.inner_iterations is not None and self.inner_iterations < 1:
             raise ValueError("inner_iterations must be >= 1")
-        if self.sgd_initial_step < 0:
-            raise ValueError("sgd_initial_step must be nonnegative")
+        if not (self.sgd_initial_step >= 0 and np.isfinite(self.sgd_initial_step)):
+            raise ValueError("sgd_initial_step must be nonnegative and finite")
 
 
 @dataclass
@@ -103,36 +107,22 @@ class RunTrace:
     probe_evals: Optional[np.ndarray] = None
 
 
-class _Rows:
-    def __init__(self):
-        self.epoch = []
-        self.grad_evals = []
-        self.objective = []
-        self.gap = []
-        self.wall_ms = []
-        self.probe_evals = []
-
-    def add(self, epoch, evals, obj, f_star, t0, probes=None):
-        self.epoch.append(epoch)
-        self.grad_evals.append(evals)
-        self.objective.append(obj)
-        self.gap.append(obj - f_star if f_star is not None else np.nan)
-        self.wall_ms.append((time.perf_counter() - t0) * 1e3)
-        if probes is not None:
-            self.probe_evals.append(probes)
-
-    def trace(self, w, f0, theory_warning=False, with_probes=False):
-        return RunTrace(
-            epoch=np.asarray(self.epoch, dtype=np.int64),
-            grad_evals=np.asarray(self.grad_evals, dtype=np.int64),
-            objective=np.asarray(self.objective),
-            gap=np.asarray(self.gap),
-            wall_ms=np.asarray(self.wall_ms),
-            final_iterate=w,
-            initial_objective=f0,
-            theory_warning=theory_warning,
-            probe_evals=np.asarray(self.probe_evals, dtype=np.int64) if with_probes else None,
-        )
+def _trace(rows, f_star, w, f0, theory_warning=False) -> RunTrace:
+    """The RunTrace of rows (epoch, grad_evals, objective, wall_ms), AFG's with
+    probe_evals last; the gap is objective - f_star, or NaN without f_star."""
+    epoch, grad_evals, objective, wall_ms, *probe_evals = zip(*rows)
+    objective = np.asarray(objective, dtype=np.float64)
+    return RunTrace(
+        epoch=np.asarray(epoch, dtype=np.int64),
+        grad_evals=np.asarray(grad_evals, dtype=np.int64),
+        objective=objective,
+        gap=objective - f_star if f_star is not None else np.full(objective.size, np.nan),
+        wall_ms=np.asarray(wall_ms, dtype=np.float64),
+        final_iterate=w,
+        initial_objective=f0,
+        theory_warning=theory_warning,
+        probe_evals=np.asarray(probe_evals[0], dtype=np.int64) if probe_evals else None,
+    )
 
 
 def _start_point(problem: ProblemSpec, w0) -> np.ndarray:
@@ -171,7 +161,8 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
     Nothing is checked per step: ``record(label, cost, output, step_size)``
     checks each epoch's output, and a NaN iterate stays NaN until then.  It
     returns the output's margins X w, or None; a snapshot takes them, or
-    ``margins`` for the first w_tilde, rather than multiply again.
+    ``margins`` for the first w_tilde, rather than multiply again.  The loop
+    returns (w, margins): the last epoch's output and what its ``record`` returned.
     """
     mat, n = problem.matrix, problem.n
     steps = steps or _inner_steps(problem)
@@ -193,7 +184,7 @@ def _epochs(problem, record, w_tilde, dist, labels, step_size, m, sgd=False, ave
         if sgd:
             t += m
         margins = record(k, cost, w_tilde, step_size)
-    return w_tilde
+    return w_tilde, margins
 
 
 def _numpy_steps(problem):
@@ -376,10 +367,11 @@ def _probe(code, loss):
             w = np.zeros(d)
             dist = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=1)
             if code < _PENALTY:  # SGD runs under a constraint only
-                w = _epochs(problem, record, w, dist, range(1), 0.5, n, sgd=True, steps=steps)
+                w, _ = _epochs(problem, record, w, dist, range(1), 0.5, n, sgd=True,
+                               steps=steps)
             for average in (True, False):
-                w = _epochs(problem, record, w, dist, range(2), 0.05, n, average=average,
-                            steps=steps)
+                w, _ = _epochs(problem, record, w, dist, range(2), 0.05, n, average=average,
+                               steps=steps)
     return runs[0] == runs[1]
 
 
@@ -401,30 +393,31 @@ def _stochastic_run(problem, config, w0, f_star, info, algorithm):
         theory_warning = l_p > 0 and config.step_size >= 1.0 / (4.0 * l_p)
     f0, margins = objective_and_margins(problem, w)
     threshold = f0 + _DIVERGENCE_FACTOR * max(1.0, abs(f0))
-    rows, t0, last = _Rows(), time.perf_counter(), [margins]  # the margins of the latest w
+    rows, t0 = [], time.perf_counter()
 
     def record(k, cost, w_k, step_size):
-        f_val, last[0] = objective_and_margins(problem, w_k)
+        f_val, margins = objective_and_margins(problem, w_k)
         if not np.isfinite(f_val) or f_val > threshold:
             raise DivergenceError(
                 f"{algorithm} diverged at epoch {k}: objective {f_val:g} "
                 f"(started at {f0:g}); step size {step_size:g} is likely too large"
             )
-        rows.add(k, (rows.grad_evals[-1] if rows.grad_evals else 0) + cost, f_val, f_star, t0)
-        return last[0]
+        evals = rows[-1][1] + cost if rows else cost
+        rows.append((k, evals, f_val, (time.perf_counter() - t0) * 1e3))
+        return margins
 
     eta0, epochs = config.sgd_initial_step, range(1, config.epochs + 1)
     if algorithm in ("sgd", "vrpsg2"):
         warm = algorithm == "vrpsg2"  # one epoch, row 0, and no step at all when eta0 = 0
         seed = (config.seed ^ 0x7A5C9D1B) & 0xFFFFFFFFFFFFFFFF if warm else config.seed
         uniform = sampling.SamplingDistribution(p=np.full(n, 1.0 / n), seed=int(seed))
-        w = _epochs(problem, record, w, uniform, range(1) if warm else epochs, eta0,
-                    n if eta0 > 0 else 0, sgd=True)
+        w, margins = _epochs(problem, record, w, uniform, range(1) if warm else epochs, eta0,
+                             n if eta0 > 0 else 0, sgd=True)
     if algorithm != "sgd":
         m = config.inner_iterations if config.inner_iterations is not None else n
-        w = _epochs(problem, record, w, dist, epochs, config.step_size, m,
-                    average=config.average_epoch_output, margins=last[0])
-    return rows.trace(w, f0, theory_warning=theory_warning)
+        w, _ = _epochs(problem, record, w, dist, epochs, config.step_size, m,
+                       average=config.average_epoch_output, margins=margins)
+    return _trace(rows, f_star, w, f0, theory_warning)
 
 
 def run_vrpsg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
@@ -451,8 +444,9 @@ def run_vrpsg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None,
     -------
     RunTrace
         One row per epoch; ``grad_evals`` at epoch k is exactly k(n + 2m).
-        Every recorded iterate is feasible (averages of projections stay
-        inside the convex feasible set).
+        Every recorded iterate is feasible up to the projection's rounding
+        (averages of projections stay inside the convex feasible set; an
+        l1-ball projection can land a few ulps of tau outside).
     """
     if not problem.is_constrained:
         raise ValueError("run_vrpsg requires a constrained problem")
@@ -517,12 +511,12 @@ def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None) ->
     Each iteration costs n gradient evaluations; line-search function
     probes are tallied in the trace's separate ``probe_evals`` column.
     """
-    rows, t0 = _Rows(), time.perf_counter()
+    rows, t0 = [], time.perf_counter()
     iterations = _afg_iterations(problem, w0, config.step_size)
     x, f0, _, _ = next(iterations)
     for it, (x, F_x, grads, probes) in zip(range(1, config.epochs + 1), iterations):
-        rows.add(it, grads, F_x, f_star, t0, probes=probes)
-    return rows.trace(x, f0, with_probes=True)
+        rows.append((it, grads, F_x, (time.perf_counter() - t0) * 1e3, probes))
+    return _trace(rows, f_star, x, f0)
 
 
 def _afg_iterations(problem: ProblemSpec, w0, step_size):

@@ -223,7 +223,6 @@ def test_a_build_from_a_new_source_removes_the_old_library(fresh_library, monkey
     source.write_bytes(_epoch._SOURCE.read_bytes())
     monkeypatch.setattr(_epoch, "_SOURCE", source)
     old = _epoch._build(GCC, _epoch._flags())
-    old.with_suffix(".refused").touch()  # as where gcc refused x86-64-v3
     source.write_bytes(_epoch._SOURCE.read_bytes() + b"/* edited */\n")
     new = _epoch._build(GCC, _epoch._flags())
     assert new != old
@@ -270,14 +269,17 @@ def test_a_gcc_that_cannot_build_for_v3_gives_the_baseline_build(fresh_library, 
                     f'case "$*" in *-march=x86-64-v3*) exit 1;; esac\nexec {GCC} "$@"\n')
     fake.chmod(0o755)
     monkeypatch.setattr(shutil, "which", lambda name: str(fake))
-    baseline = _epoch._target(_epoch._FLAGS)
-    assert Path(_epoch.library()._name) == baseline
-    refused = _epoch._target(_epoch._flags()).with_suffix(".refused")
-    assert sorted(fresh_library.iterdir()) == sorted([baseline, refused])
-    assert len(calls.read_text().splitlines()) == 2
-    # a later process loads the baseline build and does not ask gcc for x86-64-v3 again
+    host = _epoch._target(_epoch._flags())
+    assert Path(_epoch.library()._name) == host
+    assert list(fresh_library.iterdir()) == [host]  # the baseline build, under the host's name
+    runs = calls.read_text().splitlines()
+    assert len(runs) == 2 and "-march=x86-64-v3" in runs[0] and "-march" not in runs[1]
+    for code in range(4):
+        for loss in ("least_squares", "logistic"):
+            assert solvers._probe.__wrapped__(code, loss), (code, loss)
+    # a later process loads the cached build and does not run gcc again
     forget()
-    assert Path(_epoch.library()._name) == baseline
+    assert Path(_epoch.library()._name) == host
     assert len(calls.read_text().splitlines()) == 2
 
 

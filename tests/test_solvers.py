@@ -244,6 +244,41 @@ def test_solver_config_validation():
         SolverConfig(epochs=1, step_size=0.1, inner_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(epochs=1, step_size=0.1, sgd_initial_step=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sgd_initial_step"):
+            SolverConfig(epochs=1, step_size=0.1, sgd_initial_step=bad)
+    for field in ("epochs", "inner_iterations"):
+        for bad in (2.0, 10.5, np.float64(3.0), "4"):
+            with pytest.raises(ValueError, match=field):
+                SolverConfig(**{"epochs": 1, "step_size": 0.1, field: bad})
+        for good in (3, np.int64(3), np.int32(3)):
+            SolverConfig(**{"epochs": 1, "step_size": 0.1, field: good})
+
+
+@pytest.mark.parametrize("runner", [run_vrpsg, run_prox_svrg, run_projected_sgd,
+                                    run_hybrid_vrpsg2, run_afg])
+def test_every_runner_keeps_the_run_trace_contract(runner):
+    # the CSV writer passes counts through int(), so a float count would not show there
+    if runner is run_prox_svrg:
+        prob = random_least_squares(24, 6, seed=50, regularizer=L1Regularizer(lam=0.05))
+    else:
+        prob = small_ball_problem()
+    cfg = SolverConfig(epochs=3, step_size=0.01, inner_iterations=10)
+    f_star = 0.1 * eval_objective(prob, np.zeros(prob.d))
+    for ref in (None, f_star):
+        trace = runner(prob, cfg, f_star=ref)
+        counts = [trace.epoch, trace.grad_evals]
+        if runner is run_afg:
+            counts.append(trace.probe_evals)
+        else:
+            assert trace.probe_evals is None
+        assert all(c.dtype == np.int64 and c.shape == trace.objective.shape for c in counts)
+        for column in (trace.objective, trace.gap, trace.wall_ms):
+            assert column.dtype == np.float64 and column.shape == (len(trace.epoch),)
+        if ref is None:
+            assert np.all(np.isnan(trace.gap))
+        else:
+            assert np.array_equal(trace.gap, trace.objective - f_star)
 
 
 def test_afg_monotone_on_constrained_problem():
