@@ -14,8 +14,10 @@
  * sorts only the support that Michelot's iteration finds from half the
  * previous step's threshold, or from (total - tau) / d where that is higher,
  * and a guard sends every case it cannot vouch for to the full sort.
- * The l1 penalty steps only its active set: a coordinate at +0 that the row
- * does not touch, with |eta g_j| <= eta lam, is +0 again after the step.
+ * The l1 penalty steps only packed slots: a coordinate at +0 that the row does
+ * not touch, with |eta g_j| <= eta lam, is +0 again after the step, so only the
+ * others hold slots, and such coordinates give their slots up when they are
+ * more than half of them (penalty_steps).
  *
  * The file also holds the three operations SparseDesignMatrix and the
  * logistic loss would otherwise take from scipy, with scipy's bits: the CSR
@@ -299,6 +301,145 @@ static inline double coefficient(int64_t loss, double u, double y)
     return -y * sigmoid(-y * u);
 }
 
+/* The m steps of vrgrad_steps under the l1 penalty, at the threshold t = eta lam.
+ *
+ * Each coordinate that may change in the call has a slot: its index sj, its value
+ * wa, eta g_j in ga and, when averaging, its running sum acca, each array packed,
+ * and slot_of[j] names the slot, or is -1.  A coordinate without a slot is +0 with
+ * |eta g_j| <= t, and a step that its row does not touch leaves it at +0.  So the
+ * slots start as the j with w_j not +0 (-0 included) or with |eta g_j| not <= t
+ * (NaN included).  A step gathers the row's values, steps every slot in one pass
+ * that vectorises, then steps the row's coordinates again from their gathered
+ * values, now with the row's term; a coordinate that this moves off +0 gets a
+ * slot.  A full row takes one dense pass over all d instead, from the slots
+ * scattered into zeros, and the slots read their values back from it: with the
+ * gathers through slot_of, a step on a dense 2000 x 500 design took 1.4 times as
+ * long.  When more than half the slots hold +0 with |eta g_j| <= t, those slots
+ * are dropped, their values written back to w and acc.  soft never returns -0,
+ * so a +0 slot adds nothing to its sum, and each coordinate sees the operations
+ * of _numpy_steps in its order.
+ */
+__attribute__((noinline)) /* inlined into vrgrad_steps, it made the ball's steps 4 % slower */
+static int penalty_steps(int64_t d, const int64_t *indptr, const int64_t *indices,
+                         const double *values, const double *labels, int64_t loss, double t,
+                         const int64_t *draws, int64_t m, const double *snap_coef,
+                         const double *weight, double eta, const double *g, double *w,
+                         double *acc)
+{
+    size_t nd = d > 0 ? (size_t)d : 1;
+    double *fbuf = malloc(4 * nd * sizeof *fbuf);
+    int64_t *ibuf = malloc(2 * nd * sizeof *ibuf);
+    if (!fbuf || !ibuf) {
+        free(fbuf);
+        free(ibuf);
+        return -1;
+    }
+    double *row_w = fbuf, *wa = fbuf + nd, *ga = fbuf + 2 * nd, *acca = fbuf + 3 * nd;
+    int64_t *slot_of = ibuf, *sj = ibuf + nd, slots = 0;
+
+#define NEW_SLOT(j, x)                                                                            \
+    do {                                                                                          \
+        slot_of[j] = slots;                                                                       \
+        sj[slots] = j;                                                                            \
+        wa[slots] = x;                                                                            \
+        ga[slots] = g[j];                                                                         \
+        if (acc)                                                                                  \
+            acca[slots] = acc[j];                                                                 \
+        slots++;                                                                                  \
+    } while (0)
+
+    for (int64_t j = 0; j < d; j++) {
+        slot_of[j] = -1;
+        if (!(fabs(g[j]) <= t) || w[j] != 0.0 || signbit(w[j]))
+            NEW_SLOT(j, w[j]);
+    }
+    for (int64_t s = 0; s < m; s++) {
+        int64_t i = draws[s], lo = indptr[i], nnz = indptr[i + 1] - lo;
+        const double *val = values + lo;
+        const int64_t *idx = indices + lo;
+        int full = nnz == d;
+        if (full) {
+            memset(row_w, 0, (size_t)d * sizeof *row_w);
+            for (int64_t a = 0; a < slots; a++)
+                row_w[sj[a]] = wa[a];
+        } else {
+            for (int64_t k = 0; k < nnz; k++) {
+                int64_t a = slot_of[idx[k]];
+                row_w[k] = a < 0 ? 0.0 : wa[a];
+            }
+        }
+        double u = 0.0 + pairwise(val, row_w, nnz); /* problems._dot */
+        double c = (coefficient(loss, u, labels[i]) - snap_coef[i]) / weight[i];
+        double ec = eta * c;
+
+        if (full) {
+            int64_t fresh = 0;
+            for (int64_t j = 0; j < d; j++) {
+                row_w[j] = soft((row_w[j] - g[j]) - ec * val[j], t);
+                fresh += row_w[j] != 0.0;
+            }
+            for (int64_t a = 0; a < slots; a++) {
+                wa[a] = row_w[sj[a]];
+                fresh -= wa[a] != 0.0;
+            }
+            for (int64_t j = 0; fresh > 0 && j < d; j++)
+                if (slot_of[j] < 0 && row_w[j] != 0.0) {
+                    NEW_SLOT(j, row_w[j]);
+                    fresh--;
+                }
+        } else {
+            for (int64_t a = 0; a < slots; a++)
+                wa[a] = soft(wa[a] - ga[a], t);
+            for (int64_t k = 0; k < nnz; k++) {
+                int64_t j = idx[k], a = slot_of[j];
+                double x = soft((row_w[k] - g[j]) - ec * val[k], t);
+                if (a >= 0)
+                    wa[a] = x;
+                else if (x != 0.0)
+                    NEW_SLOT(j, x);
+            }
+        }
+        if (acc)
+            for (int64_t a = 0; a < slots; a++)
+                acca[a] += wa[a];
+
+        int64_t idle = 0;
+        for (int64_t a = 0; a < slots; a++)
+            idle += (wa[a] == 0.0) & (fabs(ga[a]) <= t);
+        if (2 * idle > slots) {
+            int64_t kept = 0;
+            for (int64_t a = 0; a < slots; a++) {
+                int64_t j = sj[a];
+                if (wa[a] == 0.0 && fabs(ga[a]) <= t) {
+                    w[j] = wa[a];
+                    if (acc)
+                        acc[j] = acca[a];
+                    slot_of[j] = -1;
+                    continue;
+                }
+                slot_of[j] = kept;
+                sj[kept] = j;
+                wa[kept] = wa[a];
+                ga[kept] = ga[a];
+                if (acc)
+                    acca[kept] = acca[a];
+                kept++;
+            }
+            slots = kept;
+        }
+    }
+#undef NEW_SLOT
+
+    for (int64_t a = 0; a < slots; a++) {
+        w[sj[a]] = wa[a];
+        if (acc)
+            acc[sj[a]] = acca[a];
+    }
+    free(fbuf);
+    free(ibuf);
+    return 0;
+}
+
 /* Run m inner steps from w, in place; add each iterate into acc unless it is NULL.
  *
  * indptr, indices, values: the CSR design with d columns; labels, loss: the loss.
@@ -316,15 +457,15 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
                  const double *snap_coef, const double *weight, double eta,
                  const double *eta_grad, int64_t sgd_t, const double *q, double *w, double *acc)
 {
-    int sparse = side == PENALTY;
+    if (side == PENALTY)
+        return penalty_steps(d, indptr, indices, values, labels, loss, eta * radius, draws, m,
+                             snap_coef, weight, eta, eta_grad, w, acc);
     size_t nd = d > 0 ? (size_t)d : 1;
     double *fbuf = malloc(5 * nd * sizeof *fbuf);
     uint64_t *ubuf = malloc(2 * nd * sizeof *ubuf);
-    int64_t *ibuf = sparse ? calloc(4 * nd, sizeof *ibuf) : NULL;
-    if (!fbuf || !ubuf || (sparse && !ibuf)) {
+    if (!fbuf || !ubuf) {
         free(fbuf);
         free(ubuf);
-        free(ibuf);
         return -1;
     }
     double *v = fbuf, *row_w = fbuf + nd, *mags = fbuf + 2 * nd, *csum = fbuf + 3 * nd;
@@ -336,19 +477,7 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
         g = sgd_grad;
     }
 
-    /* the penalty's active set: coordinates stepped every time, and the nonzeros */
-    int64_t *mark = ibuf, *always = ibuf + nd, *nz = ibuf + 2 * nd, *nz_next = ibuf + 3 * nd;
-    int64_t n_always = 0, n_nz = 0, stamp = 0;
-    double t = eta * radius, theta = 0.0; /* the last l1-ball threshold, reset every call */
-    if (sparse) {
-        for (int64_t j = 0; j < d; j++) {
-            if (!(fabs(g[j]) <= t))
-                always[n_always++] = j;
-            if (w[j] != 0.0 || signbit(w[j]))
-                nz[n_nz++] = j;
-        }
-    }
-
+    double theta = 0.0; /* the last l1-ball threshold, reset every call */
     for (int64_t s = 0; s < m; s++) {
         int64_t i = draws[s], lo = indptr[i], nnz = indptr[i + 1] - lo;
         const double *val = values + lo;
@@ -371,39 +500,6 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
         }
         double c = (coefficient(loss, u, labels[i]) - snap_coef[i]) / weight[i];
         double ec = e * c;
-
-        if (sparse) {
-            int64_t n_next = 0;
-            stamp++;
-            for (int64_t k = 0; k < nnz; k++) {
-                int64_t j = idx[k];
-                mark[j] = stamp;
-                w[j] = soft((w[j] - g[j]) - ec * val[k], t);
-                if (w[j] != 0.0)
-                    nz_next[n_next++] = j;
-            }
-            for (int pass = 0; pass < 2; pass++) {
-                const int64_t *list = pass ? nz : always;
-                int64_t len = pass ? n_nz : n_always;
-                for (int64_t a = 0; a < len; a++) {
-                    int64_t j = list[a];
-                    if (mark[j] == stamp)
-                        continue;
-                    mark[j] = stamp;
-                    w[j] = soft(w[j] - g[j], t);
-                    if (w[j] != 0.0)
-                        nz_next[n_next++] = j;
-                }
-            }
-            int64_t *swap = nz;
-            nz = nz_next;
-            nz_next = swap;
-            n_nz = n_next;
-            if (acc)
-                for (int64_t a = 0; a < n_nz; a++)
-                    acc[nz[a]] += w[nz[a]];
-            continue;
-        }
 
         for (int64_t j = 0; j < d; j++)
             v[j] = w[j] - g[j];
@@ -431,7 +527,6 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
     }
     free(fbuf);
     free(ubuf);
-    free(ibuf);
     return 0;
 }
 

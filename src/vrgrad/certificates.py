@@ -104,6 +104,7 @@ class ReferenceRun(NamedTuple):
     gradient_mapping: float  # the unit-step gradient mapping norm at w
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value that overflows fails the line search
 def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
     """Run the accelerated baseline from w0 (zero by default) to the reference tolerance.
 

@@ -152,7 +152,7 @@ def write_libsvm(path, matrix: SparseDesignMatrix, labels) -> None:
             fh.write(" ".join(toks) + "\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a seeded low-rank instance with prescribed row-norm spread.
 
@@ -201,9 +201,7 @@ def gen_synthetic(spec: SyntheticSpec):
         3.0 + 3.0 * rng.random(k_signal)
     )
     margins = X @ w_true
-    if spec.task == LEAST_SQUARES:
-        y = margins + spec.noise_std * rng.standard_normal(spec.n)
-    else:
+    with np.errstate(over="ignore"):  # LossSpec refuses the labels a huge noise_std makes
         noisy = margins + spec.noise_std * rng.standard_normal(spec.n)
-        y = np.where(noisy >= 0.0, 1.0, -1.0)
+    y = noisy if spec.task == LEAST_SQUARES else np.where(noisy >= 0.0, 1.0, -1.0)
     return SparseDesignMatrix.from_dense(X), y

@@ -316,7 +316,7 @@ def _kernels_probe(kernels: _Kernels) -> bool:
                for want, g in zip((want_mv, want_rmv, want_sig), got))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossSpec:
     """Loss family plus labels. Logistic labels must be +/-1."""
 
@@ -326,7 +326,7 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSSES:
             raise ValueError(f"unknown loss kind {self.kind!r}; valid: {tuple(LOSSES)}")
-        self.labels = np.asarray(self.labels, dtype=np.float64).ravel()
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64).ravel())
         if not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
         if LOSSES[self.kind].signed_labels and not np.all(np.abs(self.labels) == 1.0):
@@ -423,7 +423,7 @@ class L1Ball:
         return None if np.abs(z).sum() <= self.tau * (1.0 + 1e-12) else (np.sign(z), self.tau)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box:
     """Feasible set {w : lower <= w <= upper}, bounds finite."""
 
@@ -431,8 +431,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=np.float64).ravel()
-        self.upper = np.asarray(self.upper, dtype=np.float64).ravel()
+        for name in ("lower", "upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64).ravel())
         if self.lower.shape != self.upper.shape:
             raise ValueError("box bounds must have matching shapes")
         if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
@@ -505,7 +505,7 @@ class L1Regularizer:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """A design matrix, a loss, an optional linear term, and exactly one side.
 
@@ -530,9 +530,9 @@ class ProblemSpec:
                 f"label count {self.loss.labels.size} != row count {self.matrix.n_rows}"
             )
         if self.q is None:
-            self.q = np.zeros(self.matrix.n_cols)
+            object.__setattr__(self, "q", np.zeros(self.matrix.n_cols))
         else:
-            self.q = np.asarray(self.q, dtype=np.float64).ravel()
+            object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64).ravel())
             if self.q.size != self.matrix.n_cols:
                 raise ValueError(f"q has length {self.q.size}, expected {self.matrix.n_cols}")
             if not np.all(np.isfinite(self.q)):

@@ -52,7 +52,7 @@ _DIVERGENCE_FACTOR = 1e3  # an epoch objective past f0 + this * max(1, |f0|) div
 _MAX_HALVINGS = 60  # run_afg's line search gives up after this many in a row
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Shared solver knobs.
 
@@ -286,8 +286,12 @@ def _inner_steps(problem):
     BLAS, so the bits do not depend on the CPU or the BLAS thread count.
     It saves work only where no bit can move: the l1-ball threshold sorts
     only the support that Michelot's iteration finds from the previous
-    step's bound, and the l1 penalty steps its active set, in
-    O(active + row) instead of O(d).
+    step's bound.  The l1 penalty steps packed slots, one for each
+    coordinate not at +0 or with |eta g_j| above eta lam, in one vectorised
+    pass, then the row's coordinates with the row's term, giving a slot to
+    any that leaves +0; when more than half the slots hold +0 with
+    |eta g_j| <= eta lam, those are dropped.  A step costs O(slots + row)
+    instead of O(d).
     """
     from . import _epoch
 
@@ -332,7 +336,8 @@ def _probe(code, loss):
     runs an SGD epoch (under a constraint) and averaged and last-iterate
     epochs.  Then each row of ``_dot_probe_designs`` takes one step from w = 0
     and from w = +-1/256, a step that moves w by up to about 0.1: so its row
-    dot must come out as numpy's pairwise sum does.
+    dot must come out as numpy's pairwise sum does.  Under the l1 penalty,
+    ``_probe_slot_drops`` adds a long epoch on a wide sparse design.
     """
     from . import _epoch
 
@@ -372,7 +377,33 @@ def _probe(code, loss):
             for average in (True, False):
                 w, _ = _epochs(problem, record, w, dist, range(2), 0.05, n, average=average,
                                steps=steps)
+    if code == _PENALTY:
+        _probe_slot_drops(rng, loss, runs)
     return runs[0] == runs[1]
+
+
+def _probe_slot_drops(rng, loss, runs):
+    """Add to each of ``runs`` the bytes of an epoch, averaged and not, of 80 steps on
+    a 40 x 400 design of 10 entries a row, from a w with 100 small nonzeros and
+    with eta g about half the threshold 0.1: the kernel's penalty slots are made
+    in mid-epoch and dropped again many times."""
+    from . import _epoch
+
+    n, d = 40, 400
+    X = np.zeros((n, d))
+    for row in X:
+        row[rng.choice(d, 10, replace=False)] = rng.standard_normal(10)
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0) if loss == LOGISTIC else rng.standard_normal(n)
+    problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
+                          loss=LossSpec(kind=loss, labels=y), regularizer=L1Regularizer(lam=0.2))
+    w = np.zeros(d)
+    w[rng.choice(d, 100, replace=False)] = 0.05 * rng.standard_normal(100)
+    draws, snap_coef = rng.integers(0, n, 2 * n), 0.1 * rng.standard_normal(n)
+    g = 0.05 * rng.standard_normal(d)
+    for out, steps in zip(runs, (_numpy_steps(problem),
+                                 _compiled_steps(problem, _epoch.library()))):
+        for average in (True, False):
+            out.append(steps(w, draws, snap_coef, np.ones(n), 0.5, g, average, None).tobytes())
 
 
 def _stochastic_run(problem, config, w0, f_star, info, algorithm):
@@ -497,6 +528,7 @@ def run_hybrid_vrpsg2(problem: ProblemSpec, config: SolverConfig, w0=None,
     return _stochastic_run(problem, config, w0, f_star, info, "vrpsg2")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value that overflows fails the line search
 def run_afg(problem: ProblemSpec, config: SolverConfig, w0=None, f_star=None) -> RunTrace:
     """Accelerated full-gradient baseline with backtracking and restarts.
 

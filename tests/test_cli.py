@@ -802,9 +802,15 @@ EXIT_CODES = {
                            [NO_REFERENCE, "algorithm=afg", "eta=1e300", "eta_units=absolute"], 2,
                            "line search stalled"),
     "certify-not-contractive": ("certify", NON_CONTRACTIVE_CERTIFY, [], 3, None),
+    # values near DBL_MAX overflow on the way to their error, with no warning printed
+    "certify-start-overflows": ("certify", CONTRACTIVE_CERTIFY, ["problem.constraint.lower=-1e308"],
+                                2, "line search stalled"),
+    "noise-overflows": ("solve", README_SOLVE, ["dataset.noise_std=1e308"], 1,
+                        "labels must be finite"),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's notes would print above the error
 @pytest.mark.parametrize("case", EXIT_CODES)
 def test_each_failure_class_has_its_exit_code(tmp_path, capsys, case):
     command, config, overrides, code, fragment = EXIT_CODES[case]

@@ -5,7 +5,7 @@ loops against one table) and by the differential properties in
 ``test_properties.py``; this file covers the build, the cache keyed on the
 source and the flags, the fallback and the probe that decides between the
 two loops, and pins one epoch through each path of the kernel's l1-ball
-step.
+step and several through its l1-penalty slots.
 """
 
 import os
@@ -195,6 +195,94 @@ def test_ball_bound_is_carried_within_an_epoch_and_not_across_epochs():
     X, y = one_big_row(12, 30, seed=7)
     assert_ball_epochs_agree(X, y, 1.0, epochs=3)
     assert_ball_epochs_agree(X, y, 50.0, epochs=3)
+
+
+# ---- the l1 penalty's packed slots, against the numpy loop
+
+def slot_events(X, draws, g, t, w, iterates):
+    """(slots made after a call's first step, times the drop rule fired): the kernel's
+    slot bookkeeping replayed on the iterates of one call from w."""
+    slots = {j for j in range(X.shape[1])
+             if not abs(g[j]) <= t or w[j] != 0.0 or np.signbit(w[j])}
+    made = drops = 0
+    for s, (i, w) in enumerate(zip(draws, iterates)):
+        new = {j for j in np.flatnonzero(X[i]) if j not in slots and w[j] != 0.0}
+        made += len(new) if s else 0
+        slots |= new
+        idle = {j for j in slots if w[j] == 0.0 and abs(g[j]) <= t}
+        if 2 * len(idle) > len(slots):
+            drops += 1
+            slots -= idle
+    return made, drops
+
+
+def penalty_case(full, seed):
+    """(X, labels, g, w0): a design of 24 x 300 full rows, or of 40 x 400 with 5 to 20
+    entries a row, whose last 10 columns no row touches; eta g of about 0.05, some of
+    it above the threshold 0.1, and a start w0 with 100 small nonzeros and five -0
+    entries."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if full:
+        X = 3.0 * rng.standard_normal((24, 300)) / np.sqrt(300)
+    else:
+        X = np.zeros((40, 400))
+        for row in X:
+            k = rng.integers(5, 21)
+            row[rng.choice(390, k, replace=False)] = rng.standard_normal(k)
+    n, d = X.shape
+    w0 = np.zeros(d)
+    w0[rng.choice(d, 100, replace=False)] = 0.05 * rng.standard_normal(100)
+    w0[rng.choice(np.flatnonzero(w0 == 0.0), 5, replace=False)] = -0.0
+    return X, rng.standard_normal(n), 0.05 * rng.standard_normal(d), w0
+
+
+@needs_library
+@pytest.mark.parametrize("average", [False, True])
+@pytest.mark.parametrize("loss", ["least_squares", "logistic"])
+@pytest.mark.parametrize("full", [False, True])
+def test_penalty_slots_agree_with_the_numpy_loop(full, loss, average):
+    X, labels, g, w0 = penalty_case(full, seed=4)
+    if not full:  # untouched columns at +0 that only their slots move, through every drop
+        g[-1], g[-2], w0[-2:] = np.nan, -np.inf, 0.0
+    if loss == "logistic":
+        labels = np.sign(labels)
+    n, d = X.shape
+    lam, eta = 0.2, 0.5
+    problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
+                          loss=LossSpec(kind=loss, labels=labels),
+                          regularizer=L1Regularizer(lam=lam))
+    numpy_steps, compiled_steps = (inner_steps(loop)(problem) for loop in ("numpy", "compiled"))
+    rng = np.random.Generator(np.random.Philox(5))
+    snap_coef, weight = 0.1 * rng.standard_normal(n), 0.5 + rng.random(n)
+    w, made, drops = w0, 0, 0
+    for _ in range(3):
+        draws = rng.integers(0, n, 3 * n)
+        want = numpy_steps(w, draws, snap_coef, weight, eta, g, average, None)
+        got = compiled_steps(w, draws, snap_coef, weight, eta, g, average, None)
+        assert got.tobytes() == want.tobytes()
+        iterates, v = [], w
+        for i in draws:
+            v = numpy_steps(v, np.array([i]), snap_coef, weight, eta, g, False, None)
+            iterates.append(v)
+        events = slot_events(X, draws, g, eta * lam, w, iterates)
+        made, drops = made + events[0], drops + events[1]
+        w = want
+    assert made > 0 and drops > 2, (made, drops)
+    if not full:
+        assert np.isnan(w[-1]) and w[-2] == np.inf
+
+
+@needs_gcc
+def test_probe_refuses_a_kernel_that_drops_slots_wrongly(fresh_library, monkeypatch, tmp_path):
+    # a kernel that loses a dropped slot's running sum is wrong only after a drop
+    text = _epoch._SOURCE.read_text()
+    assert text.count("acc[j] = acca[a];") == 1
+    source = tmp_path / "_epoch.c"
+    source.write_text(text.replace("acc[j] = acca[a];", "acc[j] += 0.0;"))
+    monkeypatch.setattr(_epoch, "_SOURCE", source)
+    assert solvers._probe.__wrapped__(solvers._BALL, "logistic")
+    for loss in ("least_squares", "logistic"):
+        assert not solvers._probe.__wrapped__(solvers._PENALTY, loss)
 
 
 @needs_gcc

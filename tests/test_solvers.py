@@ -255,6 +255,22 @@ def test_solver_config_validation():
             SolverConfig(**{"epochs": 1, "step_size": 0.1, field: good})
 
 
+def test_config_and_specs_refuse_assignment():
+    # their checks run at construction only, so a field set later would escape them
+    X = np.arange(6.0).reshape(3, 2)
+    box = Box(lower=-np.ones(2), upper=np.ones(2))
+    problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
+                          loss=LossSpec(kind="least_squares", labels=np.ones(3)), constraint=box)
+    config = SolverConfig(epochs=2, step_size=0.01)
+    for obj, name, value in [(config, "epochs", 0), (problem, "q", None),
+                             (problem, "regularizer", L1Regularizer(lam=0.1)),
+                             (problem.loss, "labels", np.zeros(2)), (box, "lower", 2.0),
+                             (SyntheticSpec(n=4, d=3, rank=2), "rank", 9)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert run_vrpsg(problem, config).epoch.tolist() == [1, 2]
+
+
 @pytest.mark.parametrize("runner", [run_vrpsg, run_prox_svrg, run_projected_sgd,
                                     run_hybrid_vrpsg2, run_afg])
 def test_every_runner_keeps_the_run_trace_contract(runner):
