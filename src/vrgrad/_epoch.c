@@ -14,10 +14,11 @@
  * sorts only the support that Michelot's iteration finds from half the
  * previous step's threshold, or from (total - tau) / d where that is higher,
  * and a guard sends every case it cannot vouch for to the full sort.
- * The l1 penalty steps only packed slots: a coordinate at +0 that the row does
- * not touch, with |eta g_j| <= eta lam, is +0 again after the step, so only the
- * others hold slots, and such coordinates give their slots up when they are
- * more than half of them (penalty_steps).
+ * Under the l1 penalty, a call whose drawn rows are all full takes the dense
+ * loop of the ball and the box.  Any other steps only packed slots: a
+ * coordinate at +0 that the row does not touch, with |eta g_j| <= eta lam, is
+ * +0 again after the step, so only the others hold slots, and such coordinates
+ * give their slots up when they are more than half of them (penalty_steps).
  *
  * The file also holds the three operations SparseDesignMatrix and the
  * logistic loss would otherwise take from scipy, with scipy's bits: the CSR
@@ -301,7 +302,7 @@ static inline double coefficient(int64_t loss, double u, double y)
     return -y * sigmoid(-y * u);
 }
 
-/* The m steps of vrgrad_steps under the l1 penalty, at the threshold t = eta lam.
+/* The m steps of vrgrad_steps at the penalty's threshold t = eta lam, where a drawn row is partial.
  *
  * Each coordinate that may change in the call has a slot: its index sj, its value
  * wa, eta g_j in ga and, when averaging, its running sum acca, each array packed,
@@ -311,13 +312,11 @@ static inline double coefficient(int64_t loss, double u, double y)
  * (NaN included).  A step gathers the row's values, steps every slot in one pass
  * that vectorises, then steps the row's coordinates again from their gathered
  * values, now with the row's term; a coordinate that this moves off +0 gets a
- * slot.  A full row takes one dense pass over all d instead, from the slots
- * scattered into zeros, and the slots read their values back from it: with the
- * gathers through slot_of, a step on a dense 2000 x 500 design took 1.4 times as
- * long.  When more than half the slots hold +0 with |eta g_j| <= t, those slots
- * are dropped, their values written back to w and acc.  soft never returns -0,
- * so a +0 slot adds nothing to its sum, and each coordinate sees the operations
- * of _numpy_steps in its order.
+ * slot.  A full row drawn among the others takes the same path.  When more than
+ * half the slots hold +0 with |eta g_j| <= t, those slots are dropped, their
+ * values written back to w and acc.  soft never returns -0, so a +0 slot adds
+ * nothing to its sum, and each coordinate sees the operations of _numpy_steps
+ * in its order.
  */
 __attribute__((noinline)) /* inlined into vrgrad_steps, it made the ball's steps 4 % slower */
 static int penalty_steps(int64_t d, const int64_t *indptr, const int64_t *indices,
@@ -357,47 +356,23 @@ static int penalty_steps(int64_t d, const int64_t *indptr, const int64_t *indice
         int64_t i = draws[s], lo = indptr[i], nnz = indptr[i + 1] - lo;
         const double *val = values + lo;
         const int64_t *idx = indices + lo;
-        int full = nnz == d;
-        if (full) {
-            memset(row_w, 0, (size_t)d * sizeof *row_w);
-            for (int64_t a = 0; a < slots; a++)
-                row_w[sj[a]] = wa[a];
-        } else {
-            for (int64_t k = 0; k < nnz; k++) {
-                int64_t a = slot_of[idx[k]];
-                row_w[k] = a < 0 ? 0.0 : wa[a];
-            }
+        for (int64_t k = 0; k < nnz; k++) {
+            int64_t a = slot_of[idx[k]];
+            row_w[k] = a < 0 ? 0.0 : wa[a];
         }
         double u = 0.0 + pairwise(val, row_w, nnz); /* problems._dot */
         double c = (coefficient(loss, u, labels[i]) - snap_coef[i]) / weight[i];
         double ec = eta * c;
 
-        if (full) {
-            int64_t fresh = 0;
-            for (int64_t j = 0; j < d; j++) {
-                row_w[j] = soft((row_w[j] - g[j]) - ec * val[j], t);
-                fresh += row_w[j] != 0.0;
-            }
-            for (int64_t a = 0; a < slots; a++) {
-                wa[a] = row_w[sj[a]];
-                fresh -= wa[a] != 0.0;
-            }
-            for (int64_t j = 0; fresh > 0 && j < d; j++)
-                if (slot_of[j] < 0 && row_w[j] != 0.0) {
-                    NEW_SLOT(j, row_w[j]);
-                    fresh--;
-                }
-        } else {
-            for (int64_t a = 0; a < slots; a++)
-                wa[a] = soft(wa[a] - ga[a], t);
-            for (int64_t k = 0; k < nnz; k++) {
-                int64_t j = idx[k], a = slot_of[j];
-                double x = soft((row_w[k] - g[j]) - ec * val[k], t);
-                if (a >= 0)
-                    wa[a] = x;
-                else if (x != 0.0)
-                    NEW_SLOT(j, x);
-            }
+        for (int64_t a = 0; a < slots; a++)
+            wa[a] = soft(wa[a] - ga[a], t);
+        for (int64_t k = 0; k < nnz; k++) {
+            int64_t j = idx[k], a = slot_of[j];
+            double x = soft((row_w[k] - g[j]) - ec * val[k], t);
+            if (a >= 0)
+                wa[a] = x;
+            else if (x != 0.0)
+                NEW_SLOT(j, x);
         }
         if (acc)
             for (int64_t a = 0; a < slots; a++)
@@ -440,6 +415,16 @@ static int penalty_steps(int64_t d, const int64_t *indptr, const int64_t *indice
     return 0;
 }
 
+/* Whether each of the m drawn rows holds all d columns; a function of its own, as a loop
+   around the call of penalty_steps in its place made the ball's steps 5 to 15 % slower. */
+static inline int all_full(const int64_t *indptr, const int64_t *draws, int64_t m, int64_t d)
+{
+    for (int64_t s = 0; s < m; s++)
+        if (indptr[draws[s] + 1] - indptr[draws[s]] < d)
+            return 0;
+    return 1;
+}
+
 /* Run m inner steps from w, in place; add each iterate into acc unless it is NULL.
  *
  * indptr, indices, values: the CSR design with d columns; labels, loss: the loss.
@@ -457,7 +442,7 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
                  const double *snap_coef, const double *weight, double eta,
                  const double *eta_grad, int64_t sgd_t, const double *q, double *w, double *acc)
 {
-    if (side == PENALTY)
+    if (side == PENALTY && !all_full(indptr, draws, m, d)) /* else the loop below */
         return penalty_steps(d, indptr, indices, values, labels, loss, eta * radius, draws, m,
                              snap_coef, weight, eta, eta_grad, w, acc);
     size_t nd = d > 0 ? (size_t)d : 1;
@@ -517,6 +502,10 @@ int vrgrad_steps(int64_t d, const int64_t *indptr, const int64_t *indices, const
         case BOX:
             for (int64_t j = 0; j < d; j++)
                 w[j] = np_min(np_max(v[j], lower[j]), upper[j]);
+            break;
+        case PENALTY:
+            for (int64_t j = 0; j < d; j++)
+                w[j] = soft(v[j], eta * radius);
             break;
         default:
             memcpy(w, v, (size_t)d * sizeof *w);

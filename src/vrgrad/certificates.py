@@ -22,6 +22,7 @@ from .problems import (
     LEAST_SQUARES,
     LOGISTIC,
     LOSSES,
+    Box,
     L1Ball,
     ProblemSpec,
     _coef_and_grad,
@@ -299,26 +300,24 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
 
 
 def l1_ball_rows(d: int, tau: float):
-    """Explicit inequality description C w <= b of the l1 ball: 2^d sign rows."""
+    """Explicit inequality description C w <= b of the l1 ball: 2^d sign rows.
+
+    Raises EnumerationBudgetError for d > 4, and ValueError where ``L1Ball``
+    refuses tau."""
     if d > 4:
         raise EnumerationBudgetError(
             f"explicit l1-ball description has 2^{d} rows; capped at d = 4"
         )
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    L1Ball(tau)  # refuses a tau that is not positive and finite
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
     return signs, np.full(signs.shape[0], float(tau))
 
 
 def box_rows(lower, upper):
-    """Explicit inequality description [I; -I] w <= [upper; -lower]."""
-    lower = np.asarray(lower, dtype=np.float64).ravel()
-    upper = np.asarray(upper, dtype=np.float64).ravel()
-    if lower.shape != upper.shape:
-        raise ValueError("box bounds must have matching shapes")
-    d = lower.size
-    eye = np.eye(d)
-    return np.vstack([eye, -eye]), np.concatenate([upper, -lower])
+    """Explicit inequality description [I; -I] w <= [upper; -lower]: the rows of the
+    whole box's face, so ValueError where ``Box`` refuses the bounds."""
+    box = Box(lower=lower, upper=upper)
+    return box.face(np.zeros(box.lower.size), 0.0).rows()[2:]
 
 
 def hoffman_theta_bound(C, b, X) -> float:

@@ -37,14 +37,14 @@ def project_box(v, lower, upper) -> np.ndarray:
     upper = np.asarray(upper, dtype=np.float64).ravel()
     if lower.shape != v.shape or upper.shape != v.shape:
         raise ValueError("box bounds must match the vector shape")
-    if np.any(lower > upper):
+    if not np.all(lower <= upper):  # so that a NaN bound fails
         raise ValueError("box requires lower <= upper componentwise")
     return box_kernel(v, lower, upper)
 
 
 def prox_l1(v, threshold: float) -> np.ndarray:
     """Soft-threshold: argmin_w threshold*||w||_1 + 0.5*||w - v||^2."""
-    if threshold < 0:
+    if not threshold >= 0:  # so that NaN fails
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=np.float64).ravel()
     return soft_threshold_kernel(v, threshold)

@@ -99,7 +99,8 @@ class SparseDesignMatrix:
     indptr, indices, data : array_like
         CSR arrays: row i holds the columns ``indices[indptr[i]:indptr[i+1]]``,
         strictly increasing and below ``n_cols``, with finite ``data``.
-        The arrays are copied; indices are kept as int64.
+        indptr and indices hold integers, of any dtype; the arrays are copied,
+        and indices are kept as int64.
 
     Notes
     -----
@@ -111,9 +112,14 @@ class SparseDesignMatrix:
     """
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
-        self._take(n_rows, n_cols, np.array(indptr, dtype=np.int64).ravel(),
-                   np.array(indices, dtype=np.int64).ravel(),
-                   np.array(data, dtype=np.float64).ravel())
+        ints = []
+        for name, given in (("indptr", indptr), ("indices", indices)):
+            given = np.asarray(given).ravel()
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to values that fail below
+                ints.append(given.astype(np.int64))
+            if not np.array_equal(ints[-1], given):  # the cast truncates 0.7 to 0
+                raise ValueError(f"{name} must hold integers")
+        self._take(n_rows, n_cols, *ints, np.array(data, dtype=np.float64).ravel())
 
     @classmethod
     def _handed_over(cls, n_rows, n_cols, indptr, indices, data) -> "SparseDesignMatrix":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -71,10 +72,19 @@ class SolverConfig:
     average_epoch_output: bool = True
 
     def __post_init__(self):
-        for name in ("epochs", "inner_iterations"):  # counts of range and draw_many
+        for name in ("epochs", "inner_iterations", "seed"):  # range, draw_many and Philox take ints
             value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, np.integer)):
+            if value is None and name == "inner_iterations":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("step_size", "sgd_initial_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+        flag = self.average_epoch_output
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ValueError(f"average_epoch_output must be a bool, not {flag!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (self.step_size > 0 and np.isfinite(self.step_size)):
@@ -286,12 +296,13 @@ def _inner_steps(problem):
     BLAS, so the bits do not depend on the CPU or the BLAS thread count.
     It saves work only where no bit can move: the l1-ball threshold sorts
     only the support that Michelot's iteration finds from the previous
-    step's bound.  The l1 penalty steps packed slots, one for each
-    coordinate not at +0 or with |eta g_j| above eta lam, in one vectorised
-    pass, then the row's coordinates with the row's term, giving a slot to
-    any that leaves +0; when more than half the slots hold +0 with
-    |eta g_j| <= eta lam, those are dropped.  A step costs O(slots + row)
-    instead of O(d).
+    step's bound.  Under the l1 penalty, a call that draws a row with fewer
+    than d entries steps packed slots, one for each coordinate not at +0 or
+    with |eta g_j| above eta lam, in one vectorised pass, then the row's
+    coordinates with the row's term, giving a slot to any that leaves +0;
+    when more than half the slots hold +0 with |eta g_j| <= eta lam, those
+    are dropped.  Such a step costs O(slots + row) instead of O(d).  A call
+    whose drawn rows are all full takes the dense loop of the ball and the box.
     """
     from . import _epoch
 
@@ -334,9 +345,11 @@ def _probe(code, loss):
 
     A 12 x 7 problem's rows are full, empty and partial, q is nonzero, and it
     runs an SGD epoch (under a constraint) and averaged and last-iterate
-    epochs.  Then each row of ``_dot_probe_designs`` takes one step from w = 0
-    and from w = +-1/256, a step that moves w by up to about 0.1: so its row
-    dot must come out as numpy's pairwise sum does.  Under the l1 penalty,
+    epochs; under the l1 penalty, so does a 12 x 7 problem of full rows, whose
+    epochs the kernel steps densely rather than through its slots.  Then each
+    row of ``_dot_probe_designs`` takes one step from w = 0 and from
+    w = +-1/256, a step that moves w by up to about 0.1: so its row dot must
+    come out as numpy's pairwise sum does.  Under the l1 penalty,
     ``_probe_slot_drops`` adds a long epoch on a wide sparse design.
     """
     from . import _epoch
@@ -346,10 +359,11 @@ def _probe(code, loss):
     X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
     X[0], X[1] = rng.standard_normal(d), 0.0
     y, q = np.where(rng.random(n) < 0.5, -1.0, 1.0), 0.1 * rng.standard_normal(d)
+    epoch_designs = [X] + ([rng.standard_normal((n, d))] if code == _PENALTY else [])
     runs = ([], [])
-    for k, X in enumerate([X] + _dot_probe_designs(rng)):
+    for k, X in enumerate(epoch_designs + _dot_probe_designs(rng)):
         n, d = X.shape
-        if k:  # margins, not labels, make a least-squares coefficient
+        if k >= len(epoch_designs):  # margins, not labels, make a least-squares coefficient
             y, q = np.ones(n) if loss == LOGISTIC else np.zeros(n), None
         lower, upper = np.full(d, -0.3), np.full(d, 0.3)
         lower[0] = upper[0] = 0.1
@@ -360,7 +374,7 @@ def _probe(code, loss):
                               **{"constraint" if code < _PENALTY else "regularizer": side})
         for out, steps in zip(runs, (_numpy_steps(problem),
                                      _compiled_steps(problem, _epoch.library()))):
-            if k:
+            if k >= len(epoch_designs):
                 for i, start in itertools.product(range(n), (0.0, 1.0 / 256, -1.0 / 256)):
                     w = steps(np.full(d, start), np.array([i]), np.zeros(n), np.ones(n),
                               0.1 / np.abs(X[i]).max(), np.zeros(d), False, None)

@@ -325,6 +325,18 @@ def test_constraint_row_descriptions_define_the_sets():
         assert inside == bool(np.all(C2 @ w <= b2 + 1e-12))
     with pytest.raises(EnumerationBudgetError):
         l1_ball_rows(5, 1.0)
+    # the rows of Face.rows() for the whole box, bounds at +-0 and +-1e300 included
+    lo, hi = np.array([-0.0, 0.0, -1e300, 2.0]), np.array([0.0, -0.0, 1e300, 3.0])
+    C3, b3 = box_rows(lo, hi)
+    assert C3.tobytes() == np.vstack([np.eye(4), -np.eye(4)]).tobytes()
+    assert b3.tobytes() == np.concatenate([hi, -lo]).tobytes()
+    # an empty box, a NaN bound and an infinite tau are refused, as Box and L1Ball do
+    for bad in (([1.0], [0.0]), ([np.nan], [1.0]), ([0.0], [np.inf])):
+        with pytest.raises(ValueError):
+            box_rows(*bad)
+    for tau in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError):
+            l1_ball_rows(2, tau)
 
 
 def test_mu_estimate_values(monkeypatch):

@@ -217,18 +217,20 @@ def slot_events(X, draws, g, t, w, iterates):
 
 
 def penalty_case(full, seed):
-    """(X, labels, g, w0): a design of 24 x 300 full rows, or of 40 x 400 with 5 to 20
-    entries a row, whose last 10 columns no row touches; eta g of about 0.05, some of
-    it above the threshold 0.1, and a start w0 with 100 small nonzeros and five -0
-    entries."""
+    """(X, labels, g, w0): a design of 24 x 300 full rows (full True), or of 40 x 400
+    with 5 to 20 entries a row, whose last 10 columns no row touches (False), or the
+    same with every fourth row full ("mixed"); eta g of about 0.05, some of it above
+    the threshold 0.1, and a start w0 with 100 small nonzeros and five -0 entries."""
     rng = np.random.Generator(np.random.Philox(seed))
-    if full:
+    if full is True:
         X = 3.0 * rng.standard_normal((24, 300)) / np.sqrt(300)
     else:
         X = np.zeros((40, 400))
         for row in X:
             k = rng.integers(5, 21)
             row[rng.choice(390, k, replace=False)] = rng.standard_normal(k)
+        if full == "mixed":
+            X[::4] = 3.0 * rng.standard_normal((10, 400)) / np.sqrt(400)
     n, d = X.shape
     w0 = np.zeros(d)
     w0[rng.choice(d, 100, replace=False)] = 0.05 * rng.standard_normal(100)
@@ -239,10 +241,13 @@ def penalty_case(full, seed):
 @needs_library
 @pytest.mark.parametrize("average", [False, True])
 @pytest.mark.parametrize("loss", ["least_squares", "logistic"])
-@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("full", [False, True, "mixed"])
 def test_penalty_slots_agree_with_the_numpy_loop(full, loss, average):
+    # a call that draws a partial row steps the slots, its full rows among them; one
+    # that draws only full rows (full True) takes the kernel's dense loop, which has
+    # no slots, so the slot events are counted for the other two designs only
     X, labels, g, w0 = penalty_case(full, seed=4)
-    if not full:  # untouched columns at +0 that only their slots move, through every drop
+    if full is False:  # untouched columns at +0 that only their slots move, through every drop
         g[-1], g[-2], w0[-2:] = np.nan, -np.inf, 0.0
     if loss == "logistic":
         labels = np.sign(labels)
@@ -267,8 +272,9 @@ def test_penalty_slots_agree_with_the_numpy_loop(full, loss, average):
         events = slot_events(X, draws, g, eta * lam, w, iterates)
         made, drops = made + events[0], drops + events[1]
         w = want
-    assert made > 0 and drops > 2, (made, drops)
-    if not full:
+    if full is not True:
+        assert made > 0 and drops > 2, (made, drops)
+    if full is False:
         assert np.isnan(w[-1]) and w[-2] == np.inf
 
 
@@ -279,6 +285,21 @@ def test_probe_refuses_a_kernel_that_drops_slots_wrongly(fresh_library, monkeypa
     assert text.count("acc[j] = acca[a];") == 1
     source = tmp_path / "_epoch.c"
     source.write_text(text.replace("acc[j] = acca[a];", "acc[j] += 0.0;"))
+    monkeypatch.setattr(_epoch, "_SOURCE", source)
+    assert solvers._probe.__wrapped__(solvers._BALL, "logistic")
+    for loss in ("least_squares", "logistic"):
+        assert not solvers._probe.__wrapped__(solvers._PENALTY, loss)
+
+
+@needs_gcc
+def test_probe_refuses_a_kernel_whose_dense_penalty_step_thresholds_wrongly(fresh_library,
+                                                                            monkeypatch, tmp_path):
+    # calls that draw only full rows take the dense loop: a threshold of lam in place
+    # of eta lam there leaves the slots and the ball as they were
+    text, dense = _epoch._SOURCE.read_text(), "w[j] = soft(v[j], eta * radius);"
+    assert text.count(dense) == 1
+    source = tmp_path / "_epoch.c"
+    source.write_text(text.replace(dense, "w[j] = soft(v[j], radius);"))
     monkeypatch.setattr(_epoch, "_SOURCE", source)
     assert solvers._probe.__wrapped__(solvers._BALL, "logistic")
     for loss in ("least_squares", "logistic"):

@@ -149,6 +149,9 @@ def test_box_projection_validation():
         project_box(np.ones(3), np.zeros(2), np.ones(3))
     with pytest.raises(ValueError):
         project_box(np.ones(2), np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+    for lower, upper in (([np.nan], [1.0]), ([0.0], [np.nan])):  # NaN compares false
+        with pytest.raises(ValueError):
+            project_box(np.ones(1), lower, upper)
 
 
 def test_prox_l1_soft_threshold_values():
@@ -174,5 +177,6 @@ def test_prox_l1_solves_its_minimization():
 
 
 def test_prox_l1_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        prox_l1(np.ones(2), -0.1)
+    for threshold in (-0.1, np.nan):  # NaN compares false
+        with pytest.raises(ValueError):
+            prox_l1(np.ones(2), threshold)

@@ -199,6 +199,11 @@ def test_sparse_matrix_from_csr_arrays():
     assert again.row_sq_norms.tolist() == mat.row_sq_norms.tolist()
     empty = SparseDesignMatrix(2, 3, [0, 0, 0], [], [])
     assert np.array_equal(empty.toarray(), np.zeros((2, 3)))
+    # integers of any dtype, floats included, are kept as int64
+    cast = SparseDesignMatrix(3, 4, [0.0, 2.0, 2.0, 4.0], np.array([1, 3, 0, 2], np.int32),
+                              [2.0, -1.0, 3.0, 0.5])
+    assert cast.indptr.dtype == cast.indices.dtype == np.int64
+    assert np.array_equal(cast.toarray(), X)
 
 
 @pytest.mark.parametrize("indptr, indices, data, message", [
@@ -211,10 +216,15 @@ def test_sparse_matrix_from_csr_arrays():
     ([0, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], "indptr"),
     ([0, 2, 1, 4], [0, 1, 2, 0], [1.0, 1.0, 1.0, 1.0], "indptr"),
     ([0, 1, 3, 4], [0, 1, 2, 0], [1.0, 1.0, 1.0], "indptr"),
+    ([0, 1, 3, 4], [0, 0.7, 2.2, 0], [1.0, 1.0, 1.0, 1.0], "indices must hold integers"),
+    ([0, 1, 3, 4], [0, 1, np.nan, 0], [1.0, 1.0, 1.0, 1.0], "indices must hold integers"),
+    ([0, 1, 2.5, 4], [0, 1, 2, 0], [1.0, 1.0, 1.0, 1.0], "indptr must hold integers"),
 ], ids=["repeated", "descending", "negative", "past_n_cols", "non_finite",
-        "index_before_value", "short_indptr", "falling_indptr", "short_data"])
+        "index_before_value", "short_indptr", "falling_indptr", "short_data",
+        "fractional_indices", "nan_index", "fractional_indptr"])
 def test_sparse_matrix_validation_names_the_first_bad_row(indptr, indices, data, message):
-    # rows 0 to 2: an index out of order or range, or a non-finite value
+    # rows 0 to 2: an index out of order or range, or a non-finite value; an index
+    # that is not an integer, which an int64 copy would truncate (0.7 to column 0)
     with pytest.raises(ValueError, match=message):
         SparseDesignMatrix(3, 4, indptr, indices, data)
 

@@ -253,6 +253,17 @@ def test_solver_config_validation():
                 SolverConfig(**{"epochs": 1, "step_size": 0.1, field: bad})
         for good in (3, np.int64(3), np.int32(3)):
             SolverConfig(**{"epochs": 1, "step_size": 0.1, field: good})
+    # a bool runs as one epoch or escapes from draw_many, a float seed is truncated or
+    # escapes from the hybrid's XOR, a string flag averages and a string step escapes
+    for field, bad in (("epochs", True), ("inner_iterations", True), ("seed", 1.5),
+                       ("seed", True), ("seed", None), ("average_epoch_output", "no"),
+                       ("average_epoch_output", 1), ("step_size", "0.1"), ("step_size", True),
+                       ("sgd_initial_step", "1.0")):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{"epochs": 1, "step_size": 0.1, field: bad})
+    for field, good in (("seed", np.uint64(2 ** 63)), ("average_epoch_output", np.bool_(False)),
+                        ("step_size", np.float32(0.1)), ("step_size", 1)):
+        SolverConfig(**{"epochs": 1, "step_size": 0.1, field: good})
 
 
 def test_config_and_specs_refuse_assignment():
