@@ -29,7 +29,6 @@ from vrgrad import (
     run_vrpsg,
     theoretical_rate,
 )
-from vrgrad.certificates import box_rows
 
 
 def designed_instance():
@@ -52,7 +51,7 @@ def main():
     args = parser.parse_args()
 
     problem = designed_instance()
-    C, b = box_rows(problem.constraint.lower, problem.constraint.upper)
+    C, b = problem.constraint.rows(problem.d)
     report = build_certificate(problem, C, b, probe=True, probes=args.probes)
 
     print("certificate chain")

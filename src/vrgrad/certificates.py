@@ -10,7 +10,6 @@ instances small enough to certify honestly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
@@ -111,10 +110,12 @@ def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
 
     Every 10 iterations ``eval_full_grad`` gives the unit-step gradient
     mapping norm, and the run stops once that is at most 1e-12, or after
-    10^6 iterations.  Checks 1, 2, 4, 8, ... that find it above try
-    ``_face_polish`` from a copy of the iterate, within ``_POLISH_WORK`` times
-    the reads of X counted so far: one per AFG function value, two per AFG
-    gradient, one per check or polish gradient.  A guard keeps a polished
+    10^6 iterations.  A check whose objective is not finite ends the run
+    with gradient mapping inf, so it never certifies.  Checks 1, 2, 4, 8,
+    ... that find the norm above 1e-12 try ``_face_polish`` from a copy of
+    the iterate, within ``_POLISH_WORK`` times the reads of X counted so
+    far: one per AFG function value, two per AFG gradient, one per check or
+    polish gradient.  A guard keeps a polished
     point, and ends the run, only if the side's step map leaves it feasible
     to the bit (the l1 ball's projection can round a few ulps of tau
     outside) and its gradient mapping from ``eval_full_grad`` is within the
@@ -125,9 +126,11 @@ def reference_run(problem: ProblemSpec, w0=None) -> ReferenceRun:
     iterations = _afg_iterations(problem, w0, 1.0)
     next(iterations)  # the start point
     extra = 0  # the check and polish gradients so far
-    for it, (x, _, grads, probes) in zip(range(1, _REFERENCE_MAX_ITERATIONS + 1), iterations):
+    for it, (x, value, grads, probes) in zip(range(1, _REFERENCE_MAX_ITERATIONS + 1), iterations):
         if it % _CHECK_EVERY:
             continue
+        if not np.isfinite(value):  # AFG makes no progress from here
+            return ReferenceRun(x, value, math.inf)
         extra += 1
         g = eval_full_grad(problem, x)
         gm = gradient_mapping_norm(problem, x, g)
@@ -266,6 +269,7 @@ def _face_step(H, delta, r, w, lower, upper, row):
     return new, free
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a run at objective inf fails the agreement check
 def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     """Solve to gradient-mapping tolerance from three starts; collect facts.
 
@@ -299,25 +303,10 @@ def reference_solution(problem: ProblemSpec, seed: int = 0) -> OptimalFacts:
     )
 
 
-def l1_ball_rows(d: int, tau: float):
-    """Explicit inequality description C w <= b of the l1 ball: 2^d sign rows.
-
-    Raises EnumerationBudgetError for d > 4, and ValueError where ``L1Ball``
-    refuses tau."""
-    if d > 4:
-        raise EnumerationBudgetError(
-            f"explicit l1-ball description has 2^{d} rows; capped at d = 4"
-        )
-    L1Ball(tau)  # refuses a tau that is not positive and finite
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-    return signs, np.full(signs.shape[0], float(tau))
-
-
 def box_rows(lower, upper):
-    """Explicit inequality description [I; -I] w <= [upper; -lower]: the rows of the
-    whole box's face, so ValueError where ``Box`` refuses the bounds."""
-    box = Box(lower=lower, upper=upper)
-    return box.face(np.zeros(box.lower.size), 0.0).rows()[2:]
+    """Explicit inequality description [I; -I] w <= [upper; -lower] of the box
+    (``Box.rows``), so ValueError where ``Box`` refuses the bounds."""
+    return Box(lower=lower, upper=upper).rows(np.size(lower))
 
 
 def hoffman_theta_bound(C, b, X) -> float:
@@ -735,13 +724,13 @@ def build_certificate(problem: ProblemSpec, C, b, sampling_mode: str = sampling.
     the grid minimum even when it is not contractive; callers inspect
     ``contractive``.
     """
+    theta = hoffman_theta_bound(C, b, problem.matrix)  # refuses over budget before any solve
     facts = reference_solution(problem, seed=seed)
     if not facts.certified:
         raise CertificateError("reference solve did not certify; cannot ground the constants")
     info = compute_lipschitz_info(problem)
     dist = sampling.build_distribution(sampling_mode, info, seed=seed)
     l_p = aggregate_lipschitz(info, dist)
-    theta = hoffman_theta_bound(C, b, problem.matrix)
     mu = _down(mu_estimate(problem))
     grad_norm = float(np.linalg.norm(_coef_and_grad(problem, facts.r_star)[1]))
     # sigma_max(X)^2 from one SVD: the Hoffman bound has refused an X past 24 rows

@@ -479,13 +479,9 @@ def cmd_certify(cfg: dict, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
-    c = problem.constraint
-    if isinstance(c, problems.L1Ball):
-        C, b = certificates.l1_ball_rows(problem.d, c.tau)
-    elif isinstance(c, problems.Box):
-        C, b = certificates.box_rows(c.lower, c.upper)
-    else:
+    if problem.constraint is None:
         raise ConfigError("certify needs a constrained problem (l1_ball or box)")
+    C, b = problem.constraint.rows(problem.d)
 
     report = certificates.build_certificate(
         problem, C, b, sampling_mode=top["sampling"], eta_fractions=top["eta_fractions"],

@@ -10,6 +10,7 @@ averaged least squares and binary logistic regression.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -348,7 +349,8 @@ class LossSpec:
 # face(g, tol) is the Face where -g is in the normal cone, or in lam times the l1
 # subdifferential, a |g_j| within tol of a threshold counting as at it; cut(z) is a
 # row (a, b), a' w <= b on the set, that a z meeting the face rows breaks, or None:
-# only the whole l1 ball needs one.
+# only the whole l1 ball needs one.  The two sets also give rows(d), the whole set
+# as explicit rows (C, b), C w <= b, for the certificate's Hoffman bound.
 
 
 class Face(NamedTuple):
@@ -428,6 +430,13 @@ class L1Ball:
     def cut(self, z):
         return None if np.abs(z).sum() <= self.tau * (1.0 + 1e-12) else (np.sign(z), self.tau)
 
+    def rows(self, d):
+        """The ball as explicit rows C w <= b: its 2^d sign rows, refused past d = 4."""
+        if d > 4:
+            raise ValueError(f"explicit l1-ball description has 2^{d} rows; capped at d = 4")
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        return signs, np.full(signs.shape[0], float(self.tau))
+
 
 @dataclass(frozen=True)
 class Box:
@@ -471,6 +480,10 @@ class Box:
 
     def cut(self, z):
         return None
+
+    def rows(self, d):
+        """The box as explicit rows [I; -I] w <= [upper; -lower]: its whole face's rows."""
+        return self.face(np.zeros(d), 0.0).rows()[2:]
 
 
 @dataclass(frozen=True)

@@ -436,7 +436,8 @@ def _stochastic_run(problem, config, w0, f_star, info, algorithm):
         dist = sampling.build_distribution(config.sampling_mode, info, seed=config.seed)
         l_p = aggregate_lipschitz(info, dist)
         theory_warning = l_p > 0 and config.step_size >= 1.0 / (4.0 * l_p)
-    f0, margins = objective_and_margins(problem, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an f0 that overflows fails the epoch check
+        f0, margins = objective_and_margins(problem, w)
     threshold = f0 + _DIVERGENCE_FACTOR * max(1.0, abs(f0))
     rows, t0 = [], time.perf_counter()
 

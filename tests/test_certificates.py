@@ -21,7 +21,6 @@ from vrgrad.certificates import (
     box_rows,
     build_certificate,
     hoffman_theta_bound,
-    l1_ball_rows,
     mu_estimate,
     rate_grid_search,
     reference_solution,
@@ -310,33 +309,52 @@ def test_hoffman_budget_refuses_before_densifying(monkeypatch):
         hoffman_theta_bound(C, b, SparseDesignMatrix.from_dense(np.eye(8)))
 
 
+# the sign rows of the l1 ball at d = 4, in itertools.product order; at d < 4 they
+# are the first 2^d rows' last d columns
+L1_SIGN_ROWS_4 = np.array([
+    [-1.0, -1.0, -1.0, -1.0], [-1.0, -1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0],
+    [-1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, 1.0],
+    [1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0],
+    [1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0],
+])
+
+
 def test_constraint_row_descriptions_define_the_sets():
     rng = np.random.Generator(np.random.Philox(24))
-    C, b = l1_ball_rows(3, 1.5)
+    C, b = L1Ball(1.5).rows(3)
     assert C.shape == (8, 3)
     for _ in range(200):
         w = rng.uniform(-2.0, 2.0, 3)
         assert (np.abs(w).sum() <= 1.5) == bool(np.all(C @ w <= b + 1e-12))
     lo, hi = np.array([-1.0, 0.0]), np.array([0.5, 2.0])
-    C2, b2 = box_rows(lo, hi)
+    C2, b2 = Box(lo, hi).rows(2)
     for _ in range(200):
         w = rng.uniform(-2.0, 3.0, 2)
         inside = bool(np.all((w >= lo) & (w <= hi)))
         assert inside == bool(np.all(C2 @ w <= b2 + 1e-12))
-    with pytest.raises(EnumerationBudgetError):
-        l1_ball_rows(5, 1.0)
+    with pytest.raises(ValueError, match="capped at d = 4"):
+        L1Ball(1.0).rows(5)
+    # the bytes of the ball's rows at d = 1 to 4
+    for d in range(1, 5):
+        C, b = L1Ball(1.5).rows(d)
+        assert (C.dtype, b.dtype, C.shape) == (np.float64, np.float64, (2 ** d, d))
+        assert C.tobytes() == L1_SIGN_ROWS_4[:2 ** d, 4 - d:].tobytes()
+        assert b.tobytes() == np.array([1.5] * 2 ** d).tobytes()
     # the rows of Face.rows() for the whole box, bounds at +-0 and +-1e300 included
     lo, hi = np.array([-0.0, 0.0, -1e300, 2.0]), np.array([0.0, -0.0, 1e300, 3.0])
-    C3, b3 = box_rows(lo, hi)
-    assert C3.tobytes() == np.vstack([np.eye(4), -np.eye(4)]).tobytes()
-    assert b3.tobytes() == np.concatenate([hi, -lo]).tobytes()
+    for C3, b3 in (Box(lo, hi).rows(4), box_rows(lo, hi)):
+        assert C3.tobytes() == np.array([
+            [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+            [-1.0, -0.0, -0.0, -0.0], [-0.0, -1.0, -0.0, -0.0], [-0.0, -0.0, -1.0, -0.0],
+            [-0.0, -0.0, -0.0, -1.0]]).tobytes()
+        assert b3.tobytes() == np.array([0.0, -0.0, 1e300, 3.0, 0.0, -0.0, 1e300, -2.0]).tobytes()
     # an empty box, a NaN bound and an infinite tau are refused, as Box and L1Ball do
     for bad in (([1.0], [0.0]), ([np.nan], [1.0]), ([0.0], [np.inf])):
         with pytest.raises(ValueError):
             box_rows(*bad)
     for tau in (np.inf, np.nan, 0.0):
         with pytest.raises(ValueError):
-            l1_ball_rows(2, tau)
+            L1Ball(tau).rows(2)
 
 
 def test_mu_estimate_values(monkeypatch):

@@ -807,6 +807,14 @@ EXIT_CODES = {
                                 2, "line search stalled"),
     "noise-overflows": ("solve", README_SOLVE, ["dataset.noise_std=1e308"], 1,
                         "labels must be finite"),
+    # ... and end at once: a reference run stops at a check whose objective is not finite
+    "certify-box-start-overflows": ("certify", CONTRACTIVE_CERTIFY,
+                                    ["problem.constraint.upper=1e308"], 2, "line search stalled"),
+    "certify-ball-start-overflows": ("certify", NON_CONTRACTIVE_CERTIFY,
+                                     ["problem.constraint.tau=1e308"], 1,
+                                     "reference solve did not certify"),
+    "start-objective-overflows": ("solve", README_SOLVE, ["dataset.noise_std=1e200"], 2,
+                                  "diverged at epoch 1: objective inf (started at inf)"),
 }
 
 

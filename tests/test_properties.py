@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from vrgrad import _epoch, certificates, problems, solvers
-from vrgrad.certificates import box_rows, l1_ball_rows
+from vrgrad.certificates import box_rows
 from vrgrad.geometry import (
     box_kernel,
     l1_ball_kernel,
@@ -490,7 +490,7 @@ def degenerate_rows(d):
 def constraint_rows(d):
     """No rows, the box's or the l1 ball's rows, or random rows of design entries."""
     return st.one_of(st.just(None), st.just(box_rows(-np.ones(d), np.ones(d))[0]),
-                     st.just(l1_ball_rows(d, 1.0)[0]) if d <= 3 else st.nothing(),
+                     st.just(L1Ball(1.0).rows(d)[0]) if d <= 3 else st.nothing(),
                      arrays(np.float64, st.tuples(st.integers(0, 3), st.just(d)),
                             elements=design_entries))
 

@@ -336,8 +336,8 @@ def test_afg_probe_accounting_separate_from_gradients():
     assert trace.grad_evals[-1] >= 50 * prob.n
 
 
-def counted_reference_run(problem, monkeypatch):
-    """``certificates.reference_run(problem)`` and the number of AFG iterations it took."""
+def counted_reference_run(problem, monkeypatch, w0=None):
+    """``certificates.reference_run(problem, w0)`` and the number of AFG iterations it took."""
     afg, taken = solvers._afg_iterations, [0]
 
     def counted(*args):
@@ -345,7 +345,7 @@ def counted_reference_run(problem, monkeypatch):
             yield item
 
     monkeypatch.setattr(certificates, "_afg_iterations", counted)
-    return certificates.reference_run(problem), taken[0]
+    return certificates.reference_run(problem, w0), taken[0]
 
 
 def test_afg_reaches_gradient_mapping_tolerance(monkeypatch):
@@ -358,6 +358,19 @@ def test_afg_reaches_gradient_mapping_tolerance(monkeypatch):
     assert np.linalg.norm(gm) <= 1e-12
     # the tolerance stop fired long before the iteration budget
     assert iterations < 100000
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reference_run_ends_at_a_check_whose_objective_is_not_finite(monkeypatch):
+    # from w = 1e307 in a box up to 1e308 the objective overflows, and AFG
+    # makes no progress there: the first check ends the run, which cannot certify
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    problem = ProblemSpec(matrix=SparseDesignMatrix.from_dense(X),
+                          loss=LossSpec("least_squares", np.array([0.3, -0.2, 0.6])),
+                          constraint=Box(np.full(2, -1.0), np.full(2, 1e308)))
+    run, iterations = counted_reference_run(problem, monkeypatch, np.full(2, 1e307))
+    assert iterations == 10
+    assert not np.isfinite(run.objective) and run.gradient_mapping == math.inf
 
 
 def polish_case(kind):
